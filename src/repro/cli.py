@@ -449,7 +449,6 @@ def _cmd_run_all(args) -> int:
 def _write_run_ledger(args, report) -> None:
     """Persist this run-all as a ledger entry under ``<runs-dir>/<stamp>``."""
     from .runner import ledger
-    from .simcore.events import active_queue_class
 
     stamp, run_dir = ledger.new_run_dir(args.runs_dir)
     manifest = {
@@ -458,7 +457,6 @@ def _write_run_ledger(args, report) -> None:
         "seed": args.seed,
         "jobs": report.jobs,
         "wall_s": round(report.wall_s, 2),
-        "event_queue": active_queue_class().__name__,
         "cache": {
             "enabled": not args.no_cache,
             "hits": report.cache_hits,

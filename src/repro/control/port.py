@@ -7,10 +7,9 @@ feedback controller, experiment probes, tests — observe the stream of
 (action, result) pairs without touching the mechanisms.
 
 Determinism contract: with no observers attached, :meth:`submit` is a
-dict lookup plus the very call the call site used to make directly — no
-events, no RNG, no allocation beyond the action itself — so the
-refactored plumbing stays byte-identical when no policy is attached
-(``tools/check_determinism.py`` gates on this).
+dict lookup plus the mechanism call — no events, no RNG, no allocation
+beyond the action itself — so attaching no policy leaves every run's
+rows and trace hashes unchanged.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class ActuationPort:
         re-register on adoption after a live migration)."""
         self._executors[kind] = executor
 
-    def executes(self, kind: str) -> bool:
-        """True when an executor for *kind* is installed."""
-        return kind in self._executors
-
     # -- policy side -------------------------------------------------------------
 
     def observe(self, fn: Observer) -> Callable[[], None]:
@@ -62,11 +57,6 @@ class ActuationPort:
                 pass
 
         return cancel
-
-    @property
-    def observed(self) -> bool:
-        """True when any policy is watching (slow path engaged)."""
-        return bool(self._observers)
 
     # -- the funnel --------------------------------------------------------------
 

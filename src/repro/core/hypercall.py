@@ -61,24 +61,6 @@ class RTVirtHypercall(CrossLayerPort):
     def _charge(self) -> None:
         self.machine.charge_hypercall(pcpu_index=0)
 
-    def _admit_increase(self, updates: List[ParamUpdate]) -> bool:
-        """Run host admission through the actuation port when wired.
-
-        Standalone ports (unit tests build them without a system) fall
-        back to the direct call — same mechanism, no observer tap.
-        """
-        control = self.machine.control
-        if control is not None and control.executes(AdmitRequest.kind):
-            return control.submit(AdmitRequest(self.admission, tuple(updates)))
-        return self.admission.try_commit(updates)
-
-    def _admit_decrease(self, updates: List[ParamUpdate]) -> None:
-        control = self.machine.control
-        if control is not None and control.executes(AdmitDecrease.kind):
-            control.submit(AdmitDecrease(self.admission, tuple(updates)))
-            return
-        self.admission.commit_decrease(updates)
-
     def _emit(
         self, updates: List[ParamUpdate], outcome: str, flag: SchedRTVirtFlag
     ) -> None:
@@ -140,7 +122,10 @@ class RTVirtHypercall(CrossLayerPort):
             self.log.append((flag, False))
             self._emit(updates, "dropped", flag)
             return False
-        if not self._admit_increase(updates):
+        admitted = self.machine.control.submit(
+            AdmitRequest(self.admission, tuple(updates))
+        )
+        if not admitted:
             self.log.append((flag, False))
             self._emit(updates, "rejected", flag)
             return False
@@ -158,7 +143,7 @@ class RTVirtHypercall(CrossLayerPort):
             self.log.append((SchedRTVirtFlag.DEC_BW, False))
             self._emit(updates, "dropped", SchedRTVirtFlag.DEC_BW)
             return
-        self._admit_decrease(updates)
+        self.machine.control.submit(AdmitDecrease(self.admission, tuple(updates)))
         deferred = self._deliver(updates, SchedRTVirtFlag.DEC_BW)
         self.log.append((SchedRTVirtFlag.DEC_BW, True))
         self._emit(

@@ -7,13 +7,9 @@ The subsystem has three parts (DESIGN.md §8):
   delay/drop, workload surge, and clock jitter on budget replenishment;
 - :mod:`timeline` — a declarative timeline DSL
   (``Scenario([At(t, PcpuFail(2)), Every(p, VmChurn())])``) that
-  installs injectors onto a system's event engine.  The DSL lives in
-  ``src/repro/faults/timeline.py``; it was formerly named
-  ``repro.faults.scenario``, renamed to stop colliding with the
-  top-level :mod:`repro.scenario` experiment runner.  Importing the
-  old name still works through a shim that raises exactly one
-  :class:`DeprecationWarning` per process and re-exports the timeline
-  symbols;
+  installs injectors onto a system's event engine.  It is named
+  ``timeline`` so it cannot be confused with the top-level
+  :mod:`repro.scenario` experiment runner;
 - :mod:`invariants` — an online checker hooked into the engine that
   validates scheduling invariants after every event batch and raises
   :class:`~repro.simcore.errors.InvariantViolation` with the offending

@@ -113,26 +113,24 @@ class PEDFGuestScheduler:
 
     # -- cross-layer actuation ------------------------------------------------
 
-    def _control(self):
-        """The host's actuation port, when the VM is machine-attached."""
-        machine = self.vm.machine
-        return machine.control if machine is not None else None
-
     def _request_increase(self, updates: List[ParamUpdate]) -> bool:
-        """INC_BW/INC_DEC_BW through the control plane (or the raw port
-        for detached VMs — same call, no observer tap)."""
-        control = self._control()
-        if control is not None and control.executes(IncBandwidth.kind):
-            return control.submit(IncBandwidth(self.vm.port, tuple(updates)))
-        return self.vm.port.request_increase(updates)
+        """INC_BW/INC_DEC_BW through the host's actuation port.
+
+        A VM that sits on no machine has no host to ask, so it calls its
+        cross-layer port directly.
+        """
+        machine = self.vm.machine
+        if machine is None:
+            return self.vm.port.request_increase(updates)
+        return machine.control.submit(IncBandwidth(self.vm.port, tuple(updates)))
 
     def _notify_decrease(self, updates: List[ParamUpdate]) -> None:
-        """DEC_BW through the control plane (never rejected)."""
-        control = self._control()
-        if control is not None and control.executes(DecBandwidth.kind):
-            control.submit(DecBandwidth(self.vm.port, tuple(updates)))
-            return
-        self.vm.port.notify_decrease(updates)
+        """DEC_BW through the host's actuation port (never rejected)."""
+        machine = self.vm.machine
+        if machine is None:
+            self.vm.port.notify_decrease(updates)
+        else:
+            machine.control.submit(DecBandwidth(self.vm.port, tuple(updates)))
 
     # -- placement helpers ---------------------------------------------------
 

@@ -8,11 +8,9 @@ wiring.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from ..control import actions as A
-from ..control.port import ActuationPort
 from ..guest.vm import VM
 from ..metrics.deadlines import MissReport, collect_miss_report
 from ..simcore.engine import Engine
@@ -33,26 +31,10 @@ class BaseSystem:
     ) -> None:
         self.engine = engine if engine is not None else Engine()
         self.machine = Machine(self.engine, pcpu_count, cost_model, trace)
-        #: The actuation port every bandwidth/placement mutation flows
-        #: through.  The base system executes the generic mechanisms
-        #: (cross-layer port calls, PCPU faults); subclasses register
-        #: their own (host admission, scheduler renegotiation).
-        self.control = ActuationPort()
-        #: REPRO_DIRECT_ACTUATION=1 leaves the machine's port detached:
-        #: every call site falls back to its direct mechanism call (the
-        #: pre-refactor shape).  Only ``tools/check_perf.py`` uses this,
-        #: as the in-session baseline for the port-overhead A/B gate;
-        #: policies cannot attach while it is set.
-        if os.environ.get("REPRO_DIRECT_ACTUATION") == "1":
-            self.machine.control = None
-        else:
-            self.machine.control = self.control
-        self.control.register(
-            A.IncBandwidth.kind, lambda a: a.port.request_increase(a.updates)
-        )
-        self.control.register(
-            A.DecBandwidth.kind, lambda a: a.port.notify_decrease(a.updates)
-        )
+        #: The machine's actuation port.  The machine executes the
+        #: cross-layer port calls; the base system adds PCPU faults and
+        #: subclasses their own mechanisms (host admission).
+        self.control = self.machine.control
         self.control.register(
             A.FailPcpu.kind, lambda a: a.system._do_fail_pcpu(a.pcpu_index)
         )

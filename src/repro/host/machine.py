@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..control import actions as A
+from ..control.port import ActuationPort
 from ..guest.task import Job
 from ..guest.vcpu import VCPU
 from ..guest.vm import VM
@@ -62,10 +64,18 @@ class Machine:
         self.bus.watch(self._on_telemetry_change)
         self.trace = trace if trace is not None else NullTrace()
         self.metrics = HostMetrics()
-        #: The owning system's actuation port (set by ``BaseSystem``):
-        #: guest schedulers reach the control plane through the machine
-        #: they are attached to, the same way they reach the bus.
-        self.control = None
+        #: The actuation port every bandwidth/placement mutation on this
+        #: host flows through.  Guest schedulers reach it through the
+        #: machine they are attached to, the same way they reach the bus.
+        #: The machine executes the cross-layer port calls; systems
+        #: register their own mechanisms (admission, PCPU faults).
+        self.control = ActuationPort()
+        self.control.register(
+            A.IncBandwidth.kind, lambda a: a.port.request_increase(a.updates)
+        )
+        self.control.register(
+            A.DecBandwidth.kind, lambda a: a.port.notify_decrease(a.updates)
+        )
         self.vms: List[VM] = []
         self.host_scheduler = None
         self._vcpu_pcpu: Dict[int, int] = {}  # vcpu uid -> pcpu index

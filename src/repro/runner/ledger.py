@@ -1,7 +1,7 @@
 """Persistent run ledger — ``runs/<stamp>/manifest.json``.
 
 Every ``repro run-all`` writes one ledger entry: a timestamped directory
-holding a manifest (git sha, seed, event-queue class, per-unit walls,
+holding a manifest (git sha, seed, cache counters, per-unit walls,
 metric row hashes) plus any recorded trace artifacts.  The ledger is
 what makes performance and correctness *trajectories* durable across
 PRs — ``BENCH_*.json`` files capture only the latest accepted state.

@@ -16,7 +16,7 @@ from time import perf_counter
 from typing import Any, Callable, List, Optional
 
 from .errors import SimulationError
-from .events import PRIORITY_DEFAULT, Event, active_queue_class
+from .events import PRIORITY_DEFAULT, Event, EventQueue
 
 
 class Engine:
@@ -34,9 +34,7 @@ class Engine:
     )
 
     def __init__(self) -> None:
-        # Resolved per engine so REPRO_EVENT_QUEUE (the determinism
-        # harness's --queue mode) can flip implementations in-process.
-        self._queue = active_queue_class()()
+        self._queue = EventQueue()
         self._now = 0
         self._running = False
         self._in_batch = False

@@ -6,8 +6,8 @@ same instant break first on an explicit priority (smaller runs first) and
 then on insertion order, which keeps the simulation deterministic.
 
 Cancellation is lazy: :meth:`EventQueue.cancel` marks the event and the
-queue discards it when it surfaces.  This is the usual O(log n) heap
-discipline without the cost of re-heapifying on cancel.
+queue discards it when it surfaces, compacting only after mass
+cancellation.
 
 Event state machine: a pushed event is *pending* (``active``); it leaves
 that state exactly once, either by being popped (*consumed*) or by being
@@ -15,33 +15,21 @@ cancelled.  The queue's live count is decremented on exactly that one
 transition, so ``len(queue)`` can never underflow — cancelling an event
 that already fired is a no-op, not a double decrement.
 
-Two queue implementations share that contract and produce *identical*
-pop order:
-
-:class:`HeapEventQueue`
-    The original single binary heap of ``(time, priority, seq, event)``
-    tuples.  Every push and pop pays O(log n) in the total number of
-    pending events.
-
-:class:`CalendarEventQueue` (the default)
-    A calendar-style queue: a dict of ``time -> bucket`` where each
-    bucket is a small heap of ``(priority, seq, event)``, plus a heap of
-    the distinct bucket times.  Pushing into an existing instant is
-    O(log bucket) — effectively O(1), buckets are tiny — and the
-    engine's batch loop (:meth:`~CalendarEventQueue.pop_at`) drains an
-    instant with one dict lookup per event instead of sifting the global
-    heap.  Simulated entity count therefore stops being heap depth:
-    10 000 co-pending timers at distinct instants cost each instant only
-    its own bucket.
-
-Select the implementation per process with ``REPRO_EVENT_QUEUE=heap``
-(or ``calendar``); ``tools/check_determinism.py --queue`` uses this to
-prove the two pop byte-identically over the whole experiment registry.
+:class:`EventQueue` is a calendar-style queue: a dict of
+``time -> bucket`` where each bucket is a small heap of
+``(priority, seq, event)``, plus a heap of the distinct bucket times.
+Pushing into an existing instant is O(log bucket) — effectively O(1),
+buckets are tiny — and the engine's batch loop
+(:meth:`~EventQueue.pop_at`) drains an instant with one dict lookup per
+event instead of sifting a global heap.  Simulated entity count
+therefore stops being heap depth: 10 000 co-pending timers at distinct
+instants cost each instant only its own bucket.  A plain binary heap
+over every pending event lives in the test suite as the reference
+oracle the queue's pop order is diffed against.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -113,157 +101,20 @@ class Event:
         return f"<Event {self.name} t={self.time} prio={self.priority} {state}>"
 
 
-#: Heap entry: the comparison key inline, the event payload last.  The
-#: sequence number is unique, so comparisons never reach the event.
-_Entry = Tuple[int, int, int, Event]
-
 #: Calendar-bucket entry: the instant is the dict key, so only the
 #: intra-instant key ``(priority, seq)`` travels with the event.
 _BucketEntry = Tuple[int, int, Event]
 
 
-class HeapEventQueue:
-    """A deterministic priority queue of :class:`Event` objects.
-
-    The original single-binary-heap implementation, kept both as the
-    reference for the ``--queue`` byte-identity gate and as a fallback
-    (``REPRO_EVENT_QUEUE=heap``).
-    """
-
-    #: Compact the heap once more than this many cancelled entries linger
-    #: *and* they outnumber the live ones.  Mass cancellation (a PCPU
-    #: failure revoking hundreds of in-flight timers at once) would
-    #: otherwise leave the heap dominated by dead entries that every
-    #: subsequent sift still has to wade through.
-    _COMPACT_MIN_DEAD = 64
-
-    __slots__ = ("_heap", "_seq", "_live", "_dead")
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-        self._seq = 0
-        self._live = 0
-        #: Cancelled entries still sitting in the heap (not yet discarded
-        #: by the lazy pop path).  Invariant: ``len(_heap) == _live + _dead``.
-        self._dead = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_DEFAULT,
-        name: str = "",
-    ) -> Event:
-        """Schedule *callback(\\*args)* at absolute *time* and return the event."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule an event at negative time {time}")
-        event = Event(time, priority, self._seq, callback, args, name)
-        heappush(self._heap, (time, priority, self._seq, event))
-        self._seq += 1
-        self._live += 1
-        return event
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event.
-
-        Idempotent, and a no-op on events that already fired: only the
-        single pending→cancelled transition decrements the live count.
-        """
-        if not event.cancelled and not event.consumed:
-            event.cancel()
-            self._live -= 1
-            self._dead += 1
-            if (
-                self._dead > self._COMPACT_MIN_DEAD
-                and self._dead > self._live
-            ):
-                self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without its cancelled entries.
-
-        Keys ``(time, priority, seq)`` are unique, so heapifying the
-        surviving entries yields exactly the pop order the lazy path
-        would have produced — compaction is invisible to determinism.
-        """
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapify(self._heap)
-        self._dead = 0
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def pop(self) -> Event:
-        """Remove and return the next live event, marking it consumed.
-
-        Raises :class:`SimulationError` when the queue is empty.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        if not heap:
-            raise SimulationError("pop from an empty event queue")
-        event = heappop(heap)[3]
-        event.consumed = True
-        self._live -= 1
-        return event
-
-    def pop_at(self, time: int) -> Optional[Event]:
-        """Pop the next live event iff it is scheduled at exactly *time*.
-
-        One heap inspection serves both the "is there more work at this
-        instant" test and the pop — the engine's batch loop hot path.
-        """
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-            self._dead -= 1
-        if not heap or heap[0][0] != time:
-            return None
-        event = heappop(heap)[3]
-        event.consumed = True
-        self._live -= 1
-        return event
-
-    def clear(self) -> None:
-        """Drop every pending event.
-
-        Dropped events are marked cancelled so stale handles held by
-        components (e.g. a scheduler's exhaust timer) read as inactive
-        rather than forever-pending after a reset.
-        """
-        for _, _, _, event in self._heap:
-            if not event.consumed:
-                event.cancelled = True
-        self._heap.clear()
-        self._live = 0
-        self._dead = 0
-
-
-class CalendarEventQueue:
-    """Calendar/bucket event queue with byte-identical pop order.
+class EventQueue:
+    """Deterministic calendar/bucket priority queue of :class:`Event` objects.
 
     Structure: ``_buckets`` maps each distinct pending instant to a small
     heap of ``(priority, seq, event)``; ``_times`` is a heap of the
     instants themselves.  Global order ``(time, priority, seq)`` is
     recovered as "smallest bucket time, then smallest (priority, seq)
     within it" — sequence numbers are globally unique, so this is the
-    exact total order :class:`HeapEventQueue` produces.
+    exact total order a single heap over every event would produce.
 
     Why it is faster where it matters:
 
@@ -282,7 +133,12 @@ class CalendarEventQueue:
     never stored: every path that drains a bucket deletes it.
     """
 
-    _COMPACT_MIN_DEAD = HeapEventQueue._COMPACT_MIN_DEAD
+    #: Compact the buckets once more than this many cancelled entries
+    #: linger *and* they outnumber the live ones.  Mass cancellation (a
+    #: PCPU failure revoking hundreds of in-flight timers at once) would
+    #: otherwise leave the buckets dominated by dead entries that every
+    #: subsequent pop still has to wade through.
+    _COMPACT_MIN_DEAD = 64
 
     __slots__ = ("_buckets", "_times", "_seq", "_live", "_dead")
 
@@ -409,10 +265,10 @@ class CalendarEventQueue:
         """Pop the next live event iff it is scheduled at exactly *time*.
 
         The engine's batch-loop hot path.  *Iff the head is at time*: an
-        event pending at an earlier instant must refuse the pop exactly
-        like :class:`HeapEventQueue` does, so the head is located first
-        (cheap — mid-batch it is one stale-free peek of the times heap)
-        and the pop then only touches that instant's own bucket.
+        event pending at an earlier instant must refuse the pop, so the
+        head is located first (cheap — mid-batch it is one stale-free
+        peek of the times heap) and the pop then only touches that
+        instant's own bucket.
         """
         if self._head() != time:
             return None
@@ -440,32 +296,3 @@ class CalendarEventQueue:
         self._times.clear()
         self._live = 0
         self._dead = 0
-
-
-#: Implementation registry for ``REPRO_EVENT_QUEUE`` / ``--queue``.
-QUEUE_IMPLS = {
-    "calendar": CalendarEventQueue,
-    "heap": HeapEventQueue,
-}
-
-
-def active_queue_class():
-    """The queue implementation selected by ``REPRO_EVENT_QUEUE``.
-
-    Defaults to the calendar queue; the determinism harness's ``--queue``
-    mode sets ``REPRO_EVENT_QUEUE=heap`` to re-run the registry on the
-    reference heap and compare hashes.
-    """
-    name = os.environ.get("REPRO_EVENT_QUEUE", "calendar")
-    try:
-        return QUEUE_IMPLS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown REPRO_EVENT_QUEUE={name!r}; expected one of "
-            f"{sorted(QUEUE_IMPLS)}"
-        ) from None
-
-
-#: Default implementation under the historical name — the public API is
-#: unchanged; callers that construct an ``EventQueue`` get the calendar.
-EventQueue = CalendarEventQueue

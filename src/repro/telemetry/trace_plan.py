@@ -5,8 +5,7 @@ attached and returns the raw trace bytes; the parent merges the shards
 (in canonical unit order) into one sectioned trace whose bytes — and
 hence canonical hash — are identical however the units were executed.
 ``tools/check_determinism.py --trace`` gates exactly that property:
-serial, parallel and heap-queue executions must all merge to the same
-hash.
+serial and parallel executions must merge to the same hash.
 
 Like :mod:`repro.telemetry.blame_plan`, this module pulls in the
 experiment/runner layers and is deliberately **not** exported from

@@ -29,12 +29,6 @@ class TestRegistry:
         port.register("shed", lambda a: "new")
         assert port.submit(make_action()) == "new"
 
-    def test_executes(self):
-        port = ActuationPort()
-        assert not port.executes("shed")
-        port.register("shed", lambda a: None)
-        assert port.executes("shed")
-
 
 class TestObservers:
     def test_observer_sees_action_and_result(self):
@@ -65,14 +59,6 @@ class TestObservers:
         cancel()  # idempotent
         port.submit(make_action())
         assert len(seen) == 1
-
-    def test_observed_property_tracks_taps(self):
-        port = ActuationPort()
-        assert not port.observed
-        cancel = port.observe(lambda a, r: None)
-        assert port.observed
-        cancel()
-        assert not port.observed
 
 
 class TestActionShapes:

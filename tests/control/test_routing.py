@@ -12,8 +12,13 @@ import pytest
 
 from repro.control import actions as A
 from repro.core.system import RTVirtSystem
+from repro.guest.port import LocalPort
 from repro.guest.syscall import sched_adjust, sched_setattr, sched_unregister
+from repro.guest.task import Task
+from repro.guest.vm import VM
 from repro.host.costs import ZERO_COSTS
+from repro.host.machine import Machine
+from repro.simcore.engine import Engine
 from repro.simcore.time import msec
 
 
@@ -108,5 +113,20 @@ class TestNoObserverFastPath:
         sched_setattr(vm, "vm.rta", runtime_ns=msec(2), period_ns=msec(10))
         system.run(msec(20))
         # No policy attached: the port must stay on the unobserved fast
-        # path for the whole run (the determinism gate relies on it).
-        assert not system.control.observed
+        # path for the whole run.
+        assert system.control._observers == []
+
+
+class TestMachineOwnsThePort:
+    def test_bare_machine_routes_guest_bandwidth_requests(self):
+        machine = Machine(Engine(), 1, ZERO_COSTS)
+        assert machine.control is not None
+        seen = []
+        machine.control.observe(lambda a, r: seen.append((a.kind, r)))
+        vm = VM("vm", vcpu_count=1, slack_ns=0)
+        vm.set_port(LocalPort())
+        machine.attach_vm(vm)
+        task = Task("t", msec(2), msec(10))
+        vm.register_task(task)
+        vm.unregister_task(task)
+        assert seen == [(A.IncBandwidth.kind, True), (A.DecBandwidth.kind, None)]

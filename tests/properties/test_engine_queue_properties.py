@@ -23,12 +23,13 @@ from hypothesis import strategies as st
 from repro.baselines.rtxen import RTXenSystem
 from repro.guest.task import Task
 from repro.simcore.engine import Engine
-from repro.simcore.events import CalendarEventQueue, EventQueue, HeapEventQueue
+from repro.simcore.events import EventQueue
 from repro.simcore.time import MSEC, msec
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.heap_queue import HeapEventQueue
 
 BOTH_IMPLS = pytest.mark.parametrize(
-    "impl", [HeapEventQueue, CalendarEventQueue], ids=["heap", "calendar"]
+    "impl", [HeapEventQueue, EventQueue], ids=["heap", "calendar"]
 )
 
 
@@ -135,7 +136,7 @@ def test_stored_size_is_live_plus_dead(impl, ops):
 def test_calendar_never_stores_empty_buckets():
     """Every drain path deletes its bucket (the structural invariant
     that keeps ``_buckets`` bounded by distinct pending instants)."""
-    q = CalendarEventQueue()
+    q = EventQueue()
     a = q.push(5, lambda: None)
     q.push(5, lambda: None, priority=10)
     q.push(7, lambda: None)
@@ -218,7 +219,7 @@ def test_calendar_heap_pop_equivalence(ops):
     single step.  Sequence numbers are assigned in push order by both
     implementations, so identical streams produce identical keys.
     """
-    cal, heap = CalendarEventQueue(), HeapEventQueue()
+    cal, heap = EventQueue(), HeapEventQueue()
     created = []  # (calendar event, heap event) pairs, in push order
 
     def key(event):
@@ -268,7 +269,7 @@ def test_tie_break_stability_at_equal_timestamps(priorities, time):
     timestamp, lower priority wins, and equal priorities preserve push
     order exactly.
     """
-    for impl in (HeapEventQueue, CalendarEventQueue):
+    for impl in (HeapEventQueue, EventQueue):
         q = impl()
         pushed = [q.push(time, lambda: None, priority=p) for p in priorities]
         expected = sorted(pushed, key=lambda e: (e.priority, e.seq))

@@ -1,9 +1,9 @@
 """The two "scenario" namespaces must stay distinct and stable.
 
 ``repro.scenario`` is the declarative experiment runner;
-``repro.faults.timeline`` (formerly ``repro.faults.scenario``) is the
-fault-timeline DSL.  These tests pin the public import paths and the
-deprecation shim left at the old module name.
+``repro.faults.timeline`` is the fault-timeline DSL.  These tests pin
+the public import paths and that the DSL's old module name
+``repro.faults.scenario`` is gone.
 """
 
 import importlib
@@ -33,43 +33,10 @@ def test_experiment_runner_namespace_is_unrelated():
     assert repro.scenario.run_scenario is not repro.faults.timeline.Scenario
 
 
-def _reset_shim_warning():
-    """Forget that this process already warned (test isolation)."""
-    from repro.faults import timeline
-
+def test_old_module_path_no_longer_imports():
     sys.modules.pop("repro.faults.scenario", None)
-    if hasattr(timeline, "_SCENARIO_SHIM_WARNED"):
-        del timeline._SCENARIO_SHIM_WARNED
-
-
-def test_old_module_path_warns_but_still_exports():
-    _reset_shim_warning()
-    with pytest.warns(DeprecationWarning, match="repro.faults.timeline"):
-        shim = importlib.import_module("repro.faults.scenario")
-    from repro.faults import timeline
-
-    assert shim.At is timeline.At
-    assert shim.Every is timeline.Every
-    assert shim.Scenario is timeline.Scenario
-
-
-def test_old_module_path_warns_exactly_once_per_process():
-    # One warning per process: re-importing the cached module is silent,
-    # and so is a *fresh* re-import after the module object is dropped
-    # from sys.modules — the failure mode that made the parallel
-    # runner's worker warm-up repeat the warning per work unit.
-    _reset_shim_warning()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.faults.scenario")
-        importlib.import_module("repro.faults.scenario")
-        sys.modules.pop("repro.faults.scenario", None)
-        importlib.import_module("repro.faults.scenario")
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "repro.faults.timeline" in str(deprecations[0].message)
 
 
 def test_new_module_path_does_not_warn():

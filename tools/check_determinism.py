@@ -36,36 +36,24 @@ how the work units were scheduled.  Like ``--streams`` it stands alone:
     python tools/check_determinism.py --blame 4
 
 With ``--trace N`` the flight-recorder sweep (``repro.telemetry
-.trace_plan``) records a fixed two-family robustness sharding three
-times — serially, across N workers, and serially again under the
-reference heap event queue — and the merged trace's *canonical hash*
+.trace_plan``) records a fixed two-family robustness sharding twice —
+serially and across N workers — and the merged trace's *canonical hash*
 (a digest of every telemetry event the runs emitted, not just the end
-metrics) must be identical in all three: the gate that the simulated
-event stream itself is byte-stable under work-unit re-scheduling and
-the queue-implementation swap.  Like ``--streams`` it stands alone:
+metrics) must be identical in both: the gate that the simulated event
+stream itself is byte-stable under work-unit re-scheduling.  Like
+``--streams`` it stands alone:
 
     python tools/check_determinism.py --trace 4
 
-With ``--cluster N`` every ``cluster_*`` experiment (the multi-host
-family, sharded per observed host) runs serially and again through the
-parallel work-unit runner with N worker processes, and each
-experiment's merged ``rows()`` hash must equal the serial hash — the
-gate that per-host cluster shards reassemble byte-identically however
-the hosts were distributed over workers.  Like ``--streams`` it stands
-alone; it does not rerun the rest of the registry:
+``--only`` narrows any registry mode to one family.  The multi-host
+``cluster_*`` experiments shard per observed host, and the
+adaptive-control ``feedback_*``/``tenant_*`` experiments shard per
+policy cell, so the serial-vs-parallel gate over each family proves
+its shards reassemble byte-identically however they were spread over
+workers:
 
-    python tools/check_determinism.py --cluster 4
-
-With ``--feedback N`` every ``feedback_*``/``tenant_*`` experiment (the
-adaptive-control family, sharded per policy cell) runs serially and
-again through the parallel work-unit runner with N worker processes,
-and each experiment's merged ``rows()`` hash must equal the serial hash
-— the gate that the policy head-to-head cells reassemble byte-
-identically however they were distributed over workers, and that a
-feedback-controller run is reproducible under its fixed seed.  Like
-``--cluster`` it stands alone:
-
-    python tools/check_determinism.py --feedback 4
+    python tools/check_determinism.py --only 'cluster_*' --parallel 4
+    python tools/check_determinism.py --only 'feedback_*,tenant_*' --parallel 4
 
 With ``--cache`` the selected experiments run twice through the runner
 against a fresh temporary cache directory — a cold run that writes
@@ -79,25 +67,17 @@ the cold hashes are also checked against the serial digests):
     python tools/check_determinism.py --cache
     python tools/check_determinism.py --parallel 4 --cache
 
-With ``--queue`` every selected experiment runs twice serially — once
-under the calendar event queue (the default implementation) and once
-under the reference binary heap (``REPRO_EVENT_QUEUE=heap``) — and the
-two metrics hashes must match per experiment: the gate that the queue
-swap changed *nothing* about simulated behaviour:
-
-    python tools/check_determinism.py --queue
-    python tools/check_determinism.py --queue --only "table1,fig5b"
-
-Exit status is non-zero when any experiment's hash differs from the
-recorded baseline (or, with ``--check``, when an experiment appeared or
+Exit status is 1 when any experiment's hash differs from the recorded
+baseline (or, with ``--check``, when an experiment appeared or
 disappeared), or when the parallel runner's merged output diverges from
-the serial path, or when the two queue implementations disagree.
+the serial path; 2 on bad arguments, including a ``--check`` baseline
+that is missing or not in the format ``--record`` writes — the baseline
+is validated before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -106,29 +86,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import registry  # noqa: E402
-
-
-def _canonical(value):
-    """Make *value* JSON-serialisable without losing precision.
-
-    Floats are rendered through ``repr`` (shortest round-trip form), so
-    two runs hash identically iff every metric is bit-identical.
-    """
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
-
-
-def rows_hash(rows) -> str:
-    """Canonical JSON hash of an experiment's rows."""
-    blob = json.dumps(
-        _canonical(rows), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+from repro.runner.ledger import rows_hash  # noqa: E402
 
 
 def experiment_digest(experiment_id: str, seed=None) -> dict:
@@ -274,12 +232,11 @@ def check_trace(jobs: int, seed=None) -> list:
     """Flight-recorder gate: canonical trace hashes survive resharding.
 
     Records a fixed robustness trace sweep (two fault families, every
-    scheduler, 1 simulated second) in-process, again across *jobs*
-    worker processes, and a third time serially under the reference
-    heap event queue (``REPRO_EVENT_QUEUE=heap``).  The merged trace —
-    every telemetry event of every cell, framed in canonical unit
-    order — must hash identically in all three executions: the event
-    *stream*, not just the derived metrics, is byte-stable.
+    scheduler, 1 simulated second) in-process and again across *jobs*
+    worker processes.  The merged trace — every telemetry event of
+    every cell, framed in canonical unit order — must hash identically
+    in both executions: the event *stream*, not just the derived
+    metrics, is byte-stable.
     """
     from repro.runner.executor import execute_plan
     from repro.simcore.time import sec
@@ -312,80 +269,7 @@ def check_trace(jobs: int, seed=None) -> list:
                     f"trace/{cell}: parallel shard {parallel_part['hash'][:16]} "
                     f"!= serial {serial_part['hash'][:16]}"
                 )
-    print("[determinism] trace-sweep heap-queue rerun ...", flush=True)
-    previous = os.environ.get("REPRO_EVENT_QUEUE")
-    os.environ["REPRO_EVENT_QUEUE"] = "heap"
-    try:
-        heap = execute_plan(plan, jobs=1)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_EVENT_QUEUE", None)
-        else:
-            os.environ["REPRO_EVENT_QUEUE"] = previous
-    verdict = "ok" if heap.merged_hash == serial.merged_hash else "DIVERGED"
-    print(
-        f"[determinism]   trace/merged: heap {heap.merged_hash[:16]} "
-        f"vs calendar {serial.merged_hash[:16]}: {verdict}",
-        flush=True,
-    )
-    if heap.merged_hash != serial.merged_hash:
-        failures.append(
-            f"trace/merged: heap-queue hash {heap.merged_hash[:16]} "
-            f"!= calendar {serial.merged_hash[:16]}"
-        )
     return failures
-
-
-def check_cluster(jobs: int, seed=None) -> list:
-    """Cluster gate: per-host shards merge byte-identically.
-
-    Every ``cluster_*`` experiment re-runs the same deterministic
-    multi-host simulation once per observed host, so the parallel
-    runner may scatter the hosts of one cluster across workers.  The
-    merged rows must hash identically to the serial ``registry.run``
-    path regardless of that distribution.
-    """
-    cluster_ids = [i for i in registry.all_ids() if i.startswith("cluster_")]
-    digests = {}
-    for experiment_id in cluster_ids:
-        print(f"[determinism] running {experiment_id} ...", flush=True)
-        digests[experiment_id] = experiment_digest(experiment_id, seed=seed)
-        print(
-            f"[determinism]   {experiment_id}: "
-            f"{digests[experiment_id]['sha256'][:16]} "
-            f"({digests[experiment_id]['wall_s']}s)",
-            flush=True,
-        )
-    return check_parallel(cluster_ids, digests, jobs, seed=seed)
-
-
-def check_feedback(jobs: int, seed=None) -> list:
-    """Control-plane gate: per-policy cells merge byte-identically.
-
-    Every ``feedback_*``/``tenant_*`` experiment runs each policy cell
-    as its own work unit, so the parallel runner may scatter the cells
-    of one head-to-head across workers.  The merged rows must hash
-    identically to the serial ``registry.run`` path regardless of that
-    distribution — which also pins down that runs with a feedback
-    controller or credit ledger attached are reproducible under the
-    family's fixed seed.
-    """
-    feedback_ids = [
-        i
-        for i in registry.all_ids()
-        if i.startswith("feedback_") or i.startswith("tenant_")
-    ]
-    digests = {}
-    for experiment_id in feedback_ids:
-        print(f"[determinism] running {experiment_id} ...", flush=True)
-        digests[experiment_id] = experiment_digest(experiment_id, seed=seed)
-        print(
-            f"[determinism]   {experiment_id}: "
-            f"{digests[experiment_id]['sha256'][:16]} "
-            f"({digests[experiment_id]['wall_s']}s)",
-            flush=True,
-        )
-    return check_parallel(feedback_ids, digests, jobs, seed=seed)
 
 
 def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
@@ -447,42 +331,25 @@ def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
     return failures
 
 
-def check_queue(ids, serial_digests, seed=None) -> list:
-    """Queue-implementation gate: calendar vs reference heap.
+def load_baseline(path: str) -> dict:
+    """Read a ``--record`` baseline: experiment id -> ``{"sha256": ...}``.
 
-    The serial digests were produced under the session's default queue
-    (the calendar queue unless ``REPRO_EVENT_QUEUE`` overrides it); this
-    rerun forces the reference binary heap and every experiment's
-    metrics hash must be unchanged.  The engine reads the override per
-    construction, so setting the environment variable in-process covers
-    every system the experiments build.
+    Raises :class:`ValueError` with a one-line reason when the file is
+    missing, is not JSON, or is not in the recorded format.
     """
-    print("[determinism] heap-queue rerun ...", flush=True)
-    previous = os.environ.get("REPRO_EVENT_QUEUE")
-    os.environ["REPRO_EVENT_QUEUE"] = "heap"
-    failures = []
     try:
-        for experiment_id in ids:
-            digest = experiment_digest(experiment_id, seed=seed)
-            got = digest["sha256"]
-            want = serial_digests[experiment_id]["sha256"]
-            verdict = "ok" if got == want else "DIVERGED"
-            print(
-                f"[determinism]   {experiment_id}: heap {got[:16]} "
-                f"vs calendar {want[:16]}: {verdict} ({digest['wall_s']}s)",
-                flush=True,
-            )
-            if got != want:
-                failures.append(
-                    f"{experiment_id}: heap-queue hash {got[:16]} "
-                    f"!= calendar {want[:16]}"
-                )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_EVENT_QUEUE", None)
-        else:
-            os.environ["REPRO_EVENT_QUEUE"] = previous
-    return failures
+        with open(path) as fh:
+            baseline = json.load(fh)
+    except OSError as exc:
+        raise ValueError(exc.strerror or str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not JSON ({exc})") from None
+    if not isinstance(baseline, dict):
+        raise ValueError("expected a JSON object of experiment ids")
+    for experiment_id, digest in baseline.items():
+        if not (isinstance(digest, dict) and isinstance(digest.get("sha256"), str)):
+            raise ValueError(f"entry {experiment_id!r} has no sha256 string")
+    return baseline
 
 
 def main(argv=None) -> int:
@@ -530,35 +397,9 @@ def main(argv=None) -> int:
         "--trace",
         type=int,
         metavar="JOBS",
-        help="record the flight-recorder trace sweep serially, with JOBS "
-        "processes and under the reference heap queue, and fail unless "
-        "the merged canonical trace hashes are identical (does not "
-        "rerun the experiment registry)",
-    )
-    parser.add_argument(
-        "--cluster",
-        type=int,
-        metavar="JOBS",
-        help="run every cluster_* experiment serially and through the "
-        "parallel runner with JOBS processes and fail unless the merged "
-        "per-host shards hash identically (does not rerun the rest of "
-        "the registry)",
-    )
-    parser.add_argument(
-        "--feedback",
-        type=int,
-        metavar="JOBS",
-        help="run every feedback_*/tenant_* experiment serially and "
-        "through the parallel runner with JOBS processes and fail unless "
-        "the merged per-policy cells hash identically (does not rerun "
-        "the rest of the registry)",
-    )
-    parser.add_argument(
-        "--queue",
-        action="store_true",
-        help="rerun every selected experiment under the reference heap "
-        "event queue (REPRO_EVENT_QUEUE=heap) and fail unless its "
-        "metrics hash equals the calendar-queue run's",
+        help="record the flight-recorder trace sweep serially and with "
+        "JOBS processes and fail unless the merged canonical trace hashes "
+        "are identical (does not rerun the experiment registry)",
     )
     parser.add_argument(
         "--cache",
@@ -575,35 +416,38 @@ def main(argv=None) -> int:
         or args.streams
         or args.blame
         or args.trace
-        or args.cluster
-        or args.feedback
-        or args.queue
         or args.cache
     ):
         parser.error(
             "one of --record, --check, --parallel, --streams, --blame, "
-            "--trace, --cluster, --feedback, --queue or --cache is required"
+            "--trace or --cache is required"
         )
+    baseline = None
+    if args.check:
+        try:
+            baseline = load_baseline(args.check)
+        except ValueError as exc:
+            print(
+                f"check_determinism: bad baseline {args.check}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
+    if args.only:
+        try:
+            ids = registry.expand_ids(
+                [i.strip() for i in args.only.split(",") if i.strip()]
+            )
+        except KeyError as exc:
+            parser.error(f"--only: {exc.args[0]}")
+    else:
+        ids = registry.all_ids()
 
-    if (
-        args.parallel
-        or args.streams
-        or args.blame
-        or args.trace
-        or args.cluster
-        or args.feedback
-    ):
+    if args.parallel or args.streams or args.blame or args.trace:
         # The cross-process gates must actually cross processes, even on
         # hosts where the executor would collapse the pool to one CPU.
         os.environ["REPRO_RUNNER_FORCE_POOL"] = "1"
 
-    run_registry = bool(args.record or args.check or args.parallel or args.queue)
-    if args.only:
-        ids = registry.expand_ids(
-            [i.strip() for i in args.only.split(",") if i.strip()]
-        )
-    else:
-        ids = registry.all_ids()
+    run_registry = bool(args.record or args.check or args.parallel)
     digests = {}
     if run_registry:
         for experiment_id in ids:
@@ -617,8 +461,6 @@ def main(argv=None) -> int:
             )
 
     failures = []
-    if args.queue:
-        failures.extend(check_queue(ids, digests, seed=args.seed))
     if args.parallel:
         failures.extend(check_parallel(ids, digests, args.parallel, seed=args.seed))
     if args.cache:
@@ -631,18 +473,12 @@ def main(argv=None) -> int:
         failures.extend(check_blame(args.blame, seed=args.seed))
     if args.trace:
         failures.extend(check_trace(args.trace, seed=args.seed))
-    if args.cluster:
-        failures.extend(check_cluster(args.cluster, seed=args.seed))
-    if args.feedback:
-        failures.extend(check_feedback(args.feedback, seed=args.seed))
 
     if args.record:
         with open(args.record, "w") as fh:
             json.dump(digests, fh, indent=2, sort_keys=True)
         print(f"[determinism] baseline written to {args.record}")
-    elif args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
+    elif baseline is not None:
         for experiment_id in ids:
             if experiment_id not in baseline:
                 failures.append(f"{experiment_id}: not in baseline")
@@ -662,8 +498,6 @@ def main(argv=None) -> int:
     checks = []
     if args.check:
         checks.append("baseline")
-    if args.queue:
-        checks.append("queue-equivalence")
     if args.parallel:
         checks.append("serial-vs-parallel")
     if args.cache:
@@ -674,10 +508,6 @@ def main(argv=None) -> int:
         checks.append("blame-reports")
     if args.trace:
         checks.append("trace-hashes")
-    if args.cluster:
-        checks.append("cluster-shards")
-    if args.feedback:
-        checks.append("feedback-cells")
     suffix = f" ({' + '.join(checks)})" if checks else ""
     standalone = []
     if args.streams:
@@ -686,10 +516,6 @@ def main(argv=None) -> int:
         standalone.append("blame sweep")
     if args.trace:
         standalone.append("trace sweep")
-    if args.cluster:
-        standalone.append("cluster shards")
-    if args.feedback:
-        standalone.append("feedback cells")
     if run_registry or args.cache:
         subject = f"{len(ids)} experiments"
     else:

@@ -27,24 +27,18 @@ bounding the cost of the instrumentation's zero-subscriber fast path.
 the same way: with no SpanBuilder attached and no profiler installed,
 the producers and hooks added for causal tracing must cost nothing.
 
-``--control-tolerance`` (default 5%) gates the control plane's
-zero-policy promise: a renegotiation-heavy experiment subset runs twice
-per round in the same session — once with ``REPRO_DIRECT_ACTUATION=1``
-(the pre-refactor direct-call shape, ``machine.control`` detached) and
-once through the actuation port with no observers — and the median
-ported/direct wall ratio over interleaved pairs must stay within the
-tolerance.  In-session A/B is what makes 5% measurable: committed
-baselines drift with machine load, paired passes don't.
-
 ``--recorder-tolerance`` (default 5%) gates the flight recorder's
 detached path the same way: the engine benchmark runs with a
 ``TraceRecorder`` attached to the bus and detached again before the
 timed section, so throughput measures the post-detach fast path.
 
-Every fully-passing run (unless ``--no-history``) appends one JSON line
-to ``BENCH_history.jsonl`` — stamp, git sha, engine events/sec,
-registry wall and slowest unit — the durable benchmark trajectory that
-complements the latest-state ``BENCH_*.json`` baselines.
+Every run that reaches a verdict (unless ``--no-history``) appends one
+JSON line to ``BENCH_history.jsonl`` — stamp, git sha, ``status``
+(``pass``/``fail``), the first failing gate, and whatever the gates
+measured before it (engine events/sec, registry wall, slowest unit) —
+the durable benchmark trajectory that complements the latest-state
+``BENCH_*.json`` baselines.  A missing baseline (exit 3) is no verdict
+and appends nothing.
 
 The engine benchmark compares best-of-``--repeat`` fresh runs so a
 loaded machine does not trip the gate spuriously; raise ``--repeat``
@@ -239,62 +233,6 @@ def check_parallel_overhead(tolerance: float) -> int:
     return 0 if parallel <= ceiling else 2
 
 
-#: Renegotiation-heavy, policy-free experiments for the port A/B gate:
-#: sporadic mode changes, periodic group renegotiation, hypercall faults.
-CONTROL_GATE_SUBSET = ("sporadic", "table1", "robustness_hypercall")
-
-
-def check_control_overhead(tolerance: float, repeat: int = 3) -> int:
-    """No-controller gate: the actuation port must cost ≤ *tolerance*.
-
-    Every bandwidth mutation now flows through the actuation port; with
-    no policy observing, ``submit()`` is one dict lookup plus the very
-    mechanism call the call site used to make directly.  This gate runs
-    a renegotiation-heavy experiment subset (smoke variants of
-    ``CONTROL_GATE_SUBSET``) twice per round — once with
-    ``REPRO_DIRECT_ACTUATION=1``, which leaves ``machine.control``
-    detached so every call site takes its pre-refactor direct-call
-    shape, and once through the port with no observers.  Comparing the
-    two shapes *in the same session*, interleaved back to back, is what
-    makes a 5% verdict meaningful on shared hardware: a committed
-    baseline drifts with machine load, but pair-local noise lands on
-    both shapes alike.  The gated statistic is the median of the
-    per-pair ported/direct wall ratios over *repeat* pairs.
-    """
-    import os as _os
-    import statistics
-    import time as _time
-
-    from repro.experiments import registry
-
-    def one_pass() -> float:
-        started = _time.perf_counter()
-        for experiment_id in CONTROL_GATE_SUBSET:
-            registry.run_smoke(experiment_id)
-        return _time.perf_counter() - started
-
-    def direct_pass() -> float:
-        _os.environ["REPRO_DIRECT_ACTUATION"] = "1"
-        try:
-            return one_pass()
-        finally:
-            del _os.environ["REPRO_DIRECT_ACTUATION"]
-
-    direct_pass()  # warm-up: steady-state cost is what the gate is about
-    one_pass()
-    pairs = [(direct_pass(), one_pass()) for _ in range(max(3, repeat))]
-    ratio = statistics.median(p / d for d, p in pairs)
-    direct = min(d for d, _ in pairs)
-    verdict = "ok" if ratio <= 1.0 + tolerance else "REGRESSION"
-    print(
-        f"check_perf: no-controller actuation gate: ported/direct median "
-        f"ratio {ratio:.3f} over {len(pairs)} pairs of "
-        f"{'+'.join(CONTROL_GATE_SUBSET)} smoke runs "
-        f"(direct best {direct:.2f}s, tolerance {tolerance:.0%}): {verdict}"
-    )
-    return 0 if ratio <= 1.0 + tolerance else 2
-
-
 def check_registry_wall(
     tolerance: float,
     jobs: int = 0,
@@ -375,13 +313,13 @@ def check_registry_wall(
 HISTORY = os.path.join(REPO_ROOT, "BENCH_history.jsonl")
 
 
-def append_history(history: dict) -> None:
-    """Append an accepted run to the benchmark history ledger.
+def append_history(history: dict, path: str) -> None:
+    """Append one run's verdict to the history ledger at *path*.
 
     ``BENCH_engine.json``/``BENCH_registry.json`` only hold the latest
     accepted state; the history file keeps the full trajectory — one
-    JSON line per fully-passing ``check_perf`` run with the stamp, git
-    sha, engine throughput and registry wall — so regressions can be
+    JSON line per ``check_perf`` verdict with the stamp, git sha,
+    pass/fail status and the measurements taken — so regressions can be
     dated after the fact.
     """
     import time as _time
@@ -395,9 +333,49 @@ def append_history(history: dict) -> None:
         },
         **history,
     )
-    with open(HISTORY, "a") as fh:
+    with open(path, "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    print(f"check_perf: appended accepted run to {HISTORY}")
+    print(f"check_perf: history line appended to {path}")
+
+
+def run_gates(args, history: dict):
+    """Run the selected gates in order, stopping at the first failure.
+
+    Returns ``(exit status, name of the failing gate or None)``; the
+    gates record what they measured into *history* as they go.
+    """
+    if not args.skip_tests:
+        print("check_perf: running tier-1 test suite ...")
+        if not run_tier1_tests():
+            print("check_perf: tier-1 tests failed")
+            return 1, "tests"
+    gates = [
+        ("throughput", True, lambda: check_throughput(
+            args.tolerance,
+            args.repeat,
+            telemetry_tolerance=args.telemetry_tolerance,
+            spans_tolerance=args.spans_tolerance,
+            history=history,
+        )),
+        ("recorder", args.recorder_tolerance > 0, lambda: check_recorder_overhead(
+            args.recorder_tolerance, args.repeat
+        )),
+        ("parallel", not args.skip_parallel, lambda: check_parallel_overhead(
+            args.parallel_tolerance
+        )),
+        ("registry", not args.skip_registry, lambda: check_registry_wall(
+            args.registry_tolerance,
+            args.registry_jobs,
+            args.max_unit_s,
+            history=history,
+        )),
+    ]
+    for name, enabled, gate in gates:
+        if enabled:
+            status = gate()
+            if status:
+                return status, name
+    return 0, None
 
 
 def main(argv=None) -> int:
@@ -442,13 +420,6 @@ def main(argv=None) -> int:
         help="do not append this run to BENCH_history.jsonl",
     )
     parser.add_argument(
-        "--control-tolerance", type=float, default=0.05,
-        help="allowed no-controller overhead of the actuation-port path "
-        "vs the direct-call shape (REPRO_DIRECT_ACTUATION=1) on a "
-        "renegotiation-heavy experiment subset, compared in-session "
-        "(default 0.05; 0 disables the gate)",
-    )
-    parser.add_argument(
         "--repeat", type=int, default=3,
         help="benchmark runs; the best one is compared (default 3)",
     )
@@ -473,44 +444,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     history: dict = {}
-    if not args.skip_tests:
-        print("check_perf: running tier-1 test suite ...")
-        if not run_tier1_tests():
-            print("check_perf: tier-1 tests failed")
-            return 1
-    status = check_throughput(
-        args.tolerance,
-        args.repeat,
-        telemetry_tolerance=args.telemetry_tolerance,
-        spans_tolerance=args.spans_tolerance,
-        history=history,
-    )
-    if status:
-        return status
-    if args.recorder_tolerance > 0:
-        status = check_recorder_overhead(args.recorder_tolerance, args.repeat)
-        if status:
-            return status
-    if not args.skip_parallel:
-        status = check_parallel_overhead(args.parallel_tolerance)
-        if status:
-            return status
-    if args.control_tolerance > 0:
-        status = check_control_overhead(args.control_tolerance, args.repeat)
-        if status:
-            return status
-    if not args.skip_registry:
-        status = check_registry_wall(
-            args.registry_tolerance,
-            args.registry_jobs,
-            args.max_unit_s,
-            history=history,
-        )
-        if status:
-            return status
-    if not args.no_history:
-        append_history(history)
-    return 0
+    status, failed_gate = run_gates(args, history)
+    if status != 3 and not args.no_history:
+        history["status"] = "fail" if status else "pass"
+        history["failed_gate"] = failed_gate
+        append_history(history, HISTORY)
+    return status
 
 
 if __name__ == "__main__":
