@@ -22,10 +22,10 @@ MIX = {"a": (8, 10), "b": (8, 10), "c": (3, 10)}  # forces wrap splits
 def run_variant(pin: bool, duration_ns=sec(10)):
     from repro.host.costs import ZERO_COSTS
 
-    trace = Trace()
     # Exact reservations (no slack/costs): the mix sums to 1.9 CPUs and
     # the comparison isolates the migration behaviour.
-    system = RTVirtSystem(pcpu_count=2, trace=trace, slack_ns=0, cost_model=ZERO_COSTS)
+    system = RTVirtSystem(pcpu_count=2, slack_ns=0, cost_model=ZERO_COSTS)
+    trace = Trace().attach(system.machine.bus)
     vms = {}
     for name, (s, p) in MIX.items():
         vm = system.create_vm(f"{name}-vm")

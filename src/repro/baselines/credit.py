@@ -39,7 +39,6 @@ from ..simcore.engine import Engine
 from ..simcore.errors import ConfigurationError
 from ..simcore.events import PRIORITY_BUDGET, PRIORITY_SCHEDULE, Event
 from ..simcore.time import MSEC, USEC
-from ..simcore.trace import Trace
 from ..telemetry import events as T
 
 BOOST = 0
@@ -435,12 +434,11 @@ class CreditSystem(BaseSystem):
         pcpu_count: int,
         engine: Optional[Engine] = None,
         cost_model: CostModel = DEFAULT_COSTS,
-        trace: Optional[Trace] = None,
         timeslice_ns: int = 30 * MSEC,
         ratelimit_ns: int = MSEC,
         wake_overhead_ns: int = 0,
     ) -> None:
-        super().__init__(pcpu_count, engine, cost_model, trace)
+        super().__init__(pcpu_count, engine, cost_model)
         self.scheduler = CreditScheduler(
             timeslice_ns=timeslice_ns,
             ratelimit_ns=ratelimit_ns,

@@ -29,7 +29,6 @@ from ..host.costs import DEFAULT_COSTS, CostModel
 from ..host.edf import EDFHostScheduler, PartitionedEDFHostScheduler
 from ..simcore.engine import Engine
 from ..simcore.errors import AdmissionError, ConfigurationError
-from ..simcore.trace import Trace
 from ..telemetry import events as T
 
 _HOST_SCHEDULERS = {
@@ -52,10 +51,9 @@ class RTXenSystem(BaseSystem):
         pcpu_count: int,
         engine: Optional[Engine] = None,
         cost_model: CostModel = DEFAULT_COSTS,
-        trace: Optional[Trace] = None,
         host: str = "gedf",
     ) -> None:
-        super().__init__(pcpu_count, engine, cost_model, trace)
+        super().__init__(pcpu_count, engine, cost_model)
         if host not in _HOST_SCHEDULERS:
             raise ConfigurationError(
                 f"unknown RT-Xen host scheduler {host!r}; choose from "

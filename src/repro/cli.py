@@ -205,8 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--chrome-trace",
         metavar="PATH",
-        help="stream a chrome://tracing timeline of the run to PATH "
-        "(.json), without retaining a full trace in memory",
+        help="record the run's execution trace and write it to PATH "
+        "(.json) as a chrome://tracing timeline",
     )
     scenario.add_argument(
         "--blame",
@@ -617,6 +617,21 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from .simcore.errors import ConfigurationError
+
+    outputs = (("--chrome-trace", args.chrome_trace), ("--profile", args.profile))
+    for flag, path in outputs:
+        if path is not None and not path.endswith(".json"):
+            print(f"{flag} writes a .json file, got {path!r}", file=sys.stderr)
+            return 2
+    try:
+        return _run_scenario(args)
+    except (ConfigurationError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+
+def _run_scenario(args) -> int:
     from .scenario import run_scenario_file
 
     holder = {}
@@ -628,9 +643,9 @@ def _cmd_scenario(args) -> int:
 
             holder["telemetry"] = StandardTelemetry(bus)
         if args.chrome_trace:
-            from .report.export import ChromeTraceExporter
+            from .simcore.trace import Trace
 
-            holder["exporter"] = ChromeTraceExporter().attach(bus)
+            holder["trace"] = Trace().attach(bus)
         if args.blame:
             from .telemetry.spans import SpanBuilder
 
@@ -667,9 +682,11 @@ def _cmd_scenario(args) -> int:
             f"  cpu consumed: {sum(consumed_ns.values()) / 1e6:.1f}ms "
             f"across {len(consumed_ns)} vcpus"
         )
-    exporter = holder.get("exporter")
-    if exporter is not None:
-        count = exporter.write(args.chrome_trace)
+    trace = holder.get("trace")
+    if trace is not None:
+        from .report.export import export_chrome_trace
+
+        count = export_chrome_trace(trace, args.chrome_trace)
         print(f"chrome trace: {count} events -> {args.chrome_trace}")
     spans = holder.get("spans")
     if spans is not None:

@@ -22,7 +22,6 @@ from ..host.base_system import BaseSystem
 from ..host.costs import DEFAULT_COSTS, CostModel
 from ..simcore.engine import Engine
 from ..simcore.time import MSEC, USEC
-from ..simcore.trace import Trace
 from .admission import UtilizationAdmission
 from .dpwrap import DPWrapScheduler
 from .hypercall import RTVirtHypercall
@@ -46,9 +45,8 @@ class RTVirtSystem(BaseSystem):
         min_global_slice_ns: int = DEFAULT_MIN_GLOBAL_SLICE_NS,
         idle_slice_ns: int = 10 * MSEC,
         background_reserve: Fraction = Fraction(0),
-        trace: Optional[Trace] = None,
     ) -> None:
-        super().__init__(pcpu_count, engine, cost_model, trace)
+        super().__init__(pcpu_count, engine, cost_model)
         self.shared_memory = SharedMemoryPage()
         self.scheduler = DPWrapScheduler(
             self.shared_memory,

@@ -15,7 +15,7 @@ cross-layer deadline information removes all misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.system import RTVirtSystem
@@ -27,7 +27,6 @@ from ..host.costs import ZERO_COSTS
 from ..host.edf import EDFHostScheduler
 from ..simcore.engine import Engine
 from ..simcore.time import msec, sec
-from ..simcore.trace import Trace
 from ..workloads.periodic import PeriodicDriver
 from .common import format_table
 
@@ -47,7 +46,6 @@ class Fig1Result:
 
     system_name: str
     rta_stats: Dict[str, Dict[str, float]]
-    trace: Trace = field(repr=False, default=None)
 
     def rows(self) -> List[Dict[str, object]]:
         return [
@@ -78,11 +76,10 @@ def _stats_dict(task: Task) -> Dict[str, float]:
     }
 
 
-def run_uncoordinated(duration_ns: int = sec(30), trace: bool = False) -> Fig1Result:
+def run_uncoordinated(duration_ns: int = sec(30)) -> Fig1Result:
     """The Figure 1 scenario: two-level EDF without coordination."""
     engine = Engine()
-    tr = Trace() if trace else None
-    machine_system = BaseSystem(pcpu_count=1, engine=engine, cost_model=ZERO_COSTS, trace=tr)
+    machine_system = BaseSystem(pcpu_count=1, engine=engine, cost_model=ZERO_COSTS)
     scheduler = EDFHostScheduler()
     machine_system.machine.set_host_scheduler(scheduler)
 
@@ -125,14 +122,12 @@ def run_uncoordinated(duration_ns: int = sec(30), trace: bool = False) -> Fig1Re
     return Fig1Result(
         system_name="two-level EDF (no coordination)",
         rta_stats={name: _stats_dict(t) for name, t in tasks.items()},
-        trace=tr,
     )
 
 
-def run_rtvirt(duration_ns: int = sec(30), trace: bool = False) -> Fig1Result:
+def run_rtvirt(duration_ns: int = sec(30)) -> Fig1Result:
     """The same task set under RTVirt's cross-layer scheduling."""
-    tr = Trace() if trace else None
-    system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0, trace=tr)
+    system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
     vm1 = system.create_vm("vm1")
     tasks: Dict[str, Task] = {}
     for name, (s_ms, p_ms) in FIG1_RTAS.items():
@@ -153,7 +148,6 @@ def run_rtvirt(duration_ns: int = sec(30), trace: bool = False) -> Fig1Result:
     return Fig1Result(
         system_name="RTVirt (cross-layer)",
         rta_stats={name: _stats_dict(t) for name, t in tasks.items()},
-        trace=tr,
     )
 
 

@@ -118,8 +118,8 @@ def run_fig4_vm(
         raise ValueError(f"vm_index {vm_index} outside [0, {vm_count})")
     partition_pcpus = -(-pcpu_count // vm_count)  # ceil
     streams = RandomStreams(seed)
-    trace = Trace()
-    system = RTVirtSystem(pcpu_count=partition_pcpus, trace=trace)
+    system = RTVirtSystem(pcpu_count=partition_pcpus)
+    trace = Trace().attach(system.machine.bus)
     workload = DynamicStreamingWorkload(
         system,
         streams.stream(f"churn-vm{vm_index + 1}"),

@@ -72,9 +72,9 @@ class FaultContext:
         whose detail ends in a recovery marker ("end"/"revert"/
         "shutdown"), and ``pcpu_recover``, publish as
         :data:`~repro.telemetry.events.FAULT_RECOVERED`; everything else
-        as :data:`~repro.telemetry.events.FAULT_INJECTED`.  The machine
-        trace (when enabled) receives them through its bus subscription,
-        preserving the legacy ``"fault"`` trace records.
+        as :data:`~repro.telemetry.events.FAULT_INJECTED`.  An attached
+        :class:`~repro.simcore.trace.Trace` records them as ``"fault"``
+        point events.
         """
         now = self.engine.now
         self.log.append((now, kind, detail))

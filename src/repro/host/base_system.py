@@ -14,7 +14,6 @@ from ..control import actions as A
 from ..guest.vm import VM
 from ..metrics.deadlines import MissReport, collect_miss_report
 from ..simcore.engine import Engine
-from ..simcore.trace import Trace
 from .costs import DEFAULT_COSTS, CostModel
 from .machine import Machine
 
@@ -27,10 +26,9 @@ class BaseSystem:
         pcpu_count: int,
         engine: Optional[Engine] = None,
         cost_model: CostModel = DEFAULT_COSTS,
-        trace: Optional[Trace] = None,
     ) -> None:
         self.engine = engine if engine is not None else Engine()
-        self.machine = Machine(self.engine, pcpu_count, cost_model, trace)
+        self.machine = Machine(self.engine, pcpu_count, cost_model)
         #: The machine's actuation port.  The machine executes the
         #: cross-layer port calls; the base system adds PCPU faults and
         #: subclasses their own mechanisms (host admission).

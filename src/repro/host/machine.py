@@ -31,7 +31,6 @@ from ..metrics.overhead import HostMetrics
 from ..simcore.engine import Engine
 from ..simcore.errors import ConfigurationError, SchedulingError
 from ..simcore.events import PRIORITY_COMPLETION, PRIORITY_SCHEDULE
-from ..simcore.trace import NullTrace, Trace
 from ..telemetry import events as T
 from ..telemetry.bus import TelemetryBus
 from .costs import DEFAULT_COSTS, CostModel
@@ -50,7 +49,6 @@ class Machine:
         engine: Engine,
         pcpu_count: int,
         cost_model: CostModel = DEFAULT_COSTS,
-        trace: Optional[Trace] = None,
     ) -> None:
         if pcpu_count < 1:
             raise ConfigurationError("a machine needs at least one PCPU")
@@ -62,7 +60,6 @@ class Machine:
         #: pay one attribute test when nothing subscribes.
         self.bus = TelemetryBus()
         self.bus.watch(self._on_telemetry_change)
-        self.trace = trace if trace is not None else NullTrace()
         self.metrics = HostMetrics()
         #: The actuation port every bandwidth/placement mutation on this
         #: host flows through.  Guest schedulers reach it through the
@@ -103,24 +100,6 @@ class Machine:
         #: pre-decision charge sweep can be skipped.
         self._completions_due: Dict[int, int] = {}
         engine.add_post_hook(self._refresh)
-
-    @property
-    def trace(self) -> Trace:
-        return self._trace
-
-    @trace.setter
-    def trace(self, value: Trace) -> None:
-        # The trace is a bus subscriber like any other consumer: a real
-        # trace connects (raising the relevant interest flags), a
-        # NullTrace leaves the bus silent.  ``_tracing`` is kept for
-        # callers that still ask "is a real trace installed?".
-        old = getattr(self, "_trace", None)
-        if old is not None:
-            old.disconnect()
-        self._trace = value
-        self._tracing = not isinstance(value, NullTrace)
-        if self._tracing:
-            value.connect(self.bus)
 
     def _on_telemetry_change(self, bus: TelemetryBus) -> None:
         """Refresh the cached per-kind interest flags (bus watcher)."""

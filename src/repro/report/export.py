@@ -1,22 +1,17 @@
 """Trace export to the Chrome tracing (Perfetto) JSON format.
 
-Any captured :class:`~repro.simcore.trace.Trace` can be dumped to a
-``.json`` loadable in ``chrome://tracing`` / https://ui.perfetto.dev:
-PCPUs become rows, execution segments become duration events coloured
-by VM, and point events (switches, migrations, completions) become
-instant events.  Injected faults (``kind == "fault"`` trace events,
-recorded by the machine and :mod:`repro.faults`) land as global instant
-events on a dedicated ``faults`` track so the timeline shows exactly
-when the system was hit.
+A :class:`~repro.simcore.trace.Trace` attached to a run's telemetry bus
+can be dumped to a ``.json`` loadable in ``chrome://tracing`` /
+https://ui.perfetto.dev: PCPUs become rows, execution segments become
+duration events coloured by VM, and point events (switches, migrations,
+completions) become instant events.  Injected faults (``kind ==
+"fault"`` trace events, published by the machine and
+:mod:`repro.faults`) land as global instant events on a dedicated
+``faults`` track so the timeline shows exactly when the system was hit.
 
-Two paths produce identical output:
-
-- :func:`trace_to_chrome_events` converts an already-captured trace
-  post-hoc;
-- :class:`ChromeTraceExporter` subscribes to a
-  :class:`~repro.telemetry.bus.TelemetryBus` and streams the chrome
-  dicts as the simulation runs, so a full-fidelity timeline never needs
-  an unbounded in-memory :class:`Trace`.
+The event list holds the metadata rows, then every segment, then every
+point event, each group in recording order; the viewers place events by
+their ``ts``.
 """
 
 from __future__ import annotations
@@ -26,14 +21,13 @@ from typing import Dict, List, Optional
 
 from ..simcore.errors import ConfigurationError
 from ..simcore.trace import Trace
-from ..telemetry import events as T
 
 #: Row (chrome-tracing tid) holding injected-fault instant events; far
 #: above any realistic PCPU index so the track never collides.
 FAULT_TRACK_TID = 999
 
 
-# -- per-event dict builders (shared by the post-hoc and streaming paths) ------------
+# -- per-event dict builders ----------------------------------------------------------
 
 
 def _process_meta(process_name: str) -> Dict:
@@ -155,95 +149,6 @@ def export_chrome_trace(
     with open(path, "w") as handle:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
     return len(events)
-
-
-class ChromeTraceExporter:
-    """Streams telemetry events straight into chrome-tracing dicts.
-
-    Subscribes to the machine's :class:`~repro.telemetry.bus.TelemetryBus`
-    and builds the chrome event list online — the same records
-    :func:`trace_to_chrome_events` would produce from a captured trace
-    (metadata rows are synthesised at write time from the PCPUs/faults
-    actually seen).  Useful when a run is too long to keep a full
-    :class:`Trace` in memory but a timeline is still wanted.
-    """
-
-    def __init__(self, process_name: str = "host") -> None:
-        self.process_name = process_name
-        self._events: List[Dict] = []
-        self._pcpus = set()
-        self._saw_fault = False
-        self._unsubscribe = None
-
-    # -- wiring ------------------------------------------------------------------
-
-    def attach(self, bus) -> "ChromeTraceExporter":
-        """Subscribe to *bus* (detaching any previous subscription)."""
-        self.detach()
-        cancels = [
-            bus.subscribe(T.SEGMENT_END, self._on_segment),
-            bus.subscribe(T.CONTEXT_SWITCH, self._on_switch),
-            bus.subscribe(T.JOB_COMPLETE, self._on_complete),
-            bus.subscribe(T.FAULT_INJECTED, self._on_fault),
-            bus.subscribe(T.FAULT_RECOVERED, self._on_fault),
-        ]
-
-        def unsubscribe() -> None:
-            for cancel in cancels:
-                cancel()
-
-        self._unsubscribe = unsubscribe
-        return self
-
-    def detach(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-
-    # -- subscribers -------------------------------------------------------------
-
-    def _on_segment(self, event: T.SegmentEndEvent) -> None:
-        if event.end <= event.start:
-            return  # zero-length charge; the post-hoc path drops it too
-        self._pcpus.add(event.pcpu)
-        self._events.append(
-            _segment_dict(event.pcpu, event.vcpu, event.task, event.start, event.end)
-        )
-
-    def _on_switch(self, event: T.ContextSwitchEvent) -> None:
-        if event.vcpu is None:
-            return  # idle transition; not a legacy "switch" record
-        self._pcpus.add(event.pcpu)
-        self._events.append(
-            _switch_dict(event.time, event.pcpu, event.vcpu, event.migrated)
-        )
-
-    def _on_complete(self, event: T.JobCompleteEvent) -> None:
-        self._events.append(_complete_dict(event.time, event.task, event.job))
-
-    def _on_fault(self, event) -> None:
-        self._saw_fault = True
-        self._events.append(_fault_dict(event.time, event.fault, event.detail))
-
-    # -- output ------------------------------------------------------------------
-
-    def events(self) -> List[Dict]:
-        """Metadata rows plus every streamed event, in arrival order."""
-        header: List[Dict] = [_process_meta(self.process_name)]
-        if self._saw_fault:
-            header.append(_fault_track_meta())
-        for pcpu in sorted(self._pcpus):
-            header.append(_pcpu_track_meta(pcpu))
-        return header + self._events
-
-    def write(self, path: str) -> int:
-        """Write the streamed timeline to *path*; returns event count."""
-        if not path.endswith(".json"):
-            raise ConfigurationError("chrome traces are .json files")
-        events = self.events()
-        with open(path, "w") as handle:
-            json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-        return len(events)
 
 
 def export_profile(profiler, path: str) -> dict:

@@ -170,7 +170,7 @@ def build_scenario_system(
 
     *attach*, when given, is called with the freshly built system before
     any VM is created — the hook observers use to subscribe telemetry
-    consumers (streaming aggregators, the chrome-trace exporter) to
+    consumers (streaming aggregators, a :class:`~repro.simcore.trace.Trace`) to
     ``system.machine.bus`` so they see every event of the run, including
     registration-time admission decisions.
     """
@@ -274,8 +274,15 @@ def run_scenario_file(path: str, attach=None) -> ScenarioResult:
     """Load a JSON scenario file and run it.
 
     *attach* is forwarded to :func:`run_scenario` — the hook the CLI
-    uses to subscribe telemetry consumers before the run starts.
+    uses to subscribe telemetry consumers before the run starts.  An
+    unreadable or non-JSON file raises :class:`ConfigurationError`.
     """
-    with open(path) as handle:
-        spec = json.load(handle)
+    try:
+        with open(path) as handle:
+            spec = json.load(handle)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigurationError(f"cannot read scenario {path}: {reason}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"scenario {path} is not JSON: {exc}") from exc
     return run_scenario(spec, name=path, attach=attach)

@@ -44,7 +44,7 @@ from .time import (
     to_usec,
     usec,
 )
-from .trace import NullTrace, Segment, Trace, TraceEvent
+from .trace import Segment, Trace, TraceEvent
 
 __all__ = [
     "Engine",
@@ -53,7 +53,6 @@ __all__ = [
     "RandomSource",
     "RandomStreams",
     "Trace",
-    "NullTrace",
     "Segment",
     "TraceEvent",
     "ReproError",

@@ -1,28 +1,27 @@
-"""Structured execution tracing.
+"""The in-memory execution timeline of one run.
 
-The tracer records what ran where and when: execution segments per PCPU,
-context switches, migrations, deadline misses, hypercalls.  Experiments
-use it to reconstruct timelines (Figure 1's schedule diagram, Figure 4's
-allocation-over-time series) without instrumenting the schedulers.
+A trace records what ran where and when: execution segments per PCPU,
+context switches, job completions and injected faults.  It rebuilds
+timelines without instrumenting the schedulers: Figure 1's schedule
+diagram (:func:`repro.report.ascii.render_gantt`), Figure 4's
+allocation-over-time series, and the chrome://tracing file
+:func:`repro.report.export.export_chrome_trace` writes.
 
-Since the telemetry refactor the tracer is one consumer among many: the
-machine publishes typed events on its :class:`~repro.telemetry.bus.
-TelemetryBus` and a connected trace converts them back into the legacy
-``Segment``/``TraceEvent`` records (byte-identical to what the old
-direct-recording path produced).  The direct ``record_*`` API remains
-for tests and ad-hoc callers.
+A trace is a plain subscriber of the machine's
+:class:`~repro.telemetry.bus.TelemetryBus`, attached like every other
+consumer::
 
-Tracing is off by default; enabling it costs one tuple append per event
-of interest.  Long-running simulations can bound memory with
-``Trace(capacity=N)``, which turns both record lists into ring buffers
-keeping the most recent N entries.
+    trace = Trace().attach(system.machine.bus)
+
+It turns the typed bus events into ``Segment``/``TraceEvent`` records
+kept in two lists.  The ``record_*`` methods are public too, so tests
+can build synthetic traces without a simulation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """A point event of interest (switch, migration, miss, hypercall...)."""
+    """A point event of interest (switch, completion, fault...)."""
 
     time: int
     kind: str
@@ -51,81 +50,62 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """Accumulated trace of one simulation run.
+    """Accumulated trace of one simulation run."""
 
-    With ``capacity`` set, ``segments`` and ``events`` become bounded
-    ring buffers (``collections.deque`` with that ``maxlen``) so a
-    connected trace cannot grow without limit on long runs; unbounded
-    lists remain the default for exact post-hoc analysis.
-    """
-
-    enabled: bool = True
     segments: List[Segment] = field(default_factory=list)
     events: List[TraceEvent] = field(default_factory=list)
-    capacity: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity is not None:
-            if self.capacity < 1:
-                raise ValueError(f"trace capacity must be >= 1, got {self.capacity}")
-            self.segments = deque(self.segments, maxlen=self.capacity)
-            self.events = deque(self.events, maxlen=self.capacity)
-        self._disconnect = None
+    _cancel: Optional[Callable[[], None]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def record_segment(
         self, pcpu: int, vcpu: str, task: Optional[str], start: int, end: int
     ) -> None:
         """Record that *vcpu* (running *task*) occupied *pcpu* on [start, end)."""
-        if not self.enabled or end <= start:
-            return
-        self.segments.append(Segment(pcpu, vcpu, task, start, end))
+        if end > start:
+            self.segments.append(Segment(pcpu, vcpu, task, start, end))
 
     def record_event(self, time: int, kind: str, *detail) -> None:
         """Record a point event."""
-        if not self.enabled:
-            return
         self.events.append(TraceEvent(time, kind, tuple(detail)))
 
     # -- telemetry-bus subscription ----------------------------------------
 
-    def connect(self, bus) -> "Trace":
-        """Subscribe to *bus*, recording legacy records for its events.
+    def attach(self, bus) -> "Trace":
+        """Subscribe to *bus*, replacing any previous attachment.
 
-        Replaces any previous connection.  The handlers reproduce the
-        exact records the machine used to write directly: segments from
-        ``SEGMENT_END``; ``"switch"``, ``"complete"`` and ``"fault"``
-        point events from their typed counterparts.
+        Segments come from ``SEGMENT_END``; ``"switch"``, ``"complete"``
+        and ``"fault"`` point events from their typed counterparts.
         """
         from ..telemetry import events as E
 
-        self.disconnect()
+        self.detach()
         cancels = [
             bus.subscribe(E.SEGMENT_END, self._on_segment),
             bus.subscribe(E.CONTEXT_SWITCH, self._on_switch),
             bus.subscribe(E.JOB_COMPLETE, self._on_complete),
-            bus.subscribe(E.FAULT_INJECTED, self._on_fault),
-            bus.subscribe(E.FAULT_RECOVERED, self._on_fault),
+            bus.subscribe_many((E.FAULT_INJECTED, E.FAULT_RECOVERED), self._on_fault),
         ]
 
-        def disconnect() -> None:
-            for cancel in cancels:
-                cancel()
+        def cancel() -> None:
+            for unsubscribe in cancels:
+                unsubscribe()
 
-        self._disconnect = disconnect
+        self._cancel = cancel
         return self
 
-    def disconnect(self) -> None:
-        """Drop this trace's bus subscriptions (no-op when unconnected)."""
-        if getattr(self, "_disconnect", None) is not None:
-            self._disconnect()
-            self._disconnect = None
+    def detach(self) -> None:
+        """Drop this trace's bus subscriptions (no-op when detached)."""
+        if self._cancel is not None:
+            self._cancel()
+            self._cancel = None
 
     def _on_segment(self, event) -> None:
         self.record_segment(event.pcpu, event.vcpu, event.task, event.start, event.end)
 
     def _on_switch(self, event) -> None:
-        # The legacy trace only recorded switches *to* a VCPU; idle
-        # transitions exist solely as typed bus events.
+        # Only switches *to* a VCPU are recorded; idle transitions exist
+        # solely as typed bus events.
         if event.vcpu is not None:
             self.record_event(
                 event.time, "switch", event.pcpu, event.vcpu, event.migrated
@@ -178,16 +158,26 @@ class Trace:
     ) -> List[Tuple[int, int]]:
         """(bucket_start, usage) samples for *vcpu* over [start, end).
 
-        Used to regenerate Figure 4's allocation-over-time curves.
+        Each bucket holds :meth:`vcpu_usage_between` over
+        ``[bucket_start, min(bucket_start + bucket, end))``, computed in
+        one pass over the segments.  Used to regenerate Figure 4's
+        allocation-over-time curves.
         """
         if bucket <= 0:
             raise ValueError("bucket must be positive")
-        series = []
-        t = start
-        while t < end:
-            series.append((t, self.vcpu_usage_between(vcpu, t, min(t + bucket, end))))
-            t += bucket
-        return series
+        usage = [0] * -(-(end - start) // bucket)
+        for s in self.segments:
+            if s.vcpu != vcpu:
+                continue
+            lo = max(s.start, start)
+            hi = min(s.end, end)
+            index = (lo - start) // bucket
+            while lo < hi:
+                edge = min(start + (index + 1) * bucket, hi)
+                usage[index] += edge - lo
+                lo = edge
+                index += 1
+        return [(start + i * bucket, used) for i, used in enumerate(usage)]
 
     def iter_overlaps(self) -> Iterator[Tuple[Segment, Segment]]:
         """Yield pairs of segments that overlap in time on the same PCPU.
@@ -202,10 +192,3 @@ class Trace:
             for a, b in zip(segs, segs[1:]):
                 if b.start < a.end:
                     yield (a, b)
-
-
-class NullTrace(Trace):
-    """A trace that records nothing (default when tracing is disabled)."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)

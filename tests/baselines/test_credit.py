@@ -14,7 +14,10 @@ def make_system(pcpus=1, trace=None, **kw):
     kw.setdefault("cost_model", ZERO_COSTS)
     kw.setdefault("timeslice_ns", msec(1))
     kw.setdefault("ratelimit_ns", usec(500))
-    return CreditSystem(pcpu_count=pcpus, trace=trace, **kw)
+    system = CreditSystem(pcpu_count=pcpus, **kw)
+    if trace is not None:
+        trace.attach(system.machine.bus)
+    return system
 
 
 class TestConfiguration:

@@ -120,8 +120,8 @@ class TestBehaviour:
     def test_background_vm_runs_in_leftover(self):
         from repro.simcore.trace import Trace
 
-        trace = Trace()
-        system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS, trace=trace)
+        system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+        trace = Trace().attach(system.machine.bus)
         vm = system.create_vm("v", interfaces=[(msec(5), msec(10))])
         task = Task("t", msec(5), msec(10))
         system.register_rta(vm, task)

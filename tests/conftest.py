@@ -23,11 +23,3 @@ def trace() -> Trace:
 def zero_costs():
     return ZERO_COSTS
 
-
-def make_rtvirt(pcpus=1, slack_ns=0, costs=ZERO_COSTS, trace=None, **kw):
-    """An RTVirt system with exact-schedule defaults for unit tests."""
-    from repro.core.system import RTVirtSystem
-
-    return RTVirtSystem(
-        pcpu_count=pcpus, cost_model=costs, slack_ns=slack_ns, trace=trace, **kw
-    )

@@ -12,7 +12,9 @@ from repro.workloads.periodic import PeriodicDriver
 
 
 def build(pcpus=2, trace=None):
-    system = RTVirtSystem(pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0, trace=trace)
+    system = RTVirtSystem(pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0)
+    if trace is not None:
+        trace.attach(system.machine.bus)
     return system
 
 

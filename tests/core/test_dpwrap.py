@@ -16,7 +16,10 @@ from repro.workloads.periodic import PeriodicDriver
 def system_with(pcpus=1, trace=None, **kw):
     kw.setdefault("cost_model", ZERO_COSTS)
     kw.setdefault("slack_ns", 0)
-    return RTVirtSystem(pcpu_count=pcpus, trace=trace, **kw)
+    system = RTVirtSystem(pcpu_count=pcpus, **kw)
+    if trace is not None:
+        trace.attach(system.machine.bus)
+    return system
 
 
 def add_rta(system, name, s_ms, p_ms, kind=TaskKind.PERIODIC, drive=True):

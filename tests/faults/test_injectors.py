@@ -80,13 +80,14 @@ class TestPcpuFaults:
     def test_fault_log_and_trace(self):
         from repro.simcore.trace import Trace
 
-        system = rtvirt(pcpu_count=2, trace=Trace())
+        system = rtvirt(pcpu_count=2)
+        trace = Trace().attach(system.machine.bus)
         loaded(system)
         ctx = FaultContext(system)
         system.run(msec(1))
         PcpuFail(0).apply(ctx)
         assert [(k, d) for _, k, d in ctx.log] == [("pcpu_fail", (0,))]
-        kinds = [e.detail[0] for e in system.machine.trace.events_of_kind("fault")]
+        kinds = [e.detail[0] for e in trace.events_of_kind("fault")]
         assert "pcpu_fail" in kinds
 
     @pytest.mark.parametrize("build", [

@@ -15,7 +15,9 @@ from repro.workloads.periodic import PeriodicDriver
 
 
 def build(pcpus=1, trace=None):
-    system = BaseSystem(pcpus, cost_model=ZERO_COSTS, trace=trace)
+    system = BaseSystem(pcpus, cost_model=ZERO_COSTS)
+    if trace is not None:
+        trace.attach(system.machine.bus)
     sched = EDFHostScheduler()
     system.machine.set_host_scheduler(sched)
     return system, sched

@@ -45,7 +45,9 @@ class ManualScheduler(HostScheduler):
 
 def build(pcpus=1, costs=ZERO_COSTS, trace=None):
     engine = Engine()
-    machine = Machine(engine, pcpus, costs, trace)
+    machine = Machine(engine, pcpus, costs)
+    if trace is not None:
+        trace.attach(machine.bus)
     sched = ManualScheduler()
     machine.set_host_scheduler(sched)
     vm = VM("vm", vcpu_count=2)

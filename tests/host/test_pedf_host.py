@@ -15,7 +15,9 @@ from repro.workloads.periodic import PeriodicDriver
 
 
 def build(pcpus=2, trace=None):
-    system = BaseSystem(pcpus, cost_model=ZERO_COSTS, trace=trace)
+    system = BaseSystem(pcpus, cost_model=ZERO_COSTS)
+    if trace is not None:
+        trace.attach(system.machine.bus)
     sched = PartitionedEDFHostScheduler()
     system.machine.set_host_scheduler(sched)
     return system, sched

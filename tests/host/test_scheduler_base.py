@@ -36,8 +36,8 @@ class BareScheduler(HostScheduler):
 
 def build(bg_count=2, pcpus=1):
     engine = Engine()
-    trace = Trace()
-    machine = Machine(engine, pcpus, ZERO_COSTS, trace)
+    machine = Machine(engine, pcpus, ZERO_COSTS)
+    trace = Trace().attach(machine.bus)
     sched = BareScheduler()
     machine.set_host_scheduler(sched)
     vms = []

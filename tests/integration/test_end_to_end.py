@@ -100,10 +100,8 @@ class TestMixedWorkloads:
 
 class TestAccountingConsistency:
     def test_busy_time_matches_trace(self):
-        trace = Trace()
-        system = RTVirtSystem(
-            pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0, trace=trace
-        )
+        system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
+        trace = Trace().attach(system.machine.bus)
         vm = system.create_vm("vm")
         t = sched_setattr(vm, "a", msec(3), msec(10))
         PeriodicDriver(system.engine, vm, t).start()
@@ -112,10 +110,8 @@ class TestAccountingConsistency:
         assert trace.busy_time() == system.machine.metrics.total_busy()
 
     def test_work_executed_equals_work_completed(self):
-        trace = Trace()
-        system = RTVirtSystem(
-            pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0, trace=trace
-        )
+        system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
+        trace = Trace().attach(system.machine.bus)
         vm = system.create_vm("vm")
         t = sched_setattr(vm, "a", msec(3), msec(10))
         PeriodicDriver(system.engine, vm, t).start()

@@ -20,8 +20,8 @@ server_spec = st.tuples(st.integers(1, 5), st.integers(6, 20))
 @settings(max_examples=20, deadline=None)
 def test_deferrable_server_never_exceeds_budget(specs):
     """No server receives more than budget per period (supply cap)."""
-    trace = Trace()
-    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS, trace=trace)
+    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+    trace = Trace().attach(system.machine.bus)
     vms = []
     for i, (budget, period) in enumerate(specs):
         vm = system.create_vm(f"v{i}", interfaces=[(msec(budget), msec(period))])
@@ -45,8 +45,8 @@ def test_edf_host_work_conserving(specs):
     """With a backlogged server present, the PCPU never idles while any
     server has both budget and work."""
     total_bw = sum(Fraction(b, p) for b, p in specs)
-    trace = Trace()
-    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS, trace=trace)
+    system = RTXenSystem(pcpu_count=1, cost_model=ZERO_COSTS)
+    trace = Trace().attach(system.machine.bus)
     for i, (budget, period) in enumerate(specs):
         vm = system.create_vm(f"v{i}", interfaces=[(msec(budget), msec(period))])
         task = Task(f"t{i}", msec(period), msec(period))
@@ -63,7 +63,6 @@ def test_edf_host_work_conserving(specs):
 @settings(max_examples=10, deadline=None)
 def test_credit_proportional_share(weight_ratio, vm_pairs):
     """Long-run CPU time tracks weights for CPU-bound VMs."""
-    trace = Trace()
     system = CreditSystem(
         pcpu_count=1, cost_model=ZERO_COSTS, timeslice_ns=msec(1)
     )
@@ -71,8 +70,7 @@ def test_credit_proportional_share(weight_ratio, vm_pairs):
     heavy.add_background_process()
     light = system.create_vm("light", weight=256)
     light.add_background_process()
-    system.machine.trace = trace
-    system.machine.trace.enabled = True
+    trace = Trace().attach(system.machine.bus)
     horizon = msec(600)
     system.run(horizon)
     heavy_time = trace.vcpu_usage_between("heavy.vcpu0", 0, horizon)

@@ -29,9 +29,9 @@ task_spec = st.tuples(st.integers(1, 9), st.integers(10, 40)).map(
 
 
 def _build(specs, pcpus, trace=None):
-    system = RTVirtSystem(
-        pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0, trace=trace
-    )
+    system = RTVirtSystem(pcpu_count=pcpus, cost_model=ZERO_COSTS, slack_ns=0)
+    if trace is not None:
+        trace.attach(system.machine.bus)
     tasks = []
     for i, (s, p) in enumerate(specs):
         vm = system.create_vm(f"vm{i}")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.simcore.engine import Engine
 from repro.simcore.events import EventQueue
+from repro.simcore.trace import Trace
 
 
 @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 90)), max_size=60))
@@ -56,3 +57,28 @@ def test_engine_clock_never_goes_backwards(times):
         engine.at(t, lambda: observed.append(engine.now))
     engine.run_until(max(times))
     assert observed == sorted(observed)
+
+
+segment_spec = st.tuples(
+    st.sampled_from(["v1", "v2"]), st.integers(0, 500), st.integers(1, 200)
+)
+
+
+@given(
+    st.lists(segment_spec, max_size=30),
+    st.integers(-50, 300),
+    st.integers(0, 600),
+    st.integers(1, 120),
+)
+def test_usage_series_matches_per_bucket_usage(segments, start, span, bucket):
+    """The one-pass series equals vcpu_usage_between bucket by bucket,
+    including segments that cross bucket boundaries or the window edges."""
+    trace = Trace()
+    for vcpu, begin, length in segments:
+        trace.record_segment(0, vcpu, None, begin, begin + length)
+    end = start + span
+    expected = [
+        (t, trace.vcpu_usage_between("v1", t, min(t + bucket, end)))
+        for t in range(start, end, bucket)
+    ]
+    assert trace.usage_series("v1", start, end, bucket) == expected

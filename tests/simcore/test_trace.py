@@ -1,6 +1,8 @@
 """Unit tests for the execution trace."""
 
-from repro.simcore.trace import NullTrace, Trace
+from repro.simcore.trace import Trace
+from repro.telemetry import events as E
+from repro.telemetry.bus import TelemetryBus
 
 
 class TestSegments:
@@ -74,8 +76,31 @@ class TestEventsAndNull:
         assert len(trace.events_of_kind("switch")) == 1
         assert trace.events_of_kind("miss")[0].detail == ("t1",)
 
-    def test_null_trace_records_nothing(self):
-        null = NullTrace()
-        null.record_segment(0, "v", "t", 0, 10)
-        null.record_event(0, "switch")
-        assert null.segments == [] and null.events == []
+
+def publish_segment(bus, start, end):
+    bus.publish(E.SEGMENT_END, E.SegmentEndEvent(end, 0, "v1", "t1", start, end))
+
+
+class TestBusAttachment:
+    def test_attach_returns_self_and_records(self):
+        bus = TelemetryBus()
+        trace = Trace()
+        assert trace.attach(bus) is trace
+        publish_segment(bus, 0, 10)
+        assert [(s.vcpu, s.start, s.end) for s in trace.segments] == [("v1", 0, 10)]
+
+    def test_attaching_twice_does_not_double_record(self):
+        bus = TelemetryBus()
+        trace = Trace().attach(bus).attach(bus)
+        publish_segment(bus, 0, 10)
+        assert len(trace.segments) == 1
+
+    def test_detach_stops_recording(self):
+        bus = TelemetryBus()
+        trace = Trace().attach(bus)
+        publish_segment(bus, 0, 10)
+        trace.detach()
+        publish_segment(bus, 10, 20)
+        assert len(trace.segments) == 1
+        assert not bus.has_subscribers(E.SEGMENT_END)
+        trace.detach()  # a second detach is a no-op

@@ -95,33 +95,32 @@ class TestFaultTrack:
         from repro.faults import At, PcpuFail, PcpuRecover, Scenario
         from repro.simcore.time import msec
 
-        system = RTVirtSystem(pcpu_count=2, trace=Trace())
+        system = RTVirtSystem(pcpu_count=2)
+        trace = Trace().attach(system.machine.bus)
         Scenario(
             [At(msec(2), PcpuFail(1)), At(msec(4), PcpuRecover(1))]
         ).install(system)
         system.run(msec(10))
-        events = trace_to_chrome_events(system.machine.trace)
+        events = trace_to_chrome_events(trace)
         names = [e["name"] for e in events if e.get("cat") == "faults"]
         assert "fault:pcpu_fail" in names and "fault:pcpu_recover" in names
 
 
 class TestStreamingExporter:
-    """The streamed exporter must hold its invariants under a real,
-    faulted, spans-enabled run — not just synthetic traces."""
+    """A bus-attached trace's chrome export must hold its invariants
+    under a real, faulted, spans-enabled run — not just synthetic
+    traces."""
 
     @pytest.fixture(scope="class")
     def faulted_run(self):
         from repro.experiments.robustness import run_robustness_case
-        from repro.report.export import ChromeTraceExporter
         from repro.simcore.time import sec
         from repro.telemetry.spans import SpanBuilder
 
         holder = {}
 
         def attach(system):
-            holder["exporter"] = ChromeTraceExporter().attach(
-                system.machine.bus
-            )
+            holder["trace"] = Trace().attach(system.machine.bus)
             holder["spans"] = SpanBuilder().attach(system.machine)
 
         run_robustness_case(
@@ -136,14 +135,14 @@ class TestStreamingExporter:
 
     def test_written_json_parses(self, faulted_run, tmp_path):
         path = tmp_path / "trace.json"
-        count = faulted_run["exporter"].write(str(path))
+        count = export_chrome_trace(faulted_run["trace"], str(path))
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"
         assert len(payload["traceEvents"]) == count > 0
 
     def test_duration_events_ordered_and_disjoint_per_tid(self, faulted_run):
         per_tid = {}
-        for event in faulted_run["exporter"].events():
+        for event in trace_to_chrome_events(faulted_run["trace"]):
             if event["ph"] == "X":
                 per_tid.setdefault(event["tid"], []).append(event)
         assert per_tid, "a faulted run must execute something"
@@ -156,7 +155,7 @@ class TestStreamingExporter:
                 end = round((row["ts"] + row["dur"]) * 1000)
                 assert end > start
                 if cursor is not None:
-                    # Streamed in charge order: starts never go backwards
+                    # Recorded in charge order: starts never go backwards
                     # and segments on one PCPU never overlap.
                     assert start >= cursor
                 cursor = end
@@ -164,7 +163,7 @@ class TestStreamingExporter:
     def test_fault_rows_survive_spans_enabled_run(self, faulted_run):
         from repro.report.export import FAULT_TRACK_TID
 
-        events = faulted_run["exporter"].events()
+        events = trace_to_chrome_events(faulted_run["trace"])
         fault_rows = [
             e
             for e in events

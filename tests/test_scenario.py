@@ -1,6 +1,7 @@
 """Tests for the declarative scenario runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +128,80 @@ class TestFileLoading:
         path.write_text(json.dumps(basic_spec()))
         assert main(["scenario", str(path)]) == 0
         assert "deadlines met" in capsys.readouterr().out
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+
+
+def run_cli(capsys, *argv):
+    from repro.cli import main
+
+    code = main(["scenario", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCliChromeTrace:
+    def test_motivation_chrome_trace(self, tmp_path, capsys):
+        out = tmp_path / "motivation.json"
+        code, stdout, _ = run_cli(
+            capsys, str(EXAMPLES / "motivation.json"), "--chrome-trace", str(out)
+        )
+        assert code == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert f"chrome trace: {len(events)} events -> {out}" in stdout
+        assert any(
+            e["ph"] == "M" and e["args"]["name"] == "pcpu0" for e in events
+        )
+
+
+class TestCliBadInput:
+    """Bad input is one stderr line and exit 2, never a traceback."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(basic_spec(duration_s=0.1)))
+        return str(path)
+
+    def assert_one_line_error(self, capsys, *argv):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        return stdout, stderr
+
+    def test_chrome_trace_suffix_checked_before_run(self, capsys, scenario, tmp_path):
+        stdout, stderr = self.assert_one_line_error(
+            capsys, scenario, "--chrome-trace", str(tmp_path / "x.bin")
+        )
+        assert stdout == "" and "--chrome-trace" in stderr
+
+    def test_profile_suffix_checked_before_run(self, capsys, scenario, tmp_path):
+        stdout, stderr = self.assert_one_line_error(
+            capsys, scenario, "--profile", str(tmp_path / "x.txt")
+        )
+        assert stdout == "" and "--profile" in stderr
+
+    def test_unwritable_chrome_trace_directory(self, capsys, scenario, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        _, stderr = self.assert_one_line_error(
+            capsys, scenario, "--chrome-trace", str(target)
+        )
+        assert str(target) in stderr
+
+    def test_missing_scenario_file(self, capsys, tmp_path):
+        path = str(tmp_path / "absent.json")
+        _, stderr = self.assert_one_line_error(capsys, path)
+        assert path in stderr
+
+    def test_non_json_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        _, stderr = self.assert_one_line_error(capsys, str(path))
+        assert "not JSON" in stderr
+
+    def test_unknown_system_type(self, capsys, tmp_path):
+        path = tmp_path / "nope.json"
+        path.write_text(json.dumps(basic_spec(system={"type": "nope"})))
+        _, stderr = self.assert_one_line_error(capsys, str(path))
+        assert "'nope'" in stderr
