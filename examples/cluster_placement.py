@@ -13,7 +13,7 @@ Run:  python examples/cluster_placement.py
 
 from fractions import Fraction
 
-from repro import RTVirtSystem, msec, sec, sched_setattr
+from repro import RTVirtSystem, Task, msec, sec
 from repro.placement import (
     ClusterPlanner,
     HostDescriptor,
@@ -79,12 +79,10 @@ def main() -> None:
         i = 0
         while remaining > 0:
             share = min(remaining, Fraction(9, 10))
-            task = sched_setattr(
-                vm,
-                f"{vm_demand.name}.t{i}",
-                runtime_ns=round(msec(20) * share),
-                period_ns=msec(20),
+            task = Task(
+                f"{vm_demand.name}.t{i}", round(msec(20) * share), msec(20)
             )
+            vm.register_task(task)
             PeriodicDriver(system.engine, vm, task).start()
             remaining -= share
             i += 1

@@ -10,7 +10,7 @@ Also demonstrates an admission rejection and online CPU hotplug.
 Run:  python examples/dynamic_admission.py
 """
 
-from repro import RTVirtSystem, msec, sec, sched_adjust, sched_setattr, sched_unregister
+from repro import RTVirtSystem, Task, msec, sec
 from repro.simcore.errors import AdmissionError
 from repro.workloads import PeriodicDriver
 
@@ -34,34 +34,36 @@ def main() -> None:
     system = RTVirtSystem(pcpu_count=2)
     vm = system.create_vm("app-vm", vcpu_count=1, max_vcpus=3)
 
-    video = sched_setattr(vm, "video", runtime_ns=msec(6), period_ns=msec(10))
+    video = Task("video", msec(6), msec(10))
+    vm.register_task(video)
     PeriodicDriver(system.engine, vm, video).start()
     show(system, vm, "register 'video' (6ms / 10ms)  — INC_BW")
 
-    audio = sched_setattr(vm, "audio", runtime_ns=msec(2), period_ns=msec(10))
+    audio = Task("audio", msec(2), msec(10))
+    vm.register_task(audio)
     PeriodicDriver(system.engine, vm, audio).start()
     show(system, vm, "register 'audio' (2ms / 10ms) — packs on the same VCPU")
 
     system.run(sec(1))
-    sched_adjust(vm, audio, msec(5), msec(10))
+    vm.adjust_task(audio, msec(5), msec(10))
     show(system, vm, "audio needs 5ms / 10ms — INC_DEC_BW moves it (hotplug)")
 
     system.run(sec(1))
-    sched_adjust(vm, audio, msec(1), msec(10))
+    vm.adjust_task(audio, msec(1), msec(10))
     show(system, vm, "audio shrinks to 1ms / 10ms — DEC_BW")
 
     # Admission control: a request beyond the host's capacity is refused
     # atomically, leaving everything untouched.
     greedy_vm = system.create_vm("greedy")
     try:
-        sched_setattr(greedy_vm, "greedy", runtime_ns=msec(95), period_ns=msec(100))
-        sched_setattr(greedy_vm, "greedy2", runtime_ns=msec(95), period_ns=msec(100))
+        greedy_vm.register_task(Task("greedy", msec(95), msec(100)))
+        greedy_vm.register_task(Task("greedy2", msec(95), msec(100)))
     except AdmissionError as err:
         print(f"\n== admission rejection: {err}")
     show(system, vm, "after the rejected request (nothing changed)")
 
     system.run(sec(1))
-    sched_unregister(vm, audio)
+    vm.unregister_task(audio)
     show(system, vm, "unregister 'audio' — DEC_BW releases its bandwidth")
 
     system.finalize()

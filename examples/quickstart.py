@@ -10,7 +10,7 @@ interface.
 Run:  python examples/quickstart.py
 """
 
-from repro import RTVirtSystem, ZERO_COSTS, msec, sec, sched_setattr
+from repro import RTVirtSystem, Task, ZERO_COSTS, msec, sec
 from repro.workloads import PeriodicDriver
 
 
@@ -20,15 +20,18 @@ def main() -> None:
 
     # VM1 hosts two RTAs: (1 ms every 15 ms) and (4 ms every 15 ms).
     vm1 = system.create_vm("vm1")
-    rta1 = sched_setattr(vm1, "rta1", runtime_ns=msec(1), period_ns=msec(15))
-    rta2 = sched_setattr(vm1, "rta2", runtime_ns=msec(4), period_ns=msec(15))
+    rta1 = Task("rta1", msec(1), msec(15))
+    rta2 = Task("rta2", msec(4), msec(15))
+    vm1.register_task(rta1)  # the sched_setattr() path
+    vm1.register_task(rta2)
     PeriodicDriver(system.engine, vm1, rta1).start()
     PeriodicDriver(system.engine, vm1, rta2, phase_ns=msec(5)).start()
 
     # VM2 and VM3 fill the rest of the CPU: total utilization is 100%.
     for name, (s, p) in {"vm2": (5, 10), "vm3": (5, 30)}.items():
         vm = system.create_vm(name)
-        task = sched_setattr(vm, f"{name}.rta", runtime_ns=msec(s), period_ns=msec(p))
+        task = Task(f"{name}.rta", msec(s), msec(p))
+        vm.register_task(task)
         PeriodicDriver(system.engine, vm, task).start()
 
     print(f"admitted RT bandwidth: {float(system.total_rt_bandwidth):.3f} CPUs")

@@ -10,12 +10,13 @@ simulator.
 
 Quick start::
 
-    from repro import RTVirtSystem, sched_setattr, msec, sec
+    from repro import RTVirtSystem, Task, msec, sec
     from repro.workloads import PeriodicDriver
 
     system = RTVirtSystem(pcpu_count=2)
     vm = system.create_vm("vm1")
-    task = sched_setattr(vm, "rta1", runtime_ns=msec(5), period_ns=msec(20))
+    task = Task("rta1", msec(5), msec(20))
+    vm.register_task(task)  # the sched_setattr() path
     PeriodicDriver(system.engine, vm, task).start()
     system.run(sec(10))
     print(system.miss_report().overall_miss_ratio)
@@ -36,9 +37,6 @@ from .guest import (
     Job,
     Task,
     TaskKind,
-    sched_adjust,
-    sched_setattr,
-    sched_unregister,
 )
 from .host import DEFAULT_COSTS, ZERO_COSTS, CostModel, EDFHostScheduler, Machine
 from .simcore import MSEC, SEC, USEC, Engine, Trace, msec, sec, usec
@@ -58,9 +56,6 @@ __all__ = [
     "Task",
     "TaskKind",
     "Job",
-    "sched_setattr",
-    "sched_adjust",
-    "sched_unregister",
     "Machine",
     "CostModel",
     "DEFAULT_COSTS",

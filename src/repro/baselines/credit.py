@@ -45,6 +45,10 @@ BOOST = 0
 UNDER = 1
 OVER = 2
 
+#: Xen's accepted credit1 weight range (``xl sched-credit -w``).
+MIN_WEIGHT = 1
+MAX_WEIGHT = 65535
+
 
 class _CreditVCPU:
     """Per-VCPU credit state."""
@@ -102,8 +106,10 @@ class CreditScheduler(HostScheduler):
 
     def add_vcpu(self, vcpu: VCPU, weight: int = 256) -> None:
         """Schedule *vcpu* with the given weight (Xen default 256)."""
-        if weight <= 0:
-            raise ConfigurationError(f"weight must be positive, got {weight}")
+        if not MIN_WEIGHT <= weight <= MAX_WEIGHT:
+            raise ConfigurationError(
+                f"weight must be in {MIN_WEIGHT}..{MAX_WEIGHT}, got {weight}"
+            )
         if vcpu.uid in self._info:
             raise ConfigurationError(f"{vcpu.name} is already scheduled")
         self._info[vcpu.uid] = _CreditVCPU(vcpu, weight)

@@ -829,7 +829,7 @@ def _explain_trace(args) -> int:
 
 def _cmd_explain(args) -> int:
     if _is_trace(args.target):
-        return _explain_trace(args)
+        return _reject_bad_trace(_explain_trace, args)
     if args.target.endswith(".json"):
         return _explain_scenario(args)
     from .experiments.feedback_adaptive import FEEDBACK_CELLS
@@ -1009,14 +1009,22 @@ def _trace_diff(args) -> int:
     return 0 if diff.identical else 1
 
 
+def _reject_bad_trace(command, args) -> int:
+    """Run *command*; a corrupt trace file is one stderr line, exit 2."""
+    from .simcore.errors import TraceFormatError
+
+    try:
+        return command(args)
+    except TraceFormatError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
+
 def _cmd_trace(args) -> int:
     if args.trace_command == "record":
         return _trace_record(args)
-    if args.trace_command == "inspect":
-        return _trace_inspect(args)
-    if args.trace_command == "replay":
-        return _trace_replay(args)
-    return _trace_diff(args)
+    readers = {"inspect": _trace_inspect, "replay": _trace_replay, "diff": _trace_diff}
+    return _reject_bad_trace(readers[args.trace_command], args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

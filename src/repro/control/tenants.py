@@ -73,12 +73,12 @@ class _TenantState:
 
     __slots__ = ("met", "missed", "violations", "tail")
 
-    def __init__(self, seed: int = 1) -> None:
+    def __init__(self) -> None:
         self.met = 0
         self.missed = 0
         #: Host-level admission sheds charged to this tenant.
         self.violations = 0
-        self.tail = TailAggregator(mode="exact", seed=seed)
+        self.tail = TailAggregator()
 
 
 class CreditLedger:
@@ -89,7 +89,6 @@ class CreditLedger:
         slos: Sequence[TenantSLO],
         vm_tenant: Mapping[str, str],
         task_owner: Callable[[str], str] = default_task_owner,
-        seed: int = 1,
     ) -> None:
         self.slos: Dict[str, TenantSLO] = {s.name: s for s in slos}
         for vm, tenant in vm_tenant.items():
@@ -99,9 +98,8 @@ class CreditLedger:
                 )
         self.vm_tenant: Dict[str, str] = dict(vm_tenant)
         self.task_owner = task_owner
-        self._seed = seed
         self._state: Dict[str, _TenantState] = {
-            name: _TenantState(seed) for name in self.slos
+            name: _TenantState() for name in self.slos
         }
         self._cancel: Optional[Callable[[], None]] = None
 
@@ -235,11 +233,10 @@ class CreditLedger:
         snapshots: Sequence[dict],
         slos: Sequence[TenantSLO],
         vm_tenant: Mapping[str, str],
-        seed: int = 1,
     ) -> "CreditLedger":
         """Combine per-shard snapshots (canonical shard order) into a
         ledger whose credits equal the serial run's byte-for-byte."""
-        merged = cls(slos, vm_tenant, seed=seed)
+        merged = cls(slos, vm_tenant)
         for name, state in merged._state.items():
             per_shard = [
                 s["tenants"][name] for s in snapshots if name in s["tenants"]
@@ -247,7 +244,5 @@ class CreditLedger:
             state.met = sum(p["met"] for p in per_shard)
             state.missed = sum(p["missed"] for p in per_shard)
             state.violations = sum(p["violations"] for p in per_shard)
-            state.tail = TailAggregator.merge(
-                [p["tail"] for p in per_shard], seed=seed
-            )
+            state.tail = TailAggregator.merge([p["tail"] for p in per_shard])
         return merged

@@ -6,7 +6,8 @@ hypercall ports, so an experiment reads like the paper's setup:
 
     system = RTVirtSystem(pcpu_count=4)
     vm = system.create_vm("vm1")
-    task = sched_setattr(vm, "rta1", runtime_ns=msec(5), period_ns=msec(20))
+    task = Task("rta1", msec(5), msec(20))
+    vm.register_task(task)
     PeriodicDriver(system.engine, vm, task).start()
     system.run(sec(10))
 """

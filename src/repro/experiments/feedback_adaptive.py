@@ -327,9 +327,7 @@ def _run_tenant(
     """One (tenant, policy) cell: a forced shed under either policy."""
     system = RTVirtSystem(pcpu_count=TENANT_PCPUS)
     ledger = CreditLedger(
-        _tenant_slos(),
-        {f"{name}0": name for name, _ in TENANT_TIERS},
-        seed=seed,
+        _tenant_slos(), {f"{name}0": name for name, _ in TENANT_TIERS}
     ).attach(system.machine.bus)
     system.admission.bind_tenants(ledger.tenant_of_vm)
     if policy == "credit":
@@ -492,9 +490,9 @@ def explain_feedback(
         holder: Dict[str, object] = {}
 
         def attach(system, holder=holder) -> None:
-            holder["ledger"] = CreditLedger(
-                slos, vm_tenant, seed=seed
-            ).attach(system.machine.bus)
+            holder["ledger"] = CreditLedger(slos, vm_tenant).attach(
+                system.machine.bus
+            )
             holder["spans"] = SpanBuilder().attach(system.machine)
 
         rows = run_feedback_case(

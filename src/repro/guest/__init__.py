@@ -4,13 +4,6 @@ from .gedf import GEDFGuestScheduler
 from .params import VCPUParams, derive_vcpu_params, fits_on_vcpu
 from .pedf import PEDFGuestScheduler
 from .port import CrossLayerPort, LocalPort, ParamUpdate
-from .syscall import (
-    nr_vcpus,
-    sched_adjust,
-    sched_getattr,
-    sched_setattr,
-    sched_unregister,
-)
 from .task import Job, Task, TaskKind, make_background_task
 from .vcpu import VCPU
 from .vm import VM
@@ -30,9 +23,4 @@ __all__ = [
     "CrossLayerPort",
     "LocalPort",
     "ParamUpdate",
-    "sched_setattr",
-    "sched_adjust",
-    "sched_unregister",
-    "sched_getattr",
-    "nr_vcpus",
 ]

@@ -19,7 +19,6 @@ from .percentiles import (
     percentiles,
     tail_summary,
 )
-from .stats import bootstrap_percentile_ci, miss_ratio_upper_bound, wilson_interval
 
 __all__ = [
     "BandwidthBreakdown",
@@ -42,7 +41,4 @@ __all__ = [
     "fraction_below",
     "mean",
     "TAIL_PERCENTILES",
-    "wilson_interval",
-    "miss_ratio_upper_bound",
-    "bootstrap_percentile_ci",
 ]

@@ -36,6 +36,10 @@ class ConfigurationError(ReproError):
     """A component was constructed with inconsistent parameters."""
 
 
+class TraceFormatError(ConfigurationError, ValueError):
+    """A recorded RTVT trace is truncated, unparsable or fails its hash."""
+
+
 class InvariantViolation(SimulationError):
     """An online invariant check failed at a scheduling decision point.
 

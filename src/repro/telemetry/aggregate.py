@@ -8,43 +8,28 @@ summary, replacing the post-hoc walks over ``Trace`` lists in
 * :class:`MissRatioAggregator` — per-task met/missed counts (the
   deadline-miss ratios of Tables 1-3) from ``DEADLINE_HIT``/``MISS``.
 * :class:`LatencyAggregator` — job response-time tails (Table 4 /
-  Figure 5) from ``JOB_LATENCY``, with either exact nearest-rank
-  percentiles (byte-identical to :mod:`repro.metrics.percentiles`) or
-  a bounded-memory deterministic reservoir.
+  Figure 5) from ``JOB_LATENCY``, with exact nearest-rank percentiles
+  (byte-identical to :mod:`repro.metrics.percentiles`).
 * :class:`BandwidthAggregator` — granted-vs-consumed CPU bandwidth
-  (Figure 3 / the usage monitor's over-claimer analysis) from
-  ``CPU_ACCOUNT`` + ``VCPU_PARAMS``.
+  (Figure 3 / over-claimer analysis) from ``CPU_ACCOUNT`` +
+  ``VCPU_PARAMS``.
 
 Every aggregator produces a JSON-able ``snapshot()`` and a classmethod
 ``merge(snapshots)`` such that merging per-shard snapshots in canonical
-unit order reproduces the single-stream result — in exact mode the
-reproduction is byte-identical (sorted multisets merge associatively),
-which is what ``tools/check_determinism.py --streams`` gates on.
-Reservoir mode trades that for O(capacity) memory: merges stay
-deterministic (seeded LCG, no global RNG) but resample, so exact mode
-is the default wherever the registry's byte-identity matters.
+unit order reproduces the single-stream result byte for byte (sorted
+multisets merge associatively), which is what
+``tools/check_determinism.py --streams`` gates on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..metrics.percentiles import SortedSamples, merge_sorted_samples
 from ..simcore.time import to_usec
 from . import events
 from .bus import TelemetryBus
-
-# -- deterministic sampling ------------------------------------------------------------
-
-_LCG_MUL = 6364136223846793005
-_LCG_ADD = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
-
-
-def _lcg_next(state: int) -> int:
-    """One step of a 64-bit LCG (Knuth's MMIX constants)."""
-    return (state * _LCG_MUL + _LCG_ADD) & _LCG_MASK
 
 
 class OnlineStats:
@@ -96,43 +81,21 @@ class OnlineStats:
 
 
 class TailAggregator:
-    """Streaming tail percentiles: exact by default, reservoir when bounded.
+    """Streaming tail percentiles over every sample.
 
-    ``mode="exact"`` keeps every sample (append + lazy sort — the same
-    nearest-rank answers as :func:`repro.metrics.percentiles.percentile`,
-    byte-identical).  ``mode="reservoir"`` keeps at most *capacity*
-    samples via Algorithm R driven by a seeded LCG, so memory is bounded
-    and results are reproducible run-to-run without touching the global
-    RNG (which would perturb the simulation's seeded streams).
+    Append + lazy sort: the same nearest-rank answers as
+    :func:`repro.metrics.percentiles.percentile`, byte-identical.
     """
 
-    __slots__ = ("mode", "capacity", "seen", "_samples", "_sorted", "_state")
+    __slots__ = ("_samples", "_sorted")
 
-    def __init__(self, mode: str = "exact", capacity: int = 4096, seed: int = 1):
-        if mode not in ("exact", "reservoir"):
-            raise ValueError(f"unknown tail mode {mode!r}")
-        if mode == "reservoir" and capacity < 1:
-            raise ValueError(f"reservoir capacity must be >= 1, got {capacity}")
-        self.mode = mode
-        self.capacity = capacity
-        self.seen = 0  # total samples offered, kept or not
+    def __init__(self) -> None:
         self._samples: List[float] = []
         self._sorted = True
-        self._state = _lcg_next(seed & _LCG_MASK)
 
     def add(self, value: float) -> None:
-        self.seen += 1
-        if self.mode == "exact" or len(self._samples) < self.capacity:
-            self._samples.append(value)
-            self._sorted = False
-            return
-        # Algorithm R: the nth sample replaces a random slot with
-        # probability capacity/n.
-        self._state = _lcg_next(self._state)
-        slot = (self._state >> 20) % self.seen
-        if slot < self.capacity:
-            self._samples[slot] = value
-            self._sorted = False
+        self._samples.append(value)
+        self._sorted = False
 
     def _view(self) -> SortedSamples:
         if not self._sorted:
@@ -153,41 +116,14 @@ class TailAggregator:
         return self._view().cdf_points()
 
     def snapshot(self) -> dict:
-        """JSON-able state; exact-mode samples are stored sorted."""
-        return {
-            "mode": self.mode,
-            "capacity": self.capacity,
-            "seen": self.seen,
-            "samples": list(self._view().ordered),
-        }
+        """JSON-able state; samples are stored sorted."""
+        return {"samples": list(self._view().ordered)}
 
     @classmethod
-    def merge(cls, snapshots: Sequence[dict], seed: int = 1) -> "TailAggregator":
-        """Combine per-shard snapshots (in canonical shard order).
-
-        Exact shards merge losslessly via :func:`merge_sorted_samples`;
-        any reservoir shard forces a reservoir result, refilled by
-        re-sampling the concatenated shard samples with a fresh seeded
-        LCG (deterministic for a fixed snapshot order).
-        """
-        if not snapshots:
-            return cls(mode="exact")
-        if all(s["mode"] == "exact" for s in snapshots):
-            merged = cls(mode="exact")
-            merged._samples = merge_sorted_samples(
-                [s["samples"] for s in snapshots]
-            )
-            merged._sorted = True
-            merged.seen = sum(s["seen"] for s in snapshots)
-            return merged
-        capacity = min(
-            s["capacity"] for s in snapshots if s["mode"] == "reservoir"
-        )
-        merged = cls(mode="reservoir", capacity=capacity, seed=seed)
-        for snap in snapshots:
-            for value in snap["samples"]:
-                merged.add(value)
-        merged.seen = sum(s["seen"] for s in snapshots)
+    def merge(cls, snapshots: Sequence[dict]) -> "TailAggregator":
+        """Combine per-shard snapshots losslessly (canonical shard order)."""
+        merged = cls()
+        merged._samples = merge_sorted_samples([s["samples"] for s in snapshots])
         return merged
 
 
@@ -264,9 +200,9 @@ class LatencyAggregator:
 
     __slots__ = ("stats", "tail", "_cancel")
 
-    def __init__(self, mode: str = "exact", capacity: int = 4096, seed: int = 1):
+    def __init__(self) -> None:
         self.stats = OnlineStats()
-        self.tail = TailAggregator(mode=mode, capacity=capacity, seed=seed)
+        self.tail = TailAggregator()
         self._cancel: Optional[Callable[[], None]] = None
 
     def attach(self, bus: TelemetryBus) -> "LatencyAggregator":
@@ -293,12 +229,10 @@ class LatencyAggregator:
         return {"stats": self.stats.snapshot(), "tail": self.tail.snapshot()}
 
     @classmethod
-    def merge(cls, snapshots: Sequence[dict], seed: int = 1) -> "LatencyAggregator":
+    def merge(cls, snapshots: Sequence[dict]) -> "LatencyAggregator":
         merged = cls()
         merged.stats = OnlineStats.merge([s["stats"] for s in snapshots])
-        merged.tail = TailAggregator.merge(
-            [s["tail"] for s in snapshots], seed=seed
-        )
+        merged.tail = TailAggregator.merge([s["tail"] for s in snapshots])
         return merged
 
 
@@ -387,17 +321,9 @@ class StandardTelemetry:
     granted-vs-consumed bandwidth — with no trace retained in memory.
     """
 
-    def __init__(
-        self,
-        bus: TelemetryBus,
-        tail_mode: str = "exact",
-        capacity: int = 4096,
-        seed: int = 1,
-    ):
+    def __init__(self, bus: TelemetryBus):
         self.misses = MissRatioAggregator().attach(bus)
-        self.latency = LatencyAggregator(
-            mode=tail_mode, capacity=capacity, seed=seed
-        ).attach(bus)
+        self.latency = LatencyAggregator().attach(bus)
         self.bandwidth = BandwidthAggregator().attach(bus)
 
     def detach(self) -> None:
@@ -413,12 +339,10 @@ class StandardTelemetry:
         }
 
     @staticmethod
-    def merge_snapshots(snapshots: Sequence[dict], seed: int = 1) -> dict:
+    def merge_snapshots(snapshots: Sequence[dict]) -> dict:
         """Merge whole-bundle snapshots, in canonical shard order."""
         misses = MissRatioAggregator.merge([s["misses"] for s in snapshots])
-        latency = LatencyAggregator.merge(
-            [s["latency"] for s in snapshots], seed=seed
-        )
+        latency = LatencyAggregator.merge([s["latency"] for s in snapshots])
         bandwidth = BandwidthAggregator.merge(
             [s["bandwidth"] for s in snapshots]
         )

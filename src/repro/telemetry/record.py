@@ -42,6 +42,7 @@ import struct
 from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..simcore.errors import TraceFormatError
 from . import events as ev
 from .events import ALL_KINDS
 
@@ -396,7 +397,12 @@ class TraceRecorder:
 
 
 class TraceReader:
-    """Parse a recorded trace from a path or raw bytes."""
+    """Parse a recorded trace from a path or raw bytes.
+
+    Raises :class:`~repro.simcore.errors.TraceFormatError` when the
+    trace is short, its header or trailer does not parse, or its body
+    does not hash to the trailer's recorded hash.
+    """
 
     def __init__(self, source):
         if isinstance(source, (bytes, bytearray)):
@@ -406,27 +412,40 @@ class TraceReader:
             self.path = source
             with open(source, "rb") as handle:
                 data = handle.read()
-        if data[:4] != MAGIC or data[4] != VERSION:
-            raise ValueError("not an RTVT v1 trace")
-        header_len, pos = _read_uvarint(data, 5)
-        self.header: dict = json.loads(data[pos : pos + header_len])
-        self._body_start = pos + header_len
+        if data[:4] != MAGIC or data[4:5] != bytes([VERSION]):
+            raise self._corrupt("not an RTVT v1 trace")
         if data[-4:] != MAGIC:
-            raise ValueError("truncated trace: missing trailer magic")
-        (trailer_len,) = struct.unpack("<Q", data[-12:-4])
-        trailer_start = len(data) - 12 - trailer_len
-        trailer = json.loads(data[trailer_start : len(data) - 12])
+            raise self._corrupt("truncated trace: missing trailer magic")
+        try:
+            header_len, pos = _read_uvarint(data, 5)
+            self.header: dict = json.loads(data[pos : pos + header_len])
+            self._body_start = pos + header_len
+            (trailer_len,) = struct.unpack("<Q", data[-12:-4])
+            trailer_start = len(data) - 12 - trailer_len
+            trailer = json.loads(data[trailer_start : len(data) - 12])
+            self.event_count: int = trailer["events"]
+            self.counts: Dict[str, int] = trailer["counts"]
+            self.trace_hash: str = trailer["hash"]
+            self.strings: Optional[List[str]] = trailer["strings"]
+            self.checkpoints: List[List[int]] = trailer["checkpoints"]
+            self.sections: List[dict] = trailer["sections"]
+            self.meta: dict = trailer.get("meta", {})
+        except (IndexError, KeyError, TypeError, ValueError, struct.error) as exc:
+            raise self._corrupt(f"unparsable header or trailer ({exc})") from exc
         self._body_end = trailer_start - 1
-        if data[self._body_end] != _TAG_END:
-            raise ValueError("corrupt trace: body end tag missing")
+        if self._body_end < self._body_start or data[self._body_end] != _TAG_END:
+            raise self._corrupt("body end tag missing")
         self._data = data
-        self.event_count: int = trailer["events"]
-        self.counts: Dict[str, int] = trailer["counts"]
-        self.trace_hash: str = trailer["hash"]
-        self.strings: Optional[List[str]] = trailer["strings"]
-        self.checkpoints: List[List[int]] = trailer["checkpoints"]
-        self.sections: List[dict] = trailer["sections"]
-        self.meta: dict = trailer.get("meta", {})
+        body_hash = hashlib.sha256(self.body_bytes()).hexdigest()
+        if body_hash != self.trace_hash:
+            raise self._corrupt(
+                f"body hashes to {body_hash[:16]}, trailer records "
+                f"{str(self.trace_hash)[:16]}"
+            )
+
+    def _corrupt(self, reason: str) -> TraceFormatError:
+        source = self.path if self.path is not None else "trace bytes"
+        return TraceFormatError(f"{source}: {reason}")
 
     def body_bytes(self) -> bytes:
         return self._data[self._body_start : self._body_end]

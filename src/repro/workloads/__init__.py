@@ -9,14 +9,6 @@ from .memcached import (
 )
 from .netdelay import NetLink
 from .periodic import TABLE1_GROUPS, TABLE5_GROUPS, PeriodicDriver, RTASpec, build_group_vms
-from .rtapp import (
-    RTAppConfig,
-    RTAppTask,
-    deploy_rtapp,
-    load_rtapp_file,
-    parse_rtapp_config,
-    table1_group_as_rtapp,
-)
 from .sporadic import SporadicDriver
 from .video import (
     TABLE3_PROFILES,
@@ -44,10 +36,4 @@ __all__ = [
     "MEMCACHED_PERIOD_NS",
     "MEMCACHED_SLICE_NS",
     "add_background_vms",
-    "RTAppConfig",
-    "RTAppTask",
-    "parse_rtapp_config",
-    "load_rtapp_file",
-    "deploy_rtapp",
-    "table1_group_as_rtapp",
 ]

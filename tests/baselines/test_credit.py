@@ -30,8 +30,9 @@ class TestConfiguration:
     def test_invalid_weight_rejected(self):
         system = make_system()
         vm = system.create_vm("a")
-        with pytest.raises(ConfigurationError):
-            system.scheduler.add_vcpu(vm.vcpus[0], weight=0)
+        for weight in (0, 65536):
+            with pytest.raises(ConfigurationError):
+                system.scheduler.add_vcpu(vm.vcpus[0], weight=weight)
 
     def test_double_add_rejected(self):
         system = make_system()

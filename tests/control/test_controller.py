@@ -22,7 +22,7 @@ from repro.control.controller import (
 from repro.control.tenants import CreditLedger, TenantSLO
 from repro.core.system import RTVirtSystem
 from repro.faults import InvariantChecker, InvariantViolation
-from repro.guest.syscall import sched_setattr
+from repro.guest.task import Task
 from repro.host.costs import ZERO_COSTS
 from repro.simcore.time import msec
 
@@ -33,9 +33,8 @@ def rtvirt(pcpus=1):
 
 def vm_with_rta(system, name, runtime_ms, period_ms):
     vm = system.create_vm(name)
-    task = sched_setattr(
-        vm, f"{name}.rta", runtime_ns=msec(runtime_ms), period_ns=msec(period_ms)
-    )
+    task = Task(f"{name}.rta", msec(runtime_ms), msec(period_ms))
+    vm.register_task(task)
     return vm, task.vcpu
 
 
@@ -126,19 +125,18 @@ class TestBump:
 
 class TestReclaim:
     def test_readmit_after_shed(self):
-        from repro.guest.syscall import sched_unregister
-
         system = rtvirt(pcpus=2)
         # Attach first so the controller sees the registration-time
         # VCPU_PARAMS events (they seed the parameters to re-admit).
         ctl = FeedbackController(system).attach()
         vm_a = system.create_vm("vm_a")
-        task_a = sched_setattr(vm_a, "vm_a.rta", msec(6), msec(10))
+        task_a = Task("vm_a.rta", msec(6), msec(10))
+        vm_a.register_task(task_a)
         vm_b, vcpu_b = vm_with_rta(system, "vm_b", 6, 10)
         system.fail_pcpu(1)  # capacity 1 vs 1.2 granted: vm_b sheds
         assert system.admission.granted(vcpu_b) == 0
         assert vcpu_b.name in ctl._shed_vcpus  # the evidence stream saw it
-        sched_unregister(vm_a, task_a)  # headroom returns
+        vm_a.unregister_task(task_a)  # headroom returns
         ctl._reclaim(vm_b, vcpu_b, now=system.engine.now)
         assert ctl.actions[-1][3] == "readmit"
         assert system.admission.granted(vcpu_b) == Fraction(3, 5)

@@ -13,7 +13,6 @@ import pytest
 from repro.control import actions as A
 from repro.core.system import RTVirtSystem
 from repro.guest.port import LocalPort
-from repro.guest.syscall import sched_adjust, sched_setattr, sched_unregister
 from repro.guest.task import Task
 from repro.guest.vm import VM
 from repro.host.costs import ZERO_COSTS
@@ -33,7 +32,7 @@ class TestRegistrationPath:
     def test_register_routes_inc_bw_and_admit(self):
         system, seen = observed_system()
         vm = system.create_vm("vm")
-        sched_setattr(vm, "vm.rta", runtime_ns=msec(2), period_ns=msec(10))
+        vm.register_task(Task("vm.rta", msec(2), msec(10)))
         kinds = [k for k, _ in seen]
         assert A.IncBandwidth.kind in kinds
         assert A.AdmitRequest.kind in kinds
@@ -46,11 +45,11 @@ class TestRegistrationPath:
 
         system, seen = observed_system(pcpus=1)
         vm = system.create_vm("vm")
-        sched_setattr(vm, "vm.rta0", runtime_ns=msec(8), period_ns=msec(10))
+        vm.register_task(Task("vm.rta0", msec(8), msec(10)))
         seen.clear()
         vm2 = system.create_vm("vm2")
         with pytest.raises(AdmissionError):
-            sched_setattr(vm2, "vm2.rta0", runtime_ns=msec(8), period_ns=msec(10))
+            vm2.register_task(Task("vm2.rta0", msec(8), msec(10)))
         admits = [r for k, r in seen if k == A.AdmitRequest.kind]
         assert admits and not any(admits)
         assert system.admission.total_granted == Fraction(4, 5)
@@ -58,13 +57,14 @@ class TestRegistrationPath:
     def test_adjust_and_unregister_route_decrease(self):
         system, seen = observed_system()
         vm = system.create_vm("vm")
-        task = sched_setattr(vm, "vm.rta", runtime_ns=msec(4), period_ns=msec(10))
+        task = Task("vm.rta", msec(4), msec(10))
+        vm.register_task(task)
         seen.clear()
-        sched_adjust(vm, task, runtime_ns=msec(2), period_ns=msec(10))
+        vm.adjust_task(task, msec(2), msec(10))
         kinds = [k for k, _ in seen]
         assert A.DecBandwidth.kind in kinds or A.IncBandwidth.kind in kinds
         seen.clear()
-        sched_unregister(vm, task)
+        vm.unregister_task(task)
         kinds = [k for k, _ in seen]
         assert A.DecBandwidth.kind in kinds
         assert system.admission.total_granted == 0
@@ -74,7 +74,7 @@ class TestLifecyclePaths:
     def test_shutdown_routes_release(self):
         system, seen = observed_system()
         vm = system.create_vm("vm")
-        sched_setattr(vm, "vm.rta", runtime_ns=msec(2), period_ns=msec(10))
+        vm.register_task(Task("vm.rta", msec(2), msec(10)))
         seen.clear()
         system.shutdown_vm(vm)
         kinds = [k for k, _ in seen]
@@ -85,9 +85,7 @@ class TestLifecyclePaths:
         system, seen = observed_system(pcpus=2)
         for i in range(2):
             vm = system.create_vm(f"vm{i}")
-            sched_setattr(
-                vm, f"vm{i}.rta", runtime_ns=msec(7), period_ns=msec(10)
-            )
+            vm.register_task(Task(f"vm{i}.rta", msec(7), msec(10)))
         seen.clear()
         system.fail_pcpu(1)
         kinds = [k for k, _ in seen]
@@ -110,7 +108,7 @@ class TestNoObserverFastPath:
     def test_fresh_system_has_no_observers(self):
         system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
         vm = system.create_vm("vm")
-        sched_setattr(vm, "vm.rta", runtime_ns=msec(2), period_ns=msec(10))
+        vm.register_task(Task("vm.rta", msec(2), msec(10)))
         system.run(msec(20))
         # No policy attached: the port must stay on the unobserved fast
         # path for the whole run.

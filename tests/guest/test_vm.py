@@ -1,15 +1,8 @@
-"""Unit tests for the VM abstraction and syscall veneer."""
+"""Unit tests for the VM abstraction."""
 
 import pytest
 
 from repro.guest.gedf import GEDFGuestScheduler
-from repro.guest.syscall import (
-    nr_vcpus,
-    sched_adjust,
-    sched_getattr,
-    sched_setattr,
-    sched_unregister,
-)
 from repro.guest.task import Task, TaskKind
 from repro.guest.vm import VM
 from repro.simcore.errors import ConfigurationError
@@ -93,43 +86,41 @@ class TestReleasePaths:
 
 
 class TestSyscalls:
-    def test_sched_setattr_registers(self):
+    """The ``sched_setattr()`` lifecycle, served by the VM methods."""
+
+    def test_register_task_registers(self):
         vm = VM("v")
-        t = sched_setattr(vm, "rta", runtime_ns=msec(2), period_ns=msec(10))
+        t = Task("rta", msec(2), msec(10))
+        vm.register_task(t)
         assert t.vm is vm
         assert t.kind is TaskKind.PERIODIC
 
-    def test_sched_setattr_sporadic(self):
+    def test_register_sporadic_task(self):
         vm = VM("v")
-        t = sched_setattr(vm, "rta", msec(2), msec(10), sporadic=True)
+        t = Task("rta", msec(2), msec(10), TaskKind.SPORADIC)
+        vm.register_task(t)
         assert t.kind is TaskKind.SPORADIC
 
-    def test_sched_adjust(self):
+    def test_adjust_task(self):
         vm = VM("v")
-        t = sched_setattr(vm, "rta", msec(2), msec(10))
-        sched_adjust(vm, t, msec(3), msec(10))
+        t = Task("rta", msec(2), msec(10))
+        vm.register_task(t)
+        vm.adjust_task(t, msec(3), msec(10))
         assert t.slice_ns == msec(3)
 
-    def test_sched_unregister(self):
+    def test_unregister_task(self):
         vm = VM("v")
-        t = sched_setattr(vm, "rta", msec(2), msec(10))
-        sched_unregister(vm, t)
+        t = Task("rta", msec(2), msec(10))
+        vm.register_task(t)
+        vm.unregister_task(t)
         assert t.vm is None
 
-    def test_sched_getattr(self):
-        vm = VM("v")
-        t = sched_setattr(vm, "rta", msec(2), msec(10))
-        attrs = sched_getattr(t)
-        assert attrs["runtime_ns"] == msec(2)
-        assert attrs["vcpu"] == "v.vcpu0"
-        assert attrs["bandwidth"] == 0.2
-
-    def test_nr_vcpus_tracks_hotplug(self):
+    def test_vcpu_count_tracks_hotplug(self):
         vm = VM("v", vcpu_count=1, max_vcpus=3)
-        assert nr_vcpus(vm) == 1
-        sched_setattr(vm, "a", msec(6), msec(10))
-        sched_setattr(vm, "b", msec(6), msec(10))
-        assert nr_vcpus(vm) == 2
+        assert len(vm.vcpus) == 1
+        vm.register_task(Task("a", msec(6), msec(10)))
+        vm.register_task(Task("b", msec(6), msec(10)))
+        assert len(vm.vcpus) == 2
 
 
 class TestGEDFDispatch:

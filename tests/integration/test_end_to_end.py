@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from repro.core.system import RTVirtSystem
-from repro.guest.syscall import sched_adjust, sched_setattr, sched_unregister
 from repro.guest.task import Task, TaskKind
 from repro.host.costs import DEFAULT_COSTS, ZERO_COSTS
 from repro.simcore.rng import RandomStreams
@@ -20,14 +19,15 @@ class TestDynamicLifecycle:
     def test_register_adjust_unregister_cycle(self):
         system = RTVirtSystem(pcpu_count=2, cost_model=ZERO_COSTS, slack_ns=0)
         vm = system.create_vm("vm")
-        t = sched_setattr(vm, "rta", msec(2), msec(10))
+        t = Task("rta", msec(2), msec(10))
+        vm.register_task(t)
         d = PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(50))
-        sched_adjust(vm, t, msec(6), msec(10))
+        vm.adjust_task(t, msec(6), msec(10))
         system.run(msec(50))
         d.stop()
         system.run(msec(20))
-        sched_unregister(vm, t)
+        vm.unregister_task(t)
         system.run(msec(30))
         system.finalize()
         assert t.stats.missed == 0
@@ -36,12 +36,14 @@ class TestDynamicLifecycle:
     def test_late_arriving_vm_admitted_online(self):
         system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
         vm1 = system.create_vm("vm1")
-        t1 = sched_setattr(vm1, "a", msec(4), msec(10))
+        t1 = Task("a", msec(4), msec(10))
+        vm1.register_task(t1)
         PeriodicDriver(system.engine, vm1, t1).start()
         system.run(msec(100))
         # A second VM registers mid-run through the hypercall.
         vm2 = system.create_vm("vm2")
-        t2 = sched_setattr(vm2, "b", msec(4), msec(10))
+        t2 = Task("b", msec(4), msec(10))
+        vm2.register_task(t2)
         PeriodicDriver(system.engine, vm2, t2).start()
         system.run(msec(100))
         system.finalize()
@@ -51,18 +53,20 @@ class TestDynamicLifecycle:
     def test_departure_frees_bandwidth_for_newcomer(self):
         system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
         vm1 = system.create_vm("vm1")
-        t1 = sched_setattr(vm1, "a", msec(7), msec(10))
+        t1 = Task("a", msec(7), msec(10))
+        vm1.register_task(t1)
         d1 = PeriodicDriver(system.engine, vm1, t1).start()
         system.run(msec(50))
         vm2 = system.create_vm("vm2")
         from repro.simcore.errors import AdmissionError
 
         with pytest.raises(AdmissionError):
-            sched_setattr(vm2, "b", msec(7), msec(10))
+            vm2.register_task(Task("b", msec(7), msec(10)))
         d1.stop()
         system.run(msec(20))
-        sched_unregister(vm1, t1)
-        t2 = sched_setattr(vm2, "b", msec(7), msec(10))
+        vm1.unregister_task(t1)
+        t2 = Task("b", msec(7), msec(10))
+        vm2.register_task(t2)
         PeriodicDriver(system.engine, vm2, t2).start()
         system.run(msec(100))
         system.finalize()
@@ -74,7 +78,8 @@ class TestMixedWorkloads:
         streams = RandomStreams(4)
         system = RTVirtSystem(pcpu_count=2, slack_ns=usec(500))
         vm_p = system.create_vm("periodic")
-        tp = sched_setattr(vm_p, "video", msec(17), msec(20))
+        tp = Task("video", msec(17), msec(20))
+        vm_p.register_task(tp)
         PeriodicDriver(system.engine, vm_p, tp).start()
         vm_m = system.create_vm("mc", slack_ns=0)
         svc = MemcachedService(system.engine, vm_m, streams.stream("mc")).start()
@@ -89,7 +94,8 @@ class TestMixedWorkloads:
         vm = system.create_vm("big", vcpu_count=1, max_vcpus=4)
         tasks = []
         for i in range(4):
-            t = sched_setattr(vm, f"t{i}", msec(6), msec(10))
+            t = Task(f"t{i}", msec(6), msec(10))
+            vm.register_task(t)
             tasks.append(t)
             PeriodicDriver(system.engine, vm, t).start()
         assert len(vm.vcpus) >= 3  # hotplug happened
@@ -103,7 +109,8 @@ class TestAccountingConsistency:
         system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
         trace = Trace().attach(system.machine.bus)
         vm = system.create_vm("vm")
-        t = sched_setattr(vm, "a", msec(3), msec(10))
+        t = Task("a", msec(3), msec(10))
+        vm.register_task(t)
         PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(100))
         system.finalize()
@@ -113,7 +120,8 @@ class TestAccountingConsistency:
         system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
         trace = Trace().attach(system.machine.bus)
         vm = system.create_vm("vm")
-        t = sched_setattr(vm, "a", msec(3), msec(10))
+        t = Task("a", msec(3), msec(10))
+        vm.register_task(t)
         PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(105))
         system.finalize()

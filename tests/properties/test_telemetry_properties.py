@@ -12,7 +12,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.metrics.deadlines import DeadlineStats, MissReport
@@ -156,24 +156,6 @@ def test_merge_is_deterministic_for_a_fixed_sharding(samples_ns, cuts):
         return LatencyAggregator.merge(shards)
 
     assert canonical(merge_once().snapshot()) == canonical(merge_once().snapshot())
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=2**31))
-def test_reservoir_merge_is_deterministic_and_bounded(seed):
-    def merge_once():
-        shards = []
-        for base in (0, 100):
-            tail = LatencyAggregator(mode="reservoir", capacity=16, seed=seed)
-            for ns in range(base, base + 100):
-                tail._on_latency(T.JobLatencyEvent(ns, "t", ns, ns * 1000))
-            shards.append(tail.snapshot())
-        return LatencyAggregator.merge(shards, seed=seed)
-
-    first, second = merge_once(), merge_once()
-    assert canonical(first.snapshot()) == canonical(second.snapshot())
-    assert len(first.tail) <= 16
-    assert first.tail.seen == 200
 
 
 # -- end-to-end: a real simulation, streamed vs post-hoc ------------------------------

@@ -67,7 +67,15 @@ class TestCliSeed:
         from repro.cli import main
 
         rc = main(
-            ["run-all", "--only", "robustness_jitter", "--no-cache", "--seed", "7"]
+            [
+                "run-all",
+                "--only",
+                "robustness_jitter",
+                "--no-cache",
+                "--no-ledger",
+                "--seed",
+                "7",
+            ]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -76,7 +84,7 @@ class TestCliSeed:
     def test_run_all_glob_expansion(self, capsys):
         from repro.cli import main
 
-        rc = main(["run-all", "--only", "robustness_*", "--no-cache"])
+        rc = main(["run-all", "--only", "robustness_*", "--no-cache", "--no-ledger"])
         out = capsys.readouterr().out
         assert rc == 0
         for experiment_id in ROBUSTNESS_IDS:

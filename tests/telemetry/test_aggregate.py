@@ -48,7 +48,7 @@ class TestOnlineStats:
 class TestTailAggregator:
     def test_exact_matches_percentiles_module(self):
         samples = [7.0, 1.0, 9.0, 3.0, 3.0, 8.0, 2.0]
-        tail = TailAggregator(mode="exact")
+        tail = TailAggregator()
         for v in samples:
             tail.add(v)
         assert tail.tail_summary() == tail_summary(samples)
@@ -56,51 +56,17 @@ class TestTailAggregator:
 
     def test_exact_merge_is_byte_identical_to_single_stream(self):
         samples = [float(v) for v in (5, 1, 4, 1, 5, 9, 2, 6, 5, 3)]
-        whole = TailAggregator(mode="exact")
+        whole = TailAggregator()
         for v in samples:
             whole.add(v)
         shards = []
         for chunk in (samples[:3], samples[3:4], samples[4:]):
-            shard = TailAggregator(mode="exact")
+            shard = TailAggregator()
             for v in chunk:
                 shard.add(v)
             shards.append(shard.snapshot())
         merged = TailAggregator.merge(shards)
         assert canonical(merged.snapshot()) == canonical(whole.snapshot())
-
-    def test_reservoir_bounds_memory(self):
-        tail = TailAggregator(mode="reservoir", capacity=16, seed=3)
-        for v in range(1000):
-            tail.add(float(v))
-        assert len(tail) == 16
-        assert tail.seen == 1000
-
-    def test_reservoir_is_deterministic_per_seed(self):
-        def run(seed):
-            tail = TailAggregator(mode="reservoir", capacity=8, seed=seed)
-            for v in range(200):
-                tail.add(float(v))
-            return tail.snapshot()
-
-        assert canonical(run(7)) == canonical(run(7))
-        assert canonical(run(7)) != canonical(run(8))
-
-    def test_reservoir_merge_forces_reservoir(self):
-        exact = TailAggregator(mode="exact")
-        exact.add(1.0)
-        res = TailAggregator(mode="reservoir", capacity=4)
-        for v in range(10):
-            res.add(float(v))
-        merged = TailAggregator.merge([exact.snapshot(), res.snapshot()])
-        assert merged.mode == "reservoir"
-        assert merged.seen == 11
-        assert len(merged) <= 4
-
-    def test_invalid_mode_and_capacity(self):
-        with pytest.raises(ValueError):
-            TailAggregator(mode="bogus")
-        with pytest.raises(ValueError):
-            TailAggregator(mode="reservoir", capacity=0)
 
 
 class TestMissRatioAggregator:

@@ -6,8 +6,11 @@ timestamps, interned strings, nested tuples and the tagged-scalar
 and merge shard traces into byte-stable sectioned files.
 """
 
+import struct
+
 import pytest
 
+from repro.simcore.errors import TraceFormatError
 from repro.telemetry import TelemetryBus, TraceReader, TraceRecorder, merge_traces
 from repro.telemetry import events as T
 from repro.telemetry.record import (
@@ -192,3 +195,28 @@ class TestMerge:
     def test_unknown_magic_rejected(self):
         with pytest.raises(ValueError):
             TraceReader(b"NOPE" + b"\x00" * 32)
+
+
+class TestIntegrity:
+    """A damaged trace raises TraceFormatError instead of reading wrong."""
+
+    def test_truncated_trace_rejected(self):
+        data = record(sample_events())
+        with pytest.raises(TraceFormatError, match="truncated"):
+            TraceReader(data[: len(data) // 2])
+
+    def test_flipped_body_byte_rejected(self):
+        data = record(sample_events())
+        body = TraceReader(data).body_bytes()
+        flipped = bytearray(data)
+        flipped[data.index(body) + len(body) // 2] ^= 0x01
+        with pytest.raises(TraceFormatError, match="trailer records"):
+            TraceReader(bytes(flipped))
+
+    def test_garbage_trailer_rejected(self):
+        data = record(sample_events())
+        (length,) = struct.unpack("<Q", data[-12:-4])
+        start = len(data) - 12 - length
+        garbled = data[:start] + b"x" * length + data[-12:]
+        with pytest.raises(TraceFormatError, match="unparsable"):
+            TraceReader(garbled)

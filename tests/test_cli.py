@@ -420,3 +420,46 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "deadline-miss blame" in out
         assert "pcpu_fail under RTVirt" in out
+
+
+class TestCorruptTrace:
+    """Every verb that reads a damaged trace prints one line and exits 2."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("traces")
+        good = str(root / "good.rtvt")
+        rc = main(
+            ["trace", "record", "robustness_pcpu_fail", "--duration-s", "1", "-o", good]
+        )
+        assert rc == 0
+        with open(good, "rb") as handle:
+            data = handle.read()
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 0x01
+        (root / "flipped.rtvt").write_bytes(bytes(flipped))
+        (root / "cut.rtvt").write_bytes(data[: len(data) // 2])
+        return good, str(root / "flipped.rtvt"), str(root / "cut.rtvt")
+
+    def assert_rejected(self, capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(path)
+
+    def test_inspect(self, capsys, traces):
+        _, flipped, _ = traces
+        self.assert_rejected(capsys, ["trace", "inspect", flipped], flipped)
+
+    def test_replay(self, capsys, traces):
+        _, flipped, _ = traces
+        self.assert_rejected(capsys, ["trace", "replay", flipped], flipped)
+
+    def test_diff(self, capsys, traces):
+        good, flipped, _ = traces
+        self.assert_rejected(capsys, ["trace", "diff", good, flipped], flipped)
+
+    def test_explain(self, capsys, traces):
+        _, _, cut = traces
+        self.assert_rejected(capsys, ["explain", cut], cut)

@@ -1,14 +1,9 @@
-"""Tests for trace export and statistical helpers."""
+"""Tests for trace export."""
 
 import json
 
 import pytest
 
-from repro.metrics.stats import (
-    bootstrap_percentile_ci,
-    miss_ratio_upper_bound,
-    wilson_interval,
-)
 from repro.report.export import export_chrome_trace, trace_to_chrome_events
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.trace import Trace
@@ -181,50 +176,3 @@ class TestStreamingExporter:
         spans = faulted_run["spans"]
         assert spans.spans and spans.hypercall_fault_windows() == []
 
-
-class TestWilson:
-    def test_zero_misses_has_nonzero_upper_bound(self):
-        lo, hi = wilson_interval(0, 4800)
-        assert lo == 0.0
-        assert 0.0 < hi < 0.002
-
-    def test_upper_bound_shrinks_with_samples(self):
-        assert miss_ratio_upper_bound(0, 10_000) < miss_ratio_upper_bound(0, 100)
-
-    def test_interval_contains_point_estimate(self):
-        lo, hi = wilson_interval(50, 1000)
-        assert lo < 0.05 < hi
-
-    def test_symmetric_at_half(self):
-        lo, hi = wilson_interval(500, 1000)
-        assert abs((0.5 - lo) - (hi - 0.5)) < 1e-9
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            wilson_interval(1, 0)
-        with pytest.raises(ValueError):
-            wilson_interval(5, 4)
-
-    def test_higher_confidence_wider(self):
-        assert (
-            wilson_interval(10, 100, 0.99)[1] > wilson_interval(10, 100, 0.90)[1]
-        )
-
-
-class TestBootstrap:
-    def test_ci_brackets_estimate(self):
-        from repro.metrics.percentiles import percentile
-
-        samples = list(range(1, 1001))
-        lo, hi = bootstrap_percentile_ci(samples, 99.0, resamples=300)
-        assert lo <= percentile(samples, 99.0) <= hi
-
-    def test_deterministic_under_seed(self):
-        samples = [float(x % 97) for x in range(500)]
-        a = bootstrap_percentile_ci(samples, 95.0, resamples=200, seed=5)
-        b = bootstrap_percentile_ci(samples, 95.0, resamples=200, seed=5)
-        assert a == b
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_percentile_ci([], 99.0)

@@ -1,5 +1,8 @@
 """Tests for report formatting helpers and small shared utilities."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import format_table, percent
@@ -72,7 +75,42 @@ class TestPackageSurface:
         import repro.analysis
         import repro.baselines
         import repro.experiments
-        import repro.monitoring
         import repro.placement
         import repro.report
         import repro.workloads
+
+    def test_every_module_is_reachable(self):
+        # Every module under src/repro must be in the static import
+        # closure of the CLI or of a repro module that tools/ or
+        # perfbench/ imports.  Package __init__ files only re-export.
+        import repro
+        from repro.runner.cache import _import_closure, _module_path
+
+        package_root = Path(repro.__file__).parent
+        repo_root = Path(__file__).resolve().parents[1]
+        roots = {"repro.__main__"}
+        scripts = sorted(repo_root.glob("tools/*.py"))
+        scripts += sorted(repo_root.glob("perfbench/*.py"))
+        for script in scripts:
+            for node in ast.walk(ast.parse(script.read_text())):
+                if isinstance(node, ast.Import):
+                    roots.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    roots.add(node.module)
+                    roots.update(
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    )
+        reached = set()
+        for root in sorted(roots):
+            if _module_path(str(package_root), "repro", root) is None:
+                continue  # outside repro, or a name rather than a module
+            closure = _import_closure(str(package_root), "repro", root)
+            assert closure is not None, f"unresolvable imports under {root}"
+            reached.update(closure)
+        modules = {
+            ".".join(("repro",) + path.relative_to(package_root).with_suffix("").parts)
+            for path in package_root.rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        unreachable = sorted(modules - reached)
+        assert not unreachable, "no run reaches: " + ", ".join(unreachable)

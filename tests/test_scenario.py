@@ -205,3 +205,11 @@ class TestCliBadInput:
         path.write_text(json.dumps(basic_spec(system={"type": "nope"})))
         _, stderr = self.assert_one_line_error(capsys, str(path))
         assert "'nope'" in stderr
+
+    def test_credit_weight_outside_xen_range(self, capsys, tmp_path):
+        spec = basic_spec(system={"type": "credit", "pcpus": 1})
+        spec["vms"][0]["weight"] = 70000
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(spec))
+        _, stderr = self.assert_one_line_error(capsys, str(path))
+        assert "70000" in stderr
