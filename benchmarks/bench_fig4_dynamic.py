@@ -5,14 +5,15 @@ We run a compressed window; the acceptance bar is the same (worst
 per-session miss ratio well under 1%).
 """
 
-from repro.experiments.fig4_dynamic import run_fig4
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import fig4_plan
 from repro.simcore.time import sec
 
 from .conftest import run_once
 
 
 def test_fig4_dynamic_streaming(benchmark):
-    result = run_once(benchmark, run_fig4, duration_ns=sec(120))
+    result = run_once(benchmark, execute_plan, fig4_plan(duration_ns=sec(120), seed=11))
     print()
     print(result.summary())
     benchmark.extra_info["sessions"] = len(result.sessions)

@@ -5,14 +5,16 @@ Paper verdicts at the 500 µs p99.9 SLO: RTVirt and RT-Xen A meet it
 tail despite a low average.
 """
 
-from repro.experiments.fig5_memcached import SLO_USEC, run_fig5a
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import fig5_plan
 from repro.simcore.time import sec
 
 from .conftest import run_once
 
 
 def test_fig5a_nonrta_contention(benchmark):
-    result = run_once(benchmark, run_fig5a, duration_ns=sec(40))
+    plan = fig5_plan("a", duration_ns=sec(40), seed=17)
+    result = run_once(benchmark, execute_plan, plan)
     print()
     print(result.summary())
     for outcome in result.outcomes:

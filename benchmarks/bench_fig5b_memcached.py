@@ -8,14 +8,16 @@ scenario, where the paper's Xen credit1 fails through placement
 pathologies we do not model.
 """
 
-from repro.experiments.fig5_memcached import run_fig5b
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import fig5_plan
 from repro.simcore.time import sec
 
 from .conftest import run_once
 
 
 def test_fig5b_periodic_contention(benchmark):
-    result = run_once(benchmark, run_fig5b, duration_ns=sec(25))
+    plan = fig5_plan("b", duration_ns=sec(25), seed=23)
+    result = run_once(benchmark, execute_plan, plan)
     print()
     print(result.summary())
     for outcome in result.outcomes:

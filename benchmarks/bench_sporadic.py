@@ -4,14 +4,17 @@ Runs two representative groups on both frameworks (the full six-group
 sweep is the same code with more wall-clock).
 """
 
-from repro.experiments.sporadic_rtas import run_sporadic
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import sporadic_plan
 
 from .conftest import run_once
 
 
 def test_sporadic_rtas(benchmark):
     result = run_once(
-        benchmark, run_sporadic, requests_per_rta=25, groups=["H-Equiv", "NH-Dec"]
+        benchmark,
+        execute_plan,
+        sporadic_plan(requests_per_rta=25, seed=7, groups=["H-Equiv", "NH-Dec"]),
     )
     print()
     print(result.summary())

@@ -3,14 +3,15 @@
 The paper's result: both frameworks meet every deadline of every group.
 """
 
-from repro.experiments.table1_periodic import run_table1
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import table1_plan
 from repro.simcore.time import sec
 
 from .conftest import run_once
 
 
 def test_table1_periodic_groups(benchmark):
-    result = run_once(benchmark, run_table1, duration_ns=sec(10))
+    result = run_once(benchmark, execute_plan, table1_plan(duration_ns=sec(10)))
     print()
     print(result.summary())
     benchmark.extra_info["total_missed"] = sum(r.missed for r in result.runs)

@@ -5,14 +5,15 @@ to reproduce: RTVirt ≈ RT-Xen << Credit, with Credit offset by its wake
 path.
 """
 
-from repro.experiments.table4_dedicated import run_table4
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import table4_plan
 from repro.simcore.time import sec
 
 from .conftest import run_once
 
 
 def test_table4_dedicated_cpu(benchmark):
-    result = run_once(benchmark, run_table4, duration_ns=sec(40))
+    result = run_once(benchmark, execute_plan, table4_plan(duration_ns=sec(40), seed=3))
     print()
     print(result.summary())
     for scheduler, tail in result.tails.items():

@@ -6,14 +6,16 @@ Single-RTA (100 VMs, 100 VCPUs) shapes.  Paper: RTVirt runs both with
 93 VMs on the same host.
 """
 
-from repro.experiments.table6_overhead import run_table6
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import table6_plan
 from repro.simcore.time import sec
 
 from .conftest import run_once
 
 
 def test_table6_scalability_overhead(benchmark):
-    result = run_once(benchmark, run_table6, duration_ns=sec(5))
+    plan = table6_plan(duration_ns=sec(5), pcpu_count=15)
+    result = run_once(benchmark, execute_plan, plan)
     print()
     print(result.summary())
     for run in result.runs:

@@ -13,13 +13,14 @@ Run:  python examples/scalability.py [duration_seconds]
 import sys
 
 from repro import sec
-from repro.experiments.table6_overhead import run_table6
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import table6_plan
 
 
 def main() -> None:
     duration_s = int(sys.argv[1]) if len(sys.argv) > 1 else 10
     print(f"100 RTAs on 15 PCPUs, {duration_s}s simulated per scenario ...\n")
-    result = run_table6(duration_ns=sec(duration_s))
+    result = execute_plan(table6_plan(duration_ns=sec(duration_s), pcpu_count=15))
     print(result.summary())
     print(
         "\nRTVirt schedules all 100 RTAs in both shapes with <1% overhead; "

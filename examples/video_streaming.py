@@ -13,7 +13,8 @@ Run:  python examples/video_streaming.py [duration_seconds]
 import sys
 
 from repro import sec
-from repro.experiments.fig4_dynamic import run_fig4
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import fig4_plan
 from repro.simcore.time import SEC
 
 
@@ -36,7 +37,7 @@ def render_allocation(series, width=60):
 def main() -> None:
     duration_s = int(sys.argv[1]) if len(sys.argv) > 1 else 120
     print(f"dynamic streaming churn on 15 PCPUs, {duration_s}s simulated ...")
-    result = run_fig4(duration_ns=sec(duration_s))
+    result = execute_plan(fig4_plan(duration_ns=sec(duration_s), seed=11))
 
     print()
     print(result.summary())

@@ -349,6 +349,8 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(ids: List[str], blame: bool = False) -> int:
+    from .runner import run_experiments
+
     if ids == ["all"]:
         ids = registry.all_ids()
     else:
@@ -362,8 +364,8 @@ def _cmd_run(ids: List[str], blame: bool = False) -> int:
         entry = registry.REGISTRY[experiment_id]
         print(f"=== {entry.paper_ref}: {entry.description}")
         started = time.time()
-        result = entry.runner()
-        print(result.summary())
+        (report,) = run_experiments([experiment_id], jobs=1).reports
+        print(report.summary)
         if blame and experiment_id.startswith("robustness_"):
             sweep = _blame_family(experiment_id[len("robustness_"):], jobs=1)
             print(sweep.summary())
@@ -617,18 +619,12 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    from .simcore.errors import ConfigurationError
-
     outputs = (("--chrome-trace", args.chrome_trace), ("--profile", args.profile))
     for flag, path in outputs:
         if path is not None and not path.endswith(".json"):
             print(f"{flag} writes a .json file, got {path!r}", file=sys.stderr)
             return 2
-    try:
-        return _run_scenario(args)
-    except (ConfigurationError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    return _reject_bad_input(_run_scenario, args)
 
 
 def _run_scenario(args) -> int:
@@ -829,9 +825,9 @@ def _explain_trace(args) -> int:
 
 def _cmd_explain(args) -> int:
     if _is_trace(args.target):
-        return _reject_bad_trace(_explain_trace, args)
+        return _reject_bad_input(_explain_trace, args)
     if args.target.endswith(".json"):
-        return _explain_scenario(args)
+        return _reject_bad_input(_explain_scenario, args)
     from .experiments.feedback_adaptive import FEEDBACK_CELLS
 
     if args.target in FEEDBACK_CELLS:
@@ -1009,22 +1005,28 @@ def _trace_diff(args) -> int:
     return 0 if diff.identical else 1
 
 
-def _reject_bad_trace(command, args) -> int:
-    """Run *command*; a corrupt trace file is one stderr line, exit 2."""
-    from .simcore.errors import TraceFormatError
+def _reject_bad_input(command, args) -> int:
+    """Run *command*; bad input — a malformed scenario spec, a corrupt
+    trace, an unreadable file — is one stderr line, exit 2."""
+    from .simcore.errors import ConfigurationError
 
     try:
         return command(args)
-    except TraceFormatError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
 
 
 def _cmd_trace(args) -> int:
-    if args.trace_command == "record":
+    if args.trace_command == "record" and not args.target.endswith(".json"):
         return _trace_record(args)
-    readers = {"inspect": _trace_inspect, "replay": _trace_replay, "diff": _trace_diff}
-    return _reject_bad_trace(readers[args.trace_command], args)
+    commands = {
+        "record": _trace_record,
+        "inspect": _trace_inspect,
+        "replay": _trace_replay,
+        "diff": _trace_diff,
+    }
+    return _reject_bad_input(commands[args.trace_command], args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

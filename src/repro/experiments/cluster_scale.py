@@ -20,11 +20,10 @@ plane:
   cross-host audit matches the engine's own accounting; with offset it
   measurably diverges.
 
-Every mode shards **per host** for the parallel runner: one work unit
-re-runs the full (deterministic) cluster simulation with telemetry
-attached only to the observed host's bus and returns that host's row +
-mergeable snapshot.  The serial runner executes the identical units in
-order, so parallel output is byte-identical by construction.
+Every mode shards **per host**: one work unit re-runs the full
+(deterministic) cluster simulation with telemetry attached only to the
+observed host's bus and returns that host's row + mergeable snapshot,
+so the merged output is the same whatever the worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from ..faults import At, FaultContext, HostFail, HostRecover, Scenario
 from ..placement.migration import MigrationParams, safe_migration_params
 from ..simcore.events import PRIORITY_FAULT
 from ..simcore.rng import RandomStreams
-from ..simcore.time import MSEC, USEC, sec
+from ..simcore.time import MSEC, USEC
 from ..telemetry.aggregate import StandardTelemetry
 from ..cluster import Cluster, default_specs
 from .common import format_table
@@ -393,18 +392,3 @@ def assemble_cluster(parts: Sequence[Dict[str, object]]) -> ClusterResult:
     """Parallel-runner assembly: parts arrive in unit (= spec) order."""
     mode = parts[0]["row"]["mode"] if parts else "?"
     return ClusterResult(mode, list(parts))
-
-
-def run_cluster(
-    mode: str,
-    duration_ns: int = sec(2),
-    seed: int = 29,
-    smoke: bool = False,
-) -> ClusterResult:
-    """Serial runner: every shard of one mode, in canonical order."""
-    return assemble_cluster(
-        [
-            run_cluster_host(duration_ns=duration_ns, seed=seed, **kwargs)
-            for _label, kwargs in cluster_unit_specs(mode, smoke=smoke)
-        ]
-    )

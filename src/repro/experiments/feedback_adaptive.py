@@ -27,8 +27,8 @@ FeedbackController` (and the credit shed policy of
 
 Every scenario is a fixed deterministic timeline (no random draws; the
 seed only parameterises the credit ledger's tail aggregator), so the
-per-policy cells shard cleanly for the parallel runner and the serial
-rows reproduce byte-for-byte.
+per-policy cells shard cleanly and the rows reproduce byte-for-byte
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from ..guest.task import Task
 from ..metrics.deadlines import collect_miss_report
 from ..placement.migration import safe_migration_params
 from ..simcore.events import PRIORITY_FAULT, PRIORITY_RELEASE
-from ..simcore.time import MSEC, sec
+from ..simcore.time import MSEC
 from ..telemetry import events as T
 from ..workloads.periodic import PeriodicDriver
 from .common import format_table
@@ -434,20 +434,6 @@ def assemble_feedback(parts: Sequence[List[Dict[str, object]]]) -> FeedbackResul
     cases = [row for part in parts for row in part]
     scenario = cases[0]["scenario"] if cases else "?"
     return FeedbackResult(scenario, cases)
-
-
-def run_feedback(
-    experiment_id: str,
-    duration_ns: int = sec(4),
-    seed: int = 31,
-) -> FeedbackResult:
-    """Serial runner: every policy cell of one experiment, in order."""
-    return assemble_feedback(
-        [
-            run_feedback_case(duration_ns=duration_ns, seed=seed, **kwargs)
-            for _label, kwargs in feedback_unit_specs(experiment_id)
-        ]
-    )
 
 
 # -- explain support (`python -m repro explain feedback_*`) -----------------------

@@ -7,11 +7,9 @@ RTVirt admits them online through the hypercall and re-partitions.
 The experiment is defined as a *partitioned* host: each VM runs on its
 own ``ceil(pcpu_count / vm_count)``-PCPU partition with its own derived
 churn RNG stream (``churn-vm{i}``), so the VMs are independent by
-construction.  :func:`run_fig4` composes :func:`run_fig4_vm` over the
-partitions and :func:`assemble_fig4` merges the parts — the exact same
-code path the parallel runner uses, which makes the sharded run
-byte-identical to the serial one by construction rather than by
-bookkeeping.
+construction.  Each :func:`run_fig4_vm` call is one work unit and
+:func:`assemble_fig4` merges the parts, so the result is the same
+whatever the worker count, by construction rather than by bookkeeping.
 
 The paper's findings, which this harness reports:
 
@@ -149,11 +147,7 @@ def run_fig4_vm(
 
 
 def assemble_fig4(parts: List[Fig4VmPart]) -> Fig4Result:
-    """Rebuild the serial :class:`Fig4Result` from per-VM parts.
-
-    The serial runner itself goes through here, so the parallel runner's
-    reassembly is the same code producing the same bytes.
-    """
+    """Build the :class:`Fig4Result` from per-VM parts (in VM order)."""
     duration_ns = parts[0].duration_ns if parts else 0
     bucket_ns = parts[0].bucket_ns if parts else 1
     sessions = [s for part in parts for s in part.sessions]
@@ -177,31 +171,6 @@ def assemble_fig4(parts: List[Fig4VmPart]) -> Fig4Result:
         allocation_series=series,
         mean_dynamic_cpus=mean_dynamic,
         static_peak_cpus=peak,
-    )
-
-
-def run_fig4(
-    duration_ns: int = sec(600),
-    pcpu_count: int = 15,
-    seed: int = 11,
-    vm_count: int = 4,
-    vcpus_per_vm: int = 4,
-    bucket_ns: int = sec(5),
-) -> Fig4Result:
-    """Run the dynamic streaming experiment under RTVirt (all partitions)."""
-    return assemble_fig4(
-        [
-            run_fig4_vm(
-                vm_index,
-                duration_ns=duration_ns,
-                pcpu_count=pcpu_count,
-                seed=seed,
-                vm_count=vm_count,
-                vcpus_per_vm=vcpus_per_vm,
-                bucket_ns=bucket_ns,
-            )
-            for vm_index in range(vm_count)
-        ]
     )
 
 

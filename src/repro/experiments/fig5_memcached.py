@@ -158,8 +158,8 @@ def _run_5a_credit(duration_ns: int, seed: int) -> SchedulerOutcome:
 
 
 #: Canonical Figure 5 scheduler order; also the per-scheduler shard ids
-#: used by the parallel runner.  Every scheduler run builds its own
-#: system and RandomStreams(seed), so shards reproduce the serial run.
+#: of the work-unit plan.  Every scheduler run builds its own system and
+#: RandomStreams(seed), so the shards are independent.
 FIG5_SCHEDULERS = ("Credit", "RT-Xen A", "RT-Xen B", "RTVirt")
 
 
@@ -176,16 +176,6 @@ def run_fig5a_scheduler(
     if scheduler == "RTVirt":
         return _run_5a_rtvirt(duration_ns, seed)
     raise KeyError(f"unknown Figure 5 scheduler {scheduler!r}")
-
-
-def run_fig5a(duration_ns: int = sec(60), seed: int = 17) -> Fig5Result:
-    """Scenario (a): memcached vs 19 non-RTA CPU-bound VMs on 2 PCPUs."""
-    return Fig5Result(
-        scenario="a",
-        outcomes=[
-            run_fig5a_scheduler(s, duration_ns, seed) for s in FIG5_SCHEDULERS
-        ],
-    )
 
 
 # -- scenario (b): 5 memcached + 10 video VMs, 15 PCPUs ------------------------------
@@ -334,13 +324,3 @@ def run_fig5b_scheduler(
     if scheduler == "RTVirt":
         return _run_5b_rtvirt(duration_ns, seed)
     raise KeyError(f"unknown Figure 5 scheduler {scheduler!r}")
-
-
-def run_fig5b(duration_ns: int = sec(60), seed: int = 23) -> Fig5Result:
-    """Scenario (b): 5 memcached VMs + 10 video VMs on 15 PCPUs."""
-    return Fig5Result(
-        scenario="b",
-        outcomes=[
-            run_fig5b_scheduler(s, duration_ns, seed) for s in FIG5_SCHEDULERS
-        ],
-    )

@@ -1,38 +1,26 @@
 """Index of every reproduced table and figure.
 
-Maps each experiment id to its runner, so the EXPERIMENTS.md generator,
-the benchmarks and ad-hoc exploration all share one catalogue:
+The catalogue of experiment ids with their paper reference and
+description, plus the full-length run parameters.  Each id runs through
+its work-unit plan (``repro.runner.workunits.BINDINGS``):
 
-    from repro.experiments import registry
-    result = registry.run("fig3")
-    print(result.summary())
+    python -m repro run fig3
+    python -m repro run-all --jobs 4
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from ..simcore.time import sec
-from . import (
-    cluster_scale,
-    feedback_adaptive,
-    fig1_motivation,
-    fig3_bandwidth,
-    fig4_dynamic,
-    fig5_memcached,
-    robustness,
-    sporadic_rtas,
-    table1_periodic,
-    table2_config,
-    table4_dedicated,
-    table6_overhead,
-)
+from .cluster_scale import CLUSTER_MODES
+from .feedback_adaptive import FEEDBACK_CELLS
+from .robustness import ROBUSTNESS_FAULTS
 
 
-# Full-length run parameters.  The serial runners below and the parallel
-# runner's work-unit plans (repro.runner.workunits) both read these, so
-# the two paths cannot drift apart.
+# Full-length run parameters, bound to each id's plan builder in
+# repro.runner.workunits.BINDINGS.
 FIG1_DURATION_NS = sec(30)
 TABLE1_DURATION_NS = sec(20)
 SPORADIC_REQUESTS = 30
@@ -60,18 +48,11 @@ FEEDBACK_SEED = 31
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """One table/figure of the paper's evaluation.
-
-    ``runner`` regenerates the full-length result; ``smoke`` runs a
-    sharply shortened variant of the same harness (seconds, not minutes)
-    so the whole catalogue can be exercised in the test suite.
-    """
+    """One table/figure of the paper's evaluation."""
 
     experiment_id: str
     paper_ref: str
     description: str
-    runner: Callable[[], object]
-    smoke: Callable[[], object]
 
 
 REGISTRY: Dict[str, ExperimentEntry] = {
@@ -79,151 +60,87 @@ REGISTRY: Dict[str, ExperimentEntry] = {
         "fig1",
         "Figure 1",
         "Motivation: uncoordinated two-level EDF misses RTA deadlines; RTVirt does not",
-        lambda: fig1_motivation.run_fig1_combined(duration_ns=FIG1_DURATION_NS),
-        smoke=lambda: fig1_motivation.run_fig1_combined(duration_ns=sec(2)),
     ),
     "table1": ExperimentEntry(
         "table1",
         "Table 1 / §4.2",
         "Periodic RTA groups: all deadlines met under RTVirt and RT-Xen",
-        lambda: table1_periodic.run_table1(duration_ns=TABLE1_DURATION_NS),
-        smoke=lambda: table1_periodic.run_table1(
-            duration_ns=sec(2), groups=["H-Equiv"]
-        ),
     ),
     "table2": ExperimentEntry(
         "table2",
         "Table 2",
         "NH-Dec VM configurations under CSA (RT-Xen) and slack derivation (RTVirt)",
-        table2_config.run_table2,
-        smoke=table2_config.run_table2,
     ),
     "fig3": ExperimentEntry(
         "fig3",
         "Figure 3",
         "CPU bandwidth requirement per group: required / allocated / claimed / RTVirt",
-        fig3_bandwidth.run_fig3,
-        smoke=fig3_bandwidth.run_fig3,
     ),
     "sporadic": ExperimentEntry(
         "sporadic",
         "§4.2 sporadic",
         "Sporadic RTAs: 100 externally triggered requests per RTA, no misses",
-        lambda: sporadic_rtas.run_sporadic(
-            requests_per_rta=SPORADIC_REQUESTS, seed=SPORADIC_SEED
-        ),
-        smoke=lambda: sporadic_rtas.run_sporadic(
-            requests_per_rta=2, groups=["H-Equiv"]
-        ),
     ),
     "fig4": ExperimentEntry(
         "fig4",
         "Figure 4 / Table 3",
         "Dynamic video-streaming RTAs with online admission",
-        lambda: fig4_dynamic.run_fig4(duration_ns=FIG4_DURATION_NS, seed=FIG4_SEED),
-        smoke=lambda: fig4_dynamic.run_fig4(duration_ns=sec(20), seed=FIG4_SEED),
     ),
     "table4": ExperimentEntry(
         "table4",
         "Table 4",
         "memcached latency tail on a dedicated CPU per scheduler",
-        lambda: table4_dedicated.run_table4(
-            duration_ns=TABLE4_DURATION_NS, seed=TABLE4_SEED
-        ),
-        smoke=lambda: table4_dedicated.run_table4(duration_ns=sec(2)),
     ),
     "fig5a": ExperimentEntry(
         "fig5a",
         "Figure 5a",
         "memcached vs 19 non-RTA VMs on 2 PCPUs (SLO 500 µs p99.9)",
-        lambda: fig5_memcached.run_fig5a(
-            duration_ns=FIG5A_DURATION_NS, seed=FIG5A_SEED
-        ),
-        smoke=lambda: fig5_memcached.run_fig5a(duration_ns=sec(2)),
     ),
     "fig5b": ExperimentEntry(
         "fig5b",
         "Figure 5b",
         "5 memcached VMs + 10 video VMs on 15 PCPUs (SLO 500 µs p99.9)",
-        lambda: fig5_memcached.run_fig5b(
-            duration_ns=FIG5B_DURATION_NS, seed=FIG5B_SEED
-        ),
-        smoke=lambda: fig5_memcached.run_fig5b(duration_ns=sec(2)),
     ),
     "table6": ExperimentEntry(
         "table6",
         "Tables 5-6 / §4.5",
         "Scalability: 100 RTAs, overhead of schedule() and context switches",
-        lambda: table6_overhead.run_table6(
-            duration_ns=TABLE6_DURATION_NS, pcpu_count=TABLE6_PCPUS
-        ),
-        smoke=lambda: table6_overhead.run_table6(
-            duration_ns=sec(1), analyze_rtxen=False
-        ),
     ),
 }
 
 # Robustness suite: one entry per fault family, all driven by the same
-# harness.  Closures bind the family id by value via the default arg.
-for _fault in robustness.ROBUSTNESS_FAULTS:
+# harness.
+for _fault in ROBUSTNESS_FAULTS:
     REGISTRY[f"robustness_{_fault}"] = ExperimentEntry(
         f"robustness_{_fault}",
         "§5 robustness",
         f"Fault injection ({_fault.replace('_', ' ')}): miss ratio and "
         "recovery latency per scheduler",
-        runner=lambda f=_fault: robustness.run_robustness(
-            f, duration_ns=ROBUSTNESS_DURATION_NS, seed=ROBUSTNESS_SEED
-        ),
-        smoke=lambda f=_fault: robustness.run_robustness(
-            f, duration_ns=ROBUSTNESS_SMOKE_DURATION_NS, seed=ROBUSTNESS_SEED
-        ),
     )
 del _fault
 
 # Cluster suite: one entry per management-plane mode, all on the same
-# multi-host harness (per-host work units in the parallel runner).
-for _mode in cluster_scale.CLUSTER_MODES:
+# multi-host harness (one work unit per observed host).
+for _mode in CLUSTER_MODES:
     REGISTRY[f"cluster_{_mode}"] = ExperimentEntry(
         f"cluster_{_mode}",
         "§6 cluster",
         f"Multi-host cluster ({_mode}): planner placement, live migration "
         "and cross-host deadline audit per scheduler",
-        runner=lambda m=_mode: cluster_scale.run_cluster(
-            m, duration_ns=CLUSTER_DURATION_NS, seed=CLUSTER_SEED
-        ),
-        smoke=lambda m=_mode: cluster_scale.run_cluster(
-            m, duration_ns=CLUSTER_SMOKE_DURATION_NS, seed=CLUSTER_SEED, smoke=True
-        ),
     )
 del _mode
 
 # Control-plane suite: the blame-driven feedback controller and the
 # credit-ranked tenant shed, head-to-head against their static policies.
-for _fid in feedback_adaptive.FEEDBACK_CELLS:
-    _scenario = feedback_adaptive.FEEDBACK_CELLS[_fid][0]
+for _fid in FEEDBACK_CELLS:
+    _scenario = FEEDBACK_CELLS[_fid][0]
     REGISTRY[_fid] = ExperimentEntry(
         _fid,
         "§7 control plane",
         f"Adaptive control plane ({_scenario}): policy head-to-head "
         "miss ratio, granted bandwidth and controller actions",
-        runner=lambda f=_fid: feedback_adaptive.run_feedback(
-            f, duration_ns=FEEDBACK_DURATION_NS, seed=FEEDBACK_SEED
-        ),
-        smoke=lambda f=_fid: feedback_adaptive.run_feedback(
-            f, duration_ns=FEEDBACK_SMOKE_DURATION_NS, seed=FEEDBACK_SEED
-        ),
     )
 del _fid, _scenario
-
-
-def run(experiment_id: str):
-    """Run one experiment by id and return its result object."""
-    return REGISTRY[experiment_id].runner()
-
-
-def run_smoke(experiment_id: str):
-    """Run the shortened (smoke) variant of one experiment."""
-    return REGISTRY[experiment_id].smoke()
 
 
 def all_ids() -> List[str]:

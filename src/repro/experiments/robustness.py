@@ -11,8 +11,8 @@ fault to the last deadline miss it can explain).
 
 Runs are deterministic for a given seed: every random draw goes through
 a named :class:`~repro.simcore.rng.RandomStreams` stream, so the
-parallel runner's per-scheduler shards reproduce the serial rows
-byte-for-byte.  The online :class:`~repro.faults.InvariantChecker` is
+per-scheduler shards reproduce their rows byte-for-byte whatever the
+worker count.  The online :class:`~repro.faults.InvariantChecker` is
 attached for every case, so each robustness run doubles as a soak test
 of the scheduling invariants under faults.
 """
@@ -20,7 +20,7 @@ of the scheduling invariants under faults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..baselines.credit import CreditSystem
 from ..baselines.rtxen import RTXenSystem
@@ -40,7 +40,7 @@ from ..faults import (
 )
 from ..guest.task import Task
 from ..simcore.rng import RandomStreams
-from ..simcore.time import MSEC, sec
+from ..simcore.time import MSEC
 from ..workloads.periodic import PeriodicDriver
 from .common import format_table
 
@@ -226,18 +226,3 @@ class RobustnessResult:
         return format_table(
             self.rows(), title=f"Robustness — fault family {fault!r}"
         )
-
-
-def run_robustness(
-    fault: str,
-    duration_ns: int = sec(5),
-    seed: int = 11,
-    schedulers: Sequence[str] = ROBUSTNESS_SCHEDULERS,
-) -> RobustnessResult:
-    """Serial runner: every scheduler under one fault family."""
-    return RobustnessResult(
-        [
-            run_robustness_case(fault, scheduler, duration_ns, seed)
-            for scheduler in schedulers
-        ]
-    )

@@ -25,7 +25,7 @@ from ..workloads.arrivals import ArrivalMux
 from ..workloads.periodic import TABLE1_GROUPS, RTASpec
 from ..workloads.sporadic import SporadicDriver
 from .common import format_table
-from .table1_periodic import GroupRun, Table1Result, _pcpus_for
+from .table1_periodic import GroupRun, _pcpus_for
 
 
 def _run_requests(system, drivers: Sequence[SporadicDriver], max_requests: int) -> None:
@@ -129,18 +129,3 @@ def run_group_sporadic_rtxen(
         met=sum(t.stats.met for t in tasks),
         missed=sum(t.stats.missed for t in tasks),
     )
-
-
-def run_sporadic(
-    requests_per_rta: int = 100,
-    groups: Optional[Sequence[str]] = None,
-    seed: int = 7,
-) -> Table1Result:
-    """The full §4.2 sporadic experiment."""
-    if groups is None:
-        groups = list(TABLE1_GROUPS)
-    runs: List[GroupRun] = []
-    for group in groups:
-        runs.append(run_group_sporadic_rtvirt(group, requests_per_rta, seed))
-        runs.append(run_group_sporadic_rtxen(group, requests_per_rta, seed))
-    return Table1Result(runs)

@@ -130,16 +130,3 @@ def run_group_rtxen(
         met=sum(t.stats.met for t in tasks),
         missed=sum(t.stats.missed for t in tasks),
     )
-
-
-def run_table1(
-    duration_ns: int = sec(100), groups: Optional[Sequence[str]] = None
-) -> Table1Result:
-    """All groups under both frameworks (the §4.2 periodic experiment)."""
-    if groups is None:
-        groups = list(TABLE1_GROUPS)
-    runs: List[GroupRun] = []
-    for group in groups:
-        runs.append(run_group_rtvirt(group, duration_ns))
-        runs.append(run_group_rtxen(group, duration_ns))
-    return Table1Result(runs)

@@ -84,9 +84,9 @@ def _measure(system, vm, rng, register=None) -> LatencyRecorder:
     return svc
 
 
-#: Canonical Table 4 row order; also the experiment's shard ids for the
-#: parallel runner (each scheduler's run is fully independent: a fresh
-#: RandomStreams(seed) per scheduler, so shards reproduce the serial run).
+#: Canonical Table 4 row order; also the experiment's shard ids (each
+#: scheduler's run is fully independent: a fresh RandomStreams(seed) per
+#: scheduler).
 TABLE4_SCHEDULERS = ("Credit", "RT-Xen", "RTVirt")
 
 
@@ -121,13 +121,3 @@ def run_table4_scheduler(
     system.run(duration_ns)
     system.finalize()
     return svc.latency.tail_usec()
-
-
-def run_table4(duration_ns: int = sec(60), seed: int = 3) -> Table4Result:
-    """Measure the dedicated-CPU latency tail under all three schedulers."""
-    return Table4Result(
-        {
-            scheduler: run_table4_scheduler(scheduler, duration_ns, seed)
-            for scheduler in TABLE4_SCHEDULERS
-        }
-    )

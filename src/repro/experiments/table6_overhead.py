@@ -210,8 +210,8 @@ def rtxen_single_rta_capacity(pcpu_count: int = 15) -> int:
     return fitted
 
 
-#: The two simulated scenarios, in Table 6 row order (shard ids for the
-#: parallel runner; each builds an independent RTVirtSystem).
+#: The two simulated scenarios, in Table 6 row order (shard ids of the
+#: work-unit plan; each builds an independent RTVirtSystem).
 TABLE6_SCENARIOS = ("Multi-RTA", "Single-RTA")
 
 
@@ -234,14 +234,3 @@ def rtxen_capacities(
         rtxen_multi_rta_capacity(pcpu_count),
         rtxen_single_rta_capacity(pcpu_count),
     )
-
-
-def run_table6(
-    duration_ns: int = sec(30), pcpu_count: int = 15, analyze_rtxen: bool = True
-) -> Table6Result:
-    """Both scenarios under RTVirt plus the RT-Xen capacity analysis."""
-    runs = [
-        run_table6_scenario(s, duration_ns, pcpu_count) for s in TABLE6_SCENARIOS
-    ]
-    multi_cap, single_cap = rtxen_capacities(pcpu_count, analyze_rtxen)
-    return Table6Result(runs, multi_cap, single_cap)

@@ -1,16 +1,18 @@
-"""Parallel experiment-execution subsystem.
+"""Experiment execution: the one way a registry experiment runs.
 
 Decomposes every registry experiment into independent *work units*
 (whole experiments, and per-shard runs where a harness exposes them),
-executes the units across a process pool, caches unit results under a
-content-addressed key, and reassembles per-experiment output that is
-byte-identical to the serial ``registry.run`` path.
+executes the units in-process or across a process pool, caches unit
+results under a content-addressed key, and reassembles per-experiment
+output that is byte-identical whatever the worker count.  From the
+shell: ``python -m repro run fig3`` (one experiment, in-process) or
+``python -m repro run-all --jobs 4``.
 
     from repro.runner import run_experiments, ResultCache
 
     report = run_experiments(jobs=4, cache=ResultCache())
     for exp in report.reports:
-        print(exp.experiment_id, exp.wall_s)
+        print(exp.experiment_id, exp.unit_wall_s)
 """
 
 from .cache import CACHE_DIR_NAME, ResultCache, clear_salt_caches, code_salt, unit_salt

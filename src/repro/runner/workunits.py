@@ -1,4 +1,4 @@
-"""Work-unit decomposition of the experiment registry.
+"""Work-unit plans: the one way an experiment runs.
 
 A :class:`WorkUnit` is one independent computation: a module-level
 function (referenced by dotted path so it pickles across processes) plus
@@ -7,44 +7,63 @@ keyword arguments.  Each registry experiment maps to an
 function that rebuilds the experiment's result object from the unit
 parts *in the parent process*.
 
+Plan builders take their run parameters as arguments
+(``table1_plan(duration_ns)``, ``fig5_plan("b", duration_ns, seed)``,
+…).  :data:`BINDINGS` binds every registry id to its builder with the
+full-length parameters and the smoke overrides; :func:`plan_for` and
+:func:`build_plans` read it.  ``repro run``, ``run-all``, the
+determinism and perf gates and the tier-1 smoke test all execute these
+plans through :mod:`repro.runner.executor`.
+
 Two shapes of plan exist:
 
-- **Whole-experiment** plans have a single unit calling the
-  experiment's own full-length runner (``_WHOLE_FNS``), stripped in the
-  worker to a plain ``{"rows", "summary"}`` payload (the rich result
-  objects of monolithic experiments are not all picklable; their rows
-  and summary always are, because the determinism harness JSON-encodes
-  them).  Registry ids without a direct entry fall back to
-  :func:`run_whole`, which dispatches through the registry.
+- **Whole-experiment** plans (fig1, fig3, table2) have a single unit
+  calling the experiment module's own function, stripped in the worker
+  to a plain ``{"rows", "summary"}`` payload (the rich result objects
+  of monolithic experiments are not all picklable; their rows and
+  summary always are, because the determinism harness JSON-encodes
+  them).
 - **Sharded** plans split an experiment along its independent axes
   (per group × framework, per scheduler, per scenario).  Each shard
   returns a small picklable part (``GroupRun``, ``SchedulerOutcome``,
-  tail dict, ``OverheadRun``), and ``assemble`` reconstructs the *same
-  result dataclass the serial runner builds*, so ``rows()`` and
-  ``summary()`` are produced by the very code the serial path uses —
-  byte-identical output by construction, not by parallel bookkeeping.
+  tail dict, ``OverheadRun``), and ``assemble`` builds the experiment's
+  own result dataclass, so ``rows()`` and ``summary()`` are the
+  harness's code whatever the worker count.
 
 Shards are only valid because every experiment harness seeds a fresh
 ``RandomStreams`` (or none) per shard and builds its own simulated
-system: no state crosses shard boundaries in the serial loop either.
+system: no state crosses shard boundaries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments import registry
-from ..experiments.cluster_scale import assemble_cluster, cluster_unit_specs
-from ..experiments.feedback_adaptive import assemble_feedback, feedback_unit_specs
+from ..experiments.cluster_scale import (
+    CLUSTER_MODES,
+    assemble_cluster,
+    cluster_unit_specs,
+)
+from ..experiments.feedback_adaptive import (
+    FEEDBACK_CELLS,
+    assemble_feedback,
+    feedback_unit_specs,
+)
 from ..experiments.fig4_dynamic import FIG4_VM_COUNT, assemble_fig4
 from ..experiments.fig5_memcached import FIG5_SCHEDULERS, Fig5Result
-from ..experiments.robustness import ROBUSTNESS_SCHEDULERS, RobustnessResult
+from ..experiments.robustness import (
+    ROBUSTNESS_FAULTS,
+    ROBUSTNESS_SCHEDULERS,
+    RobustnessResult,
+)
 from ..experiments.table1_periodic import Table1Result
 from ..experiments.table4_dedicated import TABLE4_SCHEDULERS, Table4Result
 from ..experiments.table6_overhead import TABLE6_SCENARIOS, Table6Result
+from ..simcore.time import sec
 from ..workloads.periodic import TABLE1_GROUPS
 
 
@@ -108,20 +127,6 @@ def execute_unit(unit: WorkUnit) -> Any:
     if unit.payload:
         return {"rows": part.rows(), "summary": part.summary()}
     return part
-
-
-def run_whole(experiment_id: str) -> Dict[str, Any]:
-    """Worker body for monolithic experiments: run and strip to a payload.
-
-    Only the fallback path for registry ids without an entry in
-    ``_WHOLE_FNS`` uses this: its import closure (via the registry)
-    spans every experiment, so such units inherit the broadest possible
-    cache salt.  Known monolithic experiments point their unit ``fn``
-    straight at the experiment module instead, which keeps their cache
-    entries valid when an unrelated experiment changes.
-    """
-    result = registry.run(experiment_id)
-    return {"rows": result.rows(), "summary": result.summary()}
 
 
 # -- assembly functions (run in the parent, must be module-level) ---------------------
@@ -253,46 +258,48 @@ def ordered_by_cost(
     )
 
 
-# -- plan construction ----------------------------------------------------------------
+# -- plan builders --------------------------------------------------------------------
 
 
-#: Direct worker entry points for monolithic experiments, mirroring the
-#: registry's full-length runners (same callables, same parameters).
-#: Pointing the unit ``fn`` at the experiment module — instead of the
-#: registry-dispatching :func:`run_whole` — gives these units the narrow
-#: import-closure cache salt of their own harness.
-_WHOLE_FNS: Dict[str, Tuple[str, Tuple[Tuple[str, Any], ...]]] = {
-    "fig1": (
-        "repro.experiments.fig1_motivation:run_fig1_combined",
-        (("duration_ns", registry.FIG1_DURATION_NS),),
-    ),
-    "fig3": ("repro.experiments.fig3_bandwidth:run_fig3", ()),
-    "table2": ("repro.experiments.table2_config:run_table2", ()),
-}
-
-
-def _whole_plan(experiment_id: str) -> ExperimentPlan:
-    direct = _WHOLE_FNS.get(experiment_id)
-    if direct is not None:
-        fn, kwargs = direct
-        payload = True  # strip the rich result to rows/summary in the worker
-    else:  # pragma: no cover - safety net for future registry entries
-        fn = "repro.runner.workunits:run_whole"
-        kwargs = (("experiment_id", experiment_id),)
-        payload = False  # run_whole already returns the payload dict
+def _whole_plan(
+    experiment_id: str, fn: str, kwargs: Tuple[Tuple[str, Any], ...] = ()
+) -> ExperimentPlan:
+    """One unit calling the experiment module directly, stripped to a
+    ``{"rows", "summary"}`` payload in the worker.  Pointing ``fn`` at
+    the harness module gives the unit the narrow import-closure cache
+    salt of that harness alone."""
     unit = WorkUnit(
         experiment_id=experiment_id,
         unit_id=f"{experiment_id}/whole",
         fn=fn,
         kwargs=kwargs,
-        payload=payload,
+        payload=True,
     )
     return ExperimentPlan(experiment_id, (unit,), _assemble_payload)
 
 
-def _table1_plan() -> ExperimentPlan:
+def fig1_plan(duration_ns: int) -> ExperimentPlan:
+    return _whole_plan(
+        "fig1",
+        "repro.experiments.fig1_motivation:run_fig1_combined",
+        (("duration_ns", duration_ns),),
+    )
+
+
+def table2_plan() -> ExperimentPlan:
+    return _whole_plan("table2", "repro.experiments.table2_config:run_table2")
+
+
+def fig3_plan() -> ExperimentPlan:
+    return _whole_plan("fig3", "repro.experiments.fig3_bandwidth:run_fig3")
+
+
+def table1_plan(
+    duration_ns: int, groups: Sequence[str] = TABLE1_GROUPS
+) -> ExperimentPlan:
+    """One unit per group × framework, RTVirt before RT-Xen."""
     units = []
-    for group in TABLE1_GROUPS:
+    for group in groups:
         for framework, fn in (
             ("RTVirt", "repro.experiments.table1_periodic:run_group_rtvirt"),
             ("RT-Xen", "repro.experiments.table1_periodic:run_group_rtxen"),
@@ -302,18 +309,18 @@ def _table1_plan() -> ExperimentPlan:
                     experiment_id="table1",
                     unit_id=f"table1/{group}/{framework}",
                     fn=fn,
-                    kwargs=(
-                        ("group", group),
-                        ("duration_ns", registry.TABLE1_DURATION_NS),
-                    ),
+                    kwargs=(("group", group), ("duration_ns", duration_ns)),
                 )
             )
     return ExperimentPlan("table1", tuple(units), _assemble_table1)
 
 
-def _sporadic_plan() -> ExperimentPlan:
+def sporadic_plan(
+    requests_per_rta: int, seed: int, groups: Sequence[str] = TABLE1_GROUPS
+) -> ExperimentPlan:
+    """One unit per group × framework, RTVirt before RT-Xen."""
     units = []
-    for group in TABLE1_GROUPS:
+    for group in groups:
         for framework, fn in (
             ("RTVirt", "repro.experiments.sporadic_rtas:run_group_sporadic_rtvirt"),
             ("RT-Xen", "repro.experiments.sporadic_rtas:run_group_sporadic_rtxen"),
@@ -325,15 +332,15 @@ def _sporadic_plan() -> ExperimentPlan:
                     fn=fn,
                     kwargs=(
                         ("group", group),
-                        ("requests_per_rta", registry.SPORADIC_REQUESTS),
-                        ("seed", registry.SPORADIC_SEED),
+                        ("requests_per_rta", requests_per_rta),
+                        ("seed", seed),
                     ),
                 )
             )
     return ExperimentPlan("sporadic", tuple(units), _assemble_table1)
 
 
-def _table4_plan() -> ExperimentPlan:
+def table4_plan(duration_ns: int, seed: int) -> ExperimentPlan:
     units = tuple(
         WorkUnit(
             experiment_id="table4",
@@ -341,8 +348,8 @@ def _table4_plan() -> ExperimentPlan:
             fn="repro.experiments.table4_dedicated:run_table4_scheduler",
             kwargs=(
                 ("scheduler", scheduler),
-                ("duration_ns", registry.TABLE4_DURATION_NS),
-                ("seed", registry.TABLE4_SEED),
+                ("duration_ns", duration_ns),
+                ("seed", seed),
             ),
         )
         for scheduler in TABLE4_SCHEDULERS
@@ -350,7 +357,7 @@ def _table4_plan() -> ExperimentPlan:
     return ExperimentPlan("table4", units, _assemble_table4)
 
 
-def _fig4_plan() -> ExperimentPlan:
+def fig4_plan(duration_ns: int, seed: int) -> ExperimentPlan:
     units = tuple(
         WorkUnit(
             experiment_id="fig4",
@@ -358,8 +365,8 @@ def _fig4_plan() -> ExperimentPlan:
             fn="repro.experiments.fig4_dynamic:run_fig4_vm",
             kwargs=(
                 ("vm_index", vm_index),
-                ("duration_ns", registry.FIG4_DURATION_NS),
-                ("seed", registry.FIG4_SEED),
+                ("duration_ns", duration_ns),
+                ("seed", seed),
             ),
         )
         for vm_index in range(FIG4_VM_COUNT)
@@ -367,12 +374,9 @@ def _fig4_plan() -> ExperimentPlan:
     return ExperimentPlan("fig4", units, _assemble_fig4)
 
 
-def _fig5_plan(experiment_id: str) -> ExperimentPlan:
-    scenario = experiment_id[-1]  # "a" | "b"
-    duration = (
-        registry.FIG5A_DURATION_NS if scenario == "a" else registry.FIG5B_DURATION_NS
-    )
-    seed = registry.FIG5A_SEED if scenario == "a" else registry.FIG5B_SEED
+def fig5_plan(scenario: str, duration_ns: int, seed: int) -> ExperimentPlan:
+    """Figure 5 scenario ``"a"`` or ``"b"``: one unit per scheduler."""
+    experiment_id = f"fig5{scenario}"
     units = tuple(
         WorkUnit(
             experiment_id=experiment_id,
@@ -380,7 +384,7 @@ def _fig5_plan(experiment_id: str) -> ExperimentPlan:
             fn=f"repro.experiments.fig5_memcached:run_fig5{scenario}_scheduler",
             kwargs=(
                 ("scheduler", scheduler),
-                ("duration_ns", duration),
+                ("duration_ns", duration_ns),
                 ("seed", seed),
             ),
         )
@@ -390,7 +394,11 @@ def _fig5_plan(experiment_id: str) -> ExperimentPlan:
     return ExperimentPlan(experiment_id, units, assemble)
 
 
-def _table6_plan() -> ExperimentPlan:
+def table6_plan(
+    duration_ns: int, pcpu_count: int, analyze_rtxen: bool = True
+) -> ExperimentPlan:
+    """Both simulated scenarios plus the analytical RT-Xen capacities
+    (``(0, 0)`` without the analysis)."""
     units = [
         WorkUnit(
             experiment_id="table6",
@@ -398,25 +406,29 @@ def _table6_plan() -> ExperimentPlan:
             fn="repro.experiments.table6_overhead:run_table6_scenario",
             kwargs=(
                 ("scenario", scenario),
-                ("duration_ns", registry.TABLE6_DURATION_NS),
-                ("pcpu_count", registry.TABLE6_PCPUS),
+                ("duration_ns", duration_ns),
+                ("pcpu_count", pcpu_count),
             ),
         )
         for scenario in TABLE6_SCENARIOS
     ]
+    capacity_kwargs: Tuple[Tuple[str, Any], ...] = (("pcpu_count", pcpu_count),)
+    if not analyze_rtxen:
+        capacity_kwargs += (("analyze_rtxen", False),)
     units.append(
         WorkUnit(
             experiment_id="table6",
             unit_id="table6/rtxen-capacity",
             fn="repro.experiments.table6_overhead:rtxen_capacities",
-            kwargs=(("pcpu_count", registry.TABLE6_PCPUS),),
+            kwargs=capacity_kwargs,
         )
     )
     return ExperimentPlan("table6", tuple(units), _assemble_table6)
 
 
-def _robustness_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
-    fault = experiment_id[len("robustness_"):]
+def robustness_plan(fault: str, duration_ns: int, seed: int) -> ExperimentPlan:
+    """One fault family: one unit per scheduler."""
+    experiment_id = f"robustness_{fault}"
     units = tuple(
         WorkUnit(
             experiment_id=experiment_id,
@@ -425,8 +437,8 @@ def _robustness_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
             kwargs=(
                 ("fault", fault),
                 ("scheduler", scheduler),
-                ("duration_ns", registry.ROBUSTNESS_DURATION_NS),
-                ("seed", registry.ROBUSTNESS_SEED if seed is None else seed),
+                ("duration_ns", duration_ns),
+                ("seed", seed),
             ),
         )
         for scheduler in ROBUSTNESS_SCHEDULERS
@@ -434,31 +446,28 @@ def _robustness_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
     return ExperimentPlan(experiment_id, units, _assemble_robustness)
 
 
-def _cluster_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
+def cluster_plan(
+    mode: str, duration_ns: int, seed: int, smoke: bool = False
+) -> ExperimentPlan:
     """Per-host shards: each unit re-runs the full deterministic cluster
-    sim and extracts one host's row + mergeable telemetry snapshot."""
-    mode = experiment_id[len("cluster_"):]
+    sim and extracts one host's row + mergeable telemetry snapshot.
+    *smoke* keeps only the first host count of the grid."""
+    experiment_id = f"cluster_{mode}"
     units = tuple(
         WorkUnit(
             experiment_id=experiment_id,
             unit_id=f"{experiment_id}/{label}",
             fn="repro.experiments.cluster_scale:run_cluster_host",
             kwargs=tuple(
-                sorted(
-                    {
-                        "duration_ns": registry.CLUSTER_DURATION_NS,
-                        "seed": registry.CLUSTER_SEED if seed is None else seed,
-                        **kwargs,
-                    }.items()
-                )
+                sorted({"duration_ns": duration_ns, "seed": seed, **kwargs}.items())
             ),
         )
-        for label, kwargs in cluster_unit_specs(mode)
+        for label, kwargs in cluster_unit_specs(mode, smoke=smoke)
     )
     return ExperimentPlan(experiment_id, units, _assemble_cluster)
 
 
-def _feedback_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
+def feedback_plan(experiment_id: str, duration_ns: int, seed: int) -> ExperimentPlan:
     """Per-policy shards: each unit runs one (scenario, policy) cell."""
     units = tuple(
         WorkUnit(
@@ -466,13 +475,7 @@ def _feedback_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
             unit_id=f"{experiment_id}/{label}",
             fn="repro.experiments.feedback_adaptive:run_feedback_case",
             kwargs=tuple(
-                sorted(
-                    {
-                        "duration_ns": registry.FEEDBACK_DURATION_NS,
-                        "seed": registry.FEEDBACK_SEED if seed is None else seed,
-                        **kwargs,
-                    }.items()
-                )
+                sorted({"duration_ns": duration_ns, "seed": seed, **kwargs}.items())
             ),
         )
         for label, kwargs in feedback_unit_specs(experiment_id)
@@ -480,34 +483,135 @@ def _feedback_plan(experiment_id: str, seed: Optional[int]) -> ExperimentPlan:
     return ExperimentPlan(experiment_id, units, _assemble_feedback)
 
 
-_SHARDED_PLANS: Dict[str, Callable[[], ExperimentPlan]] = {
-    "table1": _table1_plan,
-    "sporadic": _sporadic_plan,
-    "table4": _table4_plan,
-    "fig4": _fig4_plan,
-    "fig5a": lambda: _fig5_plan("fig5a"),
-    "fig5b": lambda: _fig5_plan("fig5b"),
-    "table6": _table6_plan,
+# -- registry bindings ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Binding:
+    """A registry id's plan builder and the arguments it runs with."""
+
+    build: Callable[..., ExperimentPlan]
+    #: full-length arguments (the registry's run-length constants)
+    full: Dict[str, Any]
+    #: overrides of *full* for the seconds-long smoke variant
+    smoke: Dict[str, Any] = field(default_factory=dict)
+    #: whether a ``seed=`` override of plan_for/build_plans reaches it
+    seeded: bool = False
+
+
+#: Registry id -> plan builder and parameters, in registry order.
+BINDINGS: Dict[str, Binding] = {
+    "fig1": Binding(
+        fig1_plan,
+        {"duration_ns": registry.FIG1_DURATION_NS},
+        {"duration_ns": sec(2)},
+    ),
+    "table1": Binding(
+        table1_plan,
+        {"duration_ns": registry.TABLE1_DURATION_NS},
+        {"duration_ns": sec(2), "groups": ("H-Equiv",)},
+    ),
+    "table2": Binding(table2_plan, {}),
+    "fig3": Binding(fig3_plan, {}),
+    "sporadic": Binding(
+        sporadic_plan,
+        {
+            "requests_per_rta": registry.SPORADIC_REQUESTS,
+            "seed": registry.SPORADIC_SEED,
+        },
+        {"requests_per_rta": 2, "groups": ("H-Equiv",)},
+    ),
+    "fig4": Binding(
+        fig4_plan,
+        {"duration_ns": registry.FIG4_DURATION_NS, "seed": registry.FIG4_SEED},
+        {"duration_ns": sec(20)},
+    ),
+    "table4": Binding(
+        table4_plan,
+        {"duration_ns": registry.TABLE4_DURATION_NS, "seed": registry.TABLE4_SEED},
+        {"duration_ns": sec(2)},
+    ),
+    "fig5a": Binding(
+        fig5_plan,
+        {
+            "scenario": "a",
+            "duration_ns": registry.FIG5A_DURATION_NS,
+            "seed": registry.FIG5A_SEED,
+        },
+        {"duration_ns": sec(2)},
+    ),
+    "fig5b": Binding(
+        fig5_plan,
+        {
+            "scenario": "b",
+            "duration_ns": registry.FIG5B_DURATION_NS,
+            "seed": registry.FIG5B_SEED,
+        },
+        {"duration_ns": sec(2)},
+    ),
+    "table6": Binding(
+        table6_plan,
+        {
+            "duration_ns": registry.TABLE6_DURATION_NS,
+            "pcpu_count": registry.TABLE6_PCPUS,
+        },
+        {"duration_ns": sec(1), "analyze_rtxen": False},
+    ),
 }
+for _fault in ROBUSTNESS_FAULTS:
+    BINDINGS[f"robustness_{_fault}"] = Binding(
+        robustness_plan,
+        {
+            "fault": _fault,
+            "duration_ns": registry.ROBUSTNESS_DURATION_NS,
+            "seed": registry.ROBUSTNESS_SEED,
+        },
+        {"duration_ns": registry.ROBUSTNESS_SMOKE_DURATION_NS},
+        seeded=True,
+    )
+for _mode in CLUSTER_MODES:
+    BINDINGS[f"cluster_{_mode}"] = Binding(
+        cluster_plan,
+        {
+            "mode": _mode,
+            "duration_ns": registry.CLUSTER_DURATION_NS,
+            "seed": registry.CLUSTER_SEED,
+        },
+        {"duration_ns": registry.CLUSTER_SMOKE_DURATION_NS, "smoke": True},
+        seeded=True,
+    )
+for _fid in FEEDBACK_CELLS:
+    BINDINGS[_fid] = Binding(
+        feedback_plan,
+        {
+            "experiment_id": _fid,
+            "duration_ns": registry.FEEDBACK_DURATION_NS,
+            "seed": registry.FEEDBACK_SEED,
+        },
+        {"duration_ns": registry.FEEDBACK_SMOKE_DURATION_NS},
+        seeded=True,
+    )
+del _fault, _mode, _fid
 
 
-def plan_for(experiment_id: str, seed: Optional[int] = None) -> ExperimentPlan:
+def plan_for(
+    experiment_id: str, seed: Optional[int] = None, smoke: bool = False
+) -> ExperimentPlan:
     """The work-unit plan of one registry experiment.
 
-    *seed* overrides the default RNG seed of experiments that take one
-    (currently the robustness family); the seed lands in the unit
-    kwargs, so it participates in the cache fingerprint automatically.
+    *smoke* applies the binding's smoke overrides: the seconds-long
+    variant the tier-1 suite runs.  *seed* overrides the RNG seed of the
+    seeded families (``robustness_*``, ``cluster_*``, ``feedback_*`` and
+    ``tenant_*``); the seed lands in the unit kwargs, so it participates
+    in the cache fingerprint automatically.
     """
-    if experiment_id not in registry.REGISTRY:
+    binding = BINDINGS.get(experiment_id)
+    if binding is None:
         raise KeyError(f"unknown experiment id {experiment_id!r}")
-    if experiment_id.startswith("robustness_"):
-        return _robustness_plan(experiment_id, seed)
-    if experiment_id.startswith("cluster_"):
-        return _cluster_plan(experiment_id, seed)
-    if experiment_id.startswith("feedback_") or experiment_id.startswith("tenant_"):
-        return _feedback_plan(experiment_id, seed)
-    builder = _SHARDED_PLANS.get(experiment_id)
-    return builder() if builder else _whole_plan(experiment_id)
+    kwargs = dict(binding.full, **binding.smoke) if smoke else dict(binding.full)
+    if seed is not None and binding.seeded:
+        kwargs["seed"] = seed
+    return binding.build(**kwargs)
 
 
 def build_plans(

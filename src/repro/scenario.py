@@ -27,6 +27,7 @@ Run from the shell:  ``python -m repro scenario my_setup.json``
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -37,7 +38,7 @@ from .baselines.rtxen import RTXenSystem
 from .core.system import RTVirtSystem
 from .guest.task import Task, TaskKind
 from .metrics.deadlines import MissReport, collect_miss_report
-from .simcore.errors import ConfigurationError
+from .simcore.errors import AdmissionError, ConfigurationError
 from .simcore.rng import RandomStreams
 from .simcore.time import MSEC, SEC, USEC, msec, sec, usec
 from .workloads.periodic import PeriodicDriver
@@ -102,6 +103,95 @@ def _require(mapping: Dict, key: str, context: str):
     return mapping[key]
 
 
+#: Numeric spec fields: every one must be a finite int or float (never a
+#: bool or a string), the whole-number ones a JSON integer.  ``seed`` may
+#: be any integer, the non-negative ones may be 0, the rest must be > 0.
+_WHOLE = {"seed", "pcpus", "processes", "vcpus", "max_vcpus", "weight", "max_requests"}
+_NON_NEGATIVE = {"slack_us", "ratelimit_us", "phase_ms"}
+_POSITIVE = {
+    "duration_s", "pcpus", "min_global_slice_us", "timeslice_us", "processes",
+    "vcpus", "max_vcpus", "weight", "slice_ms", "period_ms",
+    "min_interarrival_ms", "max_interarrival_ms", "max_requests",
+}
+_NUMERIC = _WHOLE | _NON_NEGATIVE | _POSITIVE
+
+
+def _check_object(obj: Any, where: str) -> Dict[str, Any]:
+    """*obj* must be a JSON object whose numeric fields are in range."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"scenario {where} must be an object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in _NUMERIC:
+            continue
+        if value is None and key in ("max_vcpus", "max_requests"):
+            continue
+        number = int if key in _WHOLE else (int, float)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, number)
+            or not math.isfinite(value)
+        ):
+            raise ConfigurationError(
+                f"scenario {where}: {key} must be a number, got {value!r}"
+            )
+        if (key in _NON_NEGATIVE and value < 0) or (key in _POSITIVE and value <= 0):
+            raise ConfigurationError(f"scenario {where}: {key} out of range: {value!r}")
+    return obj
+
+
+def _check_names(objs: Any, where: str, seen: set) -> None:
+    """*objs* must be a list of objects with names not in *seen* yet."""
+    if not isinstance(objs, list):
+        raise ConfigurationError(f"scenario {where} must be a list, got {objs!r}")
+    for obj in objs:
+        name = _require(_check_object(obj, where), "name", where)
+        if not isinstance(name, str) or name in seen:
+            raise ConfigurationError(
+                f"scenario {where}: bad or duplicate name {name!r}"
+            )
+        seen.add(name)
+
+
+def validate_spec(spec: Any) -> None:
+    """Reject a malformed scenario spec before anything is built.
+
+    Raises :class:`ConfigurationError` naming the offending field: a
+    non-object where an object belongs, a number that is a string, a
+    bool, infinite or out of range, an unknown system type or task kind,
+    an empty ``vms`` list, or a VM or task name used twice.
+    """
+    _check_object(spec, "spec")
+    system = _check_object(spec.get("system", {}), "system")
+    if system.get("type", "rtvirt") not in ("rtvirt", "credit", "rtxen"):
+        raise ConfigurationError(f"unknown system type {system.get('type')!r}")
+    vms = spec.get("vms")
+    if not vms:
+        raise ConfigurationError(f"scenario vms must be a non-empty list, got {vms!r}")
+    _check_names(vms, "vms", set())
+    task_names: set = set()
+    kinds = [kind.value for kind in TaskKind]
+    for vm_spec in vms:
+        interface = vm_spec.get("interface_us")
+        if interface is not None:
+            if not (isinstance(interface, list) and len(interface) == 2):
+                raise ConfigurationError(
+                    f"scenario interface_us must be [budget, period], got {interface!r}"
+                )
+            budget, period = interface
+            _check_object({"slice_ms": budget, "period_ms": period}, "interface_us")
+            if budget > period:
+                raise ConfigurationError(
+                    f"scenario interface_us: budget {budget} exceeds period {period}"
+                )
+        tasks = vm_spec.get("tasks", [])
+        _check_names(tasks, "tasks", task_names)
+        for task_spec in tasks:
+            if task_spec.get("kind", "periodic") not in kinds:
+                raise ConfigurationError(
+                    f"scenario task kind {task_spec['kind']!r} is unknown"
+                )
+
+
 def _build_system(spec: Dict[str, Any]):
     system_spec = dict(spec.get("system", {}))
     kind = system_spec.pop("type", "rtvirt")
@@ -118,9 +208,7 @@ def _build_system(spec: Dict[str, Any]):
             timeslice_ns=usec(system_spec.pop("timeslice_us", 30_000)),
             ratelimit_ns=usec(system_spec.pop("ratelimit_us", 1_000)),
         )
-    if kind == "rtxen":
-        return RTXenSystem(pcpu_count=pcpus)
-    raise ConfigurationError(f"unknown system type {kind!r}")
+    return RTXenSystem(pcpu_count=pcpus)  # validate_spec admits no other type
 
 
 def _task_from_spec(task_spec: Dict[str, Any]) -> Task:
@@ -172,8 +260,11 @@ def build_scenario_system(
     any VM is created — the hook observers use to subscribe telemetry
     consumers (streaming aggregators, a :class:`~repro.simcore.trace.Trace`) to
     ``system.machine.bus`` so they see every event of the run, including
-    registration-time admission decisions.
+    registration-time admission decisions.  A malformed *spec* raises
+    :class:`ConfigurationError` (see :func:`validate_spec`) before
+    anything is built.
     """
+    validate_spec(spec)
     duration_ns = sec(spec.get("duration_s", 10))
     streams = RandomStreams(int(spec.get("seed", 0)))
     system = _build_system(spec)
@@ -192,26 +283,29 @@ def build_scenario_system(
             )
             continue
         tasks = [_task_from_spec(t) for t in vm_spec.get("tasks", [])]
-        if system_kind == "rtvirt":
-            vm = system.create_vm(
-                vm_name,
-                vcpu_count=int(vm_spec.get("vcpus", 1)),
-                max_vcpus=vm_spec.get("max_vcpus"),
-                slack_ns=(
-                    usec(vm_spec["slack_us"]) if "slack_us" in vm_spec else None
-                ),
-            )
-            for task in tasks:
-                vm.register_task(task)
-        elif system_kind == "rtxen":
-            budget, period = _rtxen_interface(vm_spec, tasks)
-            vm = system.create_vm(vm_name, interfaces=[(budget, period)])
-            for task in tasks:
-                system.register_rta(vm, task)
-        else:  # credit
-            vm = system.create_vm(vm_name, weight=int(vm_spec.get("weight", 256)))
-            for task in tasks:
-                vm.register_task(task)
+        try:  # an infeasible spec is bad input too
+            if system_kind == "rtvirt":
+                vm = system.create_vm(
+                    vm_name,
+                    vcpu_count=int(vm_spec.get("vcpus", 1)),
+                    max_vcpus=vm_spec.get("max_vcpus"),
+                    slack_ns=(
+                        usec(vm_spec["slack_us"]) if "slack_us" in vm_spec else None
+                    ),
+                )
+                for task in tasks:
+                    vm.register_task(task)
+            elif system_kind == "rtxen":
+                budget, period = _rtxen_interface(vm_spec, tasks)
+                vm = system.create_vm(vm_name, interfaces=[(budget, period)])
+                for task in tasks:
+                    system.register_rta(vm, task)
+            else:  # credit
+                vm = system.create_vm(vm_name, weight=int(vm_spec.get("weight", 256)))
+                for task in tasks:
+                    vm.register_task(task)
+        except AdmissionError as exc:
+            raise ConfigurationError(f"scenario vm {vm_name}: {exc}") from exc
         for task, task_spec in zip(tasks, vm_spec.get("tasks", [])):
             all_tasks.append(task)
             task_vms[task.name] = (vm, task)
@@ -270,19 +364,23 @@ def run_scenario(
     )
 
 
-def run_scenario_file(path: str, attach=None) -> ScenarioResult:
-    """Load a JSON scenario file and run it.
-
-    *attach* is forwarded to :func:`run_scenario` — the hook the CLI
-    uses to subscribe telemetry consumers before the run starts.  An
-    unreadable or non-JSON file raises :class:`ConfigurationError`.
-    """
+def load_scenario_file(path: str) -> Dict[str, Any]:
+    """Read a JSON scenario spec; an unreadable or non-JSON file raises
+    :class:`ConfigurationError`."""
     try:
         with open(path) as handle:
-            spec = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigurationError(f"cannot read scenario {path}: {reason}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigurationError(f"scenario {path} is not JSON: {exc}") from exc
-    return run_scenario(spec, name=path, attach=attach)
+
+
+def run_scenario_file(path: str, attach=None) -> ScenarioResult:
+    """Load a JSON scenario file and run it.
+
+    *attach* is forwarded to :func:`run_scenario` — the hook the CLI
+    uses to subscribe telemetry consumers before the run starts.
+    """
+    return run_scenario(load_scenario_file(path), name=path, attach=attach)

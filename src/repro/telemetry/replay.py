@@ -322,9 +322,9 @@ def record_scenario(
     from ..simcore.time import sec
 
     holder: Dict[str, TraceRecorder] = {}
-    system_kind = spec.get("system", {}).get("type", "rtvirt")
 
-    def hook(system) -> None:
+    def hook(system) -> None:  # runs after run_scenario validated *spec*
+        system_kind = spec.get("system", {}).get("type", "rtvirt")
         header = {
             "format": "scenario",
             "name": name,
@@ -343,9 +343,9 @@ def record_scenario(
 
 
 def record_scenario_file(path_in: str, path_out: Optional[str] = None) -> RecordedRun:
-    with open(path_in) as handle:
-        spec = json.load(handle)
-    return record_scenario(spec, path=path_out, name=path_in)
+    from ..scenario import load_scenario_file
+
+    return record_scenario(load_scenario_file(path_in), path=path_out, name=path_in)
 
 
 # -- replay ---------------------------------------------------------------------------

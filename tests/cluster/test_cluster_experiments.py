@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import cluster_scale, registry
-from repro.runner.workunits import plan_for
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import cluster_plan, plan_for
 from repro.simcore.time import MSEC, sec
 
 DURATION = sec(1)
@@ -39,21 +40,6 @@ class TestUnitSpecs:
 
 
 class TestShardEquivalence:
-    def test_serial_runner_equals_assembled_shards(self):
-        """run_cluster is literally the shard list run in order — the
-        invariant the parallel byte-identity gate rests on."""
-        serial = cluster_scale.run_cluster(
-            "hostfail", duration_ns=DURATION, seed=SEED, smoke=True
-        )
-        parts = [
-            cluster_scale.run_cluster_host(
-                duration_ns=DURATION, seed=SEED, **kwargs
-            )
-            for _, kwargs in cluster_scale.cluster_unit_specs("hostfail", smoke=True)
-        ]
-        assembled = cluster_scale.assemble_cluster(parts)
-        assert assembled.rows() == serial.rows()
-
     def test_workunit_plan_matches_specs(self):
         plan = plan_for("cluster_hostfail", None)
         labels = [
@@ -151,9 +137,8 @@ class TestClusterScenarios:
         assert skew_row["missed"] == sync_row["missed"]
 
     def test_merged_cluster_row_sums_hosts(self):
-        result = cluster_scale.run_cluster(
-            "clockskew", duration_ns=DURATION, seed=SEED
-        )
+        plan = cluster_plan("clockskew", duration_ns=DURATION, seed=SEED)
+        result = execute_plan(plan)
         rows = result.rows()
         host_rows = [r for r in rows if r["host"] != "cluster"]
         merged = [r for r in rows if r["host"] == "cluster"]

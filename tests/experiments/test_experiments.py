@@ -7,6 +7,7 @@ runs.  The full-length numbers live in EXPERIMENTS.md.
 
 import pytest
 
+from repro.runner.executor import execute_plan
 from repro.simcore.time import msec, sec
 
 
@@ -97,9 +98,9 @@ class TestSporadic:
 
 class TestTable4:
     def test_scheduler_ordering(self):
-        from repro.experiments.table4_dedicated import run_table4
+        from repro.runner.workunits import table4_plan
 
-        result = run_table4(duration_ns=sec(20))
+        result = execute_plan(table4_plan(duration_ns=sec(20), seed=3))
         credit = result.tails["Credit"][99.9]
         rtxen = result.tails["RT-Xen"][99.9]
         rtvirt = result.tails["RTVirt"][99.9]
@@ -110,9 +111,9 @@ class TestTable4:
 
 class TestFig5a:
     def test_verdicts(self):
-        from repro.experiments.fig5_memcached import run_fig5a
+        from repro.runner.workunits import fig5_plan
 
-        result = run_fig5a(duration_ns=sec(25))
+        result = execute_plan(fig5_plan("a", duration_ns=sec(25), seed=17))
         assert result.outcome("RTVirt").meets_slo
         assert result.outcome("RT-Xen A").meets_slo
         assert not result.outcome("Credit").meets_slo
@@ -122,9 +123,10 @@ class TestFig5a:
         assert abs(1 - rtvirt / rtxen_a - 0.502) < 0.01
 
     def test_credit_mean_low_tail_long(self):
-        from repro.experiments.fig5_memcached import run_fig5a, SLO_USEC
+        from repro.experiments.fig5_memcached import SLO_USEC
+        from repro.runner.workunits import fig5_plan
 
-        result = run_fig5a(duration_ns=sec(25))
+        result = execute_plan(fig5_plan("a", duration_ns=sec(25), seed=17))
         credit = result.outcome("Credit")
         assert credit.latency.mean_usec() < SLO_USEC
         assert credit.p999_usec > 2 * SLO_USEC
@@ -132,9 +134,11 @@ class TestFig5a:
 
 class TestTable6:
     def test_overhead_under_one_percent(self):
-        from repro.experiments.table6_overhead import run_table6
+        from repro.runner.workunits import table6_plan
 
-        result = run_table6(duration_ns=sec(2), analyze_rtxen=False)
+        result = execute_plan(
+            table6_plan(duration_ns=sec(2), pcpu_count=15, analyze_rtxen=False)
+        )
         for run in result.runs:
             assert run.overhead_percent < 1.0
             assert run.miss_ratio < 0.01
@@ -155,9 +159,11 @@ class TestTable6:
 
 class TestFeedbackControlPlane:
     def test_adaptive_beats_static_and_csa_on_overrun(self):
-        from repro.experiments.feedback_adaptive import run_feedback
+        from repro.runner.workunits import feedback_plan
 
-        result = run_feedback("feedback_overrun", duration_ns=sec(2), seed=31)
+        result = execute_plan(
+            feedback_plan("feedback_overrun", duration_ns=sec(2), seed=31)
+        )
         by_policy = {row["policy"]: row for row in result.rows()}
         static = by_policy["static"]
         csa = by_policy["csa"]
@@ -173,9 +179,9 @@ class TestFeedbackControlPlane:
         assert static["inc_bw"] == 0 and csa["inc_bw"] == 0
 
     def test_credit_policy_redirects_the_shed(self):
-        from repro.experiments.feedback_adaptive import run_feedback
+        from repro.runner.workunits import feedback_plan
 
-        result = run_feedback("tenant_shed", duration_ns=sec(2), seed=31)
+        result = execute_plan(feedback_plan("tenant_shed", duration_ns=sec(2), seed=31))
         rows = {(r["policy"], r["tenant"]): r for r in result.rows()}
         # Arrival order sheds the newest grant — the gold tenant.
         assert rows[("arrival", "gold")]["sheds"] == 1
@@ -235,8 +241,14 @@ class TestRegistry:
         for entry in REGISTRY.values():
             assert entry.paper_ref and entry.description
 
-    def test_run_by_id(self):
-        from repro.experiments.registry import run
+    def test_run_by_id(self, capsys):
+        """``repro run table2`` prints the header and the runner's summary."""
+        from repro.cli import main
+        from repro.runner import run_experiments
 
-        result = run("table2")
-        assert "Table 2" in result.summary()
+        assert main(["run", "table2"]) == 0
+        out = capsys.readouterr().out
+        (report,) = run_experiments(["table2"]).reports
+        header, _, rest = out.partition("\n")
+        assert header.startswith("=== Table 2: ")
+        assert rest.startswith(report.summary + "\n--- (")

@@ -1,19 +1,22 @@
 """Catalogue smoke test: every registry entry must run end to end.
 
-Each entry's shortened ``smoke`` variant is executed and must produce
-non-empty ``rows()`` and a string ``summary()`` — a new experiment that
-is registered but broken (or returns the wrong result shape) fails here
-rather than silently corrupting EXPERIMENTS.md or the benchmarks.
+Each entry's shortened smoke plan (``plan_for(id, smoke=True)``) is
+executed and must produce non-empty ``rows()`` and a string
+``summary()`` — a new experiment that is registered but broken (or
+returns the wrong result shape) fails here rather than silently
+corrupting EXPERIMENTS.md or the benchmarks.
 """
 
 import pytest
 
 from repro.experiments import registry
+from repro.runner.executor import execute_plan
+from repro.runner.workunits import plan_for
 
 
 @pytest.mark.parametrize("experiment_id", registry.all_ids())
 def test_registry_entry_smoke(experiment_id):
-    result = registry.run_smoke(experiment_id)
+    result = execute_plan(plan_for(experiment_id, smoke=True))
     rows = result.rows()
     assert isinstance(rows, list) and rows, f"{experiment_id} returned no rows"
     for row in rows:
@@ -56,8 +59,8 @@ class TestExpandIds:
 
 
 def test_smoke_variants_differ_from_full_runners():
-    """Smoke runners must stay cheap: they may not be the full runner
-    for the simulation-heavy entries."""
+    """Smoke plans must stay cheap: their unit arguments may not be the
+    full-length ones for the simulation-heavy entries."""
     for experiment_id in (
         "table1",
         "fig4",
@@ -66,5 +69,6 @@ def test_smoke_variants_differ_from_full_runners():
         "table6",
         "robustness_pcpu_fail",
     ):
-        entry = registry.REGISTRY[experiment_id]
-        assert entry.smoke is not entry.runner
+        full = [u.kwargs for u in plan_for(experiment_id).units]
+        smoke = [u.kwargs for u in plan_for(experiment_id, smoke=True).units]
+        assert smoke != full, experiment_id

@@ -9,8 +9,9 @@ every trace hash must be identical under both queues.
 
 import pytest
 
-from repro.experiments import registry
+from repro.runner.executor import execute_plan
 from repro.runner.ledger import rows_hash
+from repro.runner.workunits import plan_for
 from repro.simcore.engine import Engine
 from repro.telemetry.trace_plan import record_trace_shard
 from tests.simcore.heap_queue import HeapEventQueue
@@ -44,7 +45,7 @@ def test_patch_reaches_the_engine(monkeypatch):
 @pytest.mark.parametrize("experiment_id", SMOKE_IDS)
 def test_smoke_rows_identical_on_heap(monkeypatch, experiment_id):
     def digest():
-        return rows_hash(registry.run_smoke(experiment_id).rows())
+        return rows_hash(execute_plan(plan_for(experiment_id, smoke=True)).rows())
 
     assert _on_heap(monkeypatch, digest) == digest()
 

@@ -11,7 +11,7 @@ from repro.runner.workunits import WorkUnit
 UNIT = WorkUnit(
     experiment_id="table2",
     unit_id="table2/whole",
-    fn="repro.runner.workunits:run_whole",
+    fn="m:f",
     kwargs=(("experiment_id", "table2"),),
 )
 
@@ -141,7 +141,7 @@ OTHER_UNITS = tuple(
     WorkUnit(
         experiment_id=experiment_id,
         unit_id=f"{experiment_id}/whole",
-        fn="repro.runner.workunits:run_whole",
+        fn="m:f",
         kwargs=(("experiment_id", experiment_id),),
     )
     for experiment_id in ("fig3", "fig1")

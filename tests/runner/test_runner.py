@@ -2,25 +2,23 @@
 
 import pytest
 
-from repro.experiments import registry
+from repro.experiments.fig3_bandwidth import run_fig3
+from repro.experiments.table2_config import run_table2
 from repro.runner import ResultCache, run_experiments
 
 #: Cheap analytical experiments (milliseconds each) for end-to-end runs.
 CHEAP_IDS = ["table2", "fig3"]
-
-
-def serial_reference(experiment_id):
-    result = registry.run(experiment_id)
-    return result.rows(), result.summary()
+HARNESSES = {"table2": run_table2, "fig3": run_fig3}
 
 
 class TestSerialPath:
     def test_matches_registry_run(self):
+        """jobs=1 reports what the harness functions themselves return."""
         report = run_experiments(CHEAP_IDS, jobs=1)
         for experiment_report in report.reports:
-            rows, summary = serial_reference(experiment_report.experiment_id)
-            assert experiment_report.rows == rows
-            assert experiment_report.summary == summary
+            result = HARNESSES[experiment_report.experiment_id]()
+            assert experiment_report.rows == result.rows()
+            assert experiment_report.summary == result.summary()
 
     def test_canonical_order_and_accounting(self):
         report = run_experiments(["fig3", "table2"], jobs=1)
@@ -41,11 +39,11 @@ class TestSerialPath:
 
 class TestParallelPath:
     def test_process_pool_output_is_byte_identical(self):
+        serial = run_experiments(CHEAP_IDS, jobs=1)
         parallel = run_experiments(CHEAP_IDS, jobs=2)
-        for experiment_report in parallel.reports:
-            rows, summary = serial_reference(experiment_report.experiment_id)
-            assert experiment_report.rows == rows
-            assert experiment_report.summary == summary
+        for serial_report, parallel_report in zip(serial.reports, parallel.reports):
+            assert parallel_report.rows == serial_report.rows
+            assert parallel_report.summary == serial_report.summary
 
 
 class TestCaching:

@@ -4,13 +4,13 @@ import pytest
 
 from repro.experiments import registry
 from repro.runner.workunits import (
+    BINDINGS,
     WorkUnit,
     build_plans,
     execute_unit,
     plan_for,
     resolve,
 )
-from repro.simcore.time import sec
 
 
 class TestPlanShape:
@@ -56,6 +56,26 @@ class TestPlanShape:
             build_plans(["fig3", "nope"])
 
 
+class TestBindings:
+    def test_one_binding_per_registry_id_in_order(self):
+        assert list(BINDINGS) == registry.all_ids()
+
+    def test_seed_reaches_exactly_the_seeded_families(self):
+        seeded = ("robustness_", "cluster_", "feedback_", "tenant_")
+        for experiment_id in registry.all_ids():
+            default = plan_for(experiment_id).units
+            overridden = plan_for(experiment_id, seed=424242).units
+            assert (overridden != default) == experiment_id.startswith(seeded)
+
+    def test_smoke_plans_keep_unit_shape(self):
+        """Smoke plans call the same functions as the full-length ones."""
+        for experiment_id in registry.all_ids():
+            full = {u.fn for u in plan_for(experiment_id).units}
+            smoke = plan_for(experiment_id, smoke=True)
+            assert smoke.experiment_id == experiment_id and smoke.units
+            assert {u.fn for u in smoke.units} == full
+
+
 class TestFingerprint:
     def test_depends_on_salt_and_kwargs(self):
         unit = WorkUnit("fig3", "fig3/whole", "m:f", (("a", 1),))
@@ -69,101 +89,8 @@ class TestFingerprint:
         assert a.fingerprint("s") == b.fingerprint("s")
 
 
-class TestShardAssemblyEquivalence:
-    """Shard parts reassembled in the parent equal the monolithic run.
-
-    Uses sharply shortened durations: the shard and serial paths share
-    all the code that matters, so equality at 1-2 simulated seconds
-    carries to the full-length runs (the determinism tool verifies those
-    at full length).
-    """
-
-    def test_table1(self):
-        from repro.experiments.table1_periodic import (
-            run_group_rtvirt,
-            run_group_rtxen,
-            run_table1,
-        )
-        from repro.runner.workunits import _assemble_table1
-
-        duration = sec(2)
-        parts = [
-            run_group_rtvirt("H-Equiv", duration),
-            run_group_rtxen("H-Equiv", duration),
-        ]
-        assembled = _assemble_table1(parts)
-        serial = run_table1(duration, groups=["H-Equiv"])
-        assert assembled.rows() == serial.rows()
-        assert assembled.summary() == serial.summary()
-
-    def test_fig4(self):
-        from repro.experiments.fig4_dynamic import (
-            FIG4_VM_COUNT,
-            assemble_fig4,
-            run_fig4,
-            run_fig4_vm,
-        )
-
-        duration = sec(2)
-        parts = [
-            run_fig4_vm(vm_index, duration_ns=duration)
-            for vm_index in range(FIG4_VM_COUNT)
-        ]
-        assembled = assemble_fig4(parts)
-        serial = run_fig4(duration_ns=duration)
-        assert assembled.rows() == serial.rows()
-        assert assembled.summary() == serial.summary()
-
-    def test_table4(self):
-        from repro.experiments.table4_dedicated import (
-            TABLE4_SCHEDULERS,
-            run_table4,
-            run_table4_scheduler,
-        )
-        from repro.runner.workunits import _assemble_table4
-
-        duration = sec(2)
-        parts = [run_table4_scheduler(s, duration) for s in TABLE4_SCHEDULERS]
-        assembled = _assemble_table4(parts)
-        serial = run_table4(duration)
-        assert assembled.rows() == serial.rows()
-        assert assembled.summary() == serial.summary()
-
-    def test_fig5a(self):
-        from repro.experiments.fig5_memcached import (
-            FIG5_SCHEDULERS,
-            run_fig5a,
-            run_fig5a_scheduler,
-        )
-        from repro.runner.workunits import _assemble_fig5a
-
-        duration = sec(2)
-        parts = [run_fig5a_scheduler(s, duration) for s in FIG5_SCHEDULERS]
-        assembled = _assemble_fig5a(parts)
-        serial = run_fig5a(duration)
-        assert assembled.rows() == serial.rows()
-        assert assembled.summary() == serial.summary()
-
-    def test_table6(self):
-        from repro.experiments.table6_overhead import (
-            TABLE6_SCENARIOS,
-            run_table6,
-            run_table6_scenario,
-            rtxen_capacities,
-        )
-        from repro.runner.workunits import _assemble_table6
-
-        duration = sec(1)
-        parts = [run_table6_scenario(s, duration) for s in TABLE6_SCENARIOS]
-        parts.append(rtxen_capacities(analyze_rtxen=False))
-        assembled = _assemble_table6(parts)
-        serial = run_table6(duration, analyze_rtxen=False)
-        assert assembled.rows() == serial.rows()
-        assert assembled.summary() == serial.summary()
-
-
 class TestWholePlans:
-    """Monolithic experiments bypass the registry-dispatching fallback."""
+    """Monolithic experiments call their harness module directly."""
 
     def test_direct_fns_point_at_experiment_modules(self):
         for experiment_id, module in (

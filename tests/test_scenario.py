@@ -1,9 +1,12 @@
 """Tests for the declarative scenario runner."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import run_scenario, run_scenario_file
 from repro.simcore.errors import ConfigurationError
@@ -155,6 +158,47 @@ class TestCliChromeTrace:
         )
 
 
+def motivation_spec():
+    spec = json.loads((EXAMPLES / "motivation.json").read_text())
+    spec["duration_s"] = 0.2
+    return spec
+
+
+def _string_slice(spec):
+    spec["vms"][0]["tasks"][0]["slice_ms"] = "1"
+
+
+def _negative_duration(spec):
+    spec["duration_s"] = -1
+
+
+def _bogus_kind(spec):
+    spec["vms"][0]["tasks"][0]["kind"] = "bogus"
+
+
+def _vm_twice(spec):
+    spec["vms"].append(spec["vms"][0])
+
+
+def _vms_not_a_list(spec):
+    spec["vms"] = {}
+
+
+def _budget_over_period(spec):
+    spec["vms"][0]["interface_us"] = [20000, 10000]
+
+
+#: Malformed motivation.json variants -> a word the error must name.
+BAD_SPECS = {
+    "string-slice": (_string_slice, "slice_ms"),
+    "negative-duration": (_negative_duration, "duration_s"),
+    "unknown-kind": (_bogus_kind, "bogus"),
+    "duplicate-vm": (_vm_twice, "vm1"),
+    "empty-vms": (_vms_not_a_list, "vms"),
+    "interface-budget": (_budget_over_period, "interface_us"),
+}
+
+
 class TestCliBadInput:
     """Bad input is one stderr line and exit 2, never a traceback."""
 
@@ -213,3 +257,71 @@ class TestCliBadInput:
         path.write_text(json.dumps(spec))
         _, stderr = self.assert_one_line_error(capsys, str(path))
         assert "70000" in stderr
+
+    VERBS = {
+        "scenario": lambda path: ["scenario", path],
+        "explain": lambda path: ["explain", path],
+        "trace record": lambda path: ["trace", "record", path, "-o", path + ".rtvt"],
+    }
+
+    def run_verb(self, capsys, verb, path):
+        from repro.cli import main
+
+        code = main(self.VERBS[verb](path))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_malformed_spec(self, capsys, tmp_path, verb, case):
+        mutate, named = BAD_SPECS[case]
+        spec = motivation_spec()
+        mutate(spec)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert named in self.run_verb(capsys, verb, str(path))
+        assert not (tmp_path / "bad.json.rtvt").exists()
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_missing_file(self, capsys, tmp_path, verb):
+        path = str(tmp_path / "absent.json")
+        assert path in self.run_verb(capsys, verb, path)
+
+
+def _field_paths(node, prefix=()):
+    """Every (container path, key) of a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_MOTIVATION_FIELDS = list(_field_paths(motivation_spec()))
+_DELETE = object()
+_BAD_VALUES = st.sampled_from(
+    ["1", "", True, None, [], {}, -1, 0, 2, 3.5, -0.5, float("inf"), "sporadic",
+     "background", "credit", "rtxen", "vm1", "rta1", _DELETE]
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(field=st.sampled_from(_MOTIVATION_FIELDS), value=_BAD_VALUES)
+def test_one_field_mutation_runs_or_raises_configuration_error(field, value):
+    """Any one-field mutation of a valid spec either runs or is rejected
+    with a typed :class:`ConfigurationError` — never another exception."""
+    spec = copy.deepcopy(motivation_spec())
+    container_path, key = field
+    container = spec
+    for step in container_path:
+        container = container[step]
+    if value is _DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    try:
+        run_scenario(spec)
+    except ConfigurationError:
+        pass

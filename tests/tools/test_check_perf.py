@@ -1,4 +1,5 @@
-"""``check_perf.py`` appends one history line per verdict."""
+"""``check_perf.py``: one history line per verdict, one engine floor and
+one detached-observer gate."""
 
 import json
 
@@ -29,7 +30,7 @@ def _run(check_perf, monkeypatch, tmp_path, status, *extra):
     monkeypatch.setattr(check_perf, "HISTORY", str(path))
     monkeypatch.setattr(check_perf, "check_throughput", lambda *a, **k: status)
     argv = ["--skip-tests", "--skip-parallel", "--skip-registry"]
-    rc = check_perf.main(argv + ["--recorder-tolerance", "0", *extra])
+    rc = check_perf.main(argv + ["--detached-tolerance", "0", *extra])
     return rc, path
 
 
@@ -50,3 +51,13 @@ def test_missing_baseline_and_no_history_append_nothing(
     assert rc == 3 and not path.exists()
     rc, path = _run(check_perf, monkeypatch, tmp_path, 2, "--no-history")
     assert rc == 2 and not path.exists()
+
+
+def test_detached_gate_leaves_no_subscriber(check_perf):
+    from benchmarks.bench_engine_throughput import build_system
+
+    system = build_system()
+    bus = system.machine.bus
+    watchers = len(bus._watchers)
+    check_perf.attach_and_detach_observers(system)
+    assert bus._subscribers == {} and len(bus._watchers) == watchers

@@ -1,19 +1,20 @@
 #!/usr/bin/env python
 """Determinism harness over the experiment registry.
 
-Runs every experiment in :mod:`repro.experiments.registry`, serialises
-each result's ``rows()`` to canonical JSON and hashes it.  Recording a
-baseline before an optimisation and checking against it afterwards
-proves the change preserved byte-identical metrics:
+Runs every experiment in :mod:`repro.experiments.registry` in-process
+(its work-unit plan at ``jobs=1``), serialises each result's ``rows()``
+to canonical JSON and hashes it.  Recording a baseline before an
+optimisation and checking against it afterwards proves the change
+preserved byte-identical metrics:
 
     python tools/check_determinism.py --record baseline_metrics.json
     ... hack on the scheduler hot path ...
     python tools/check_determinism.py --check baseline_metrics.json
 
-With ``--parallel N`` the same experiments are additionally executed
-through the parallel work-unit runner (``repro.runner``, N worker
-processes, cache disabled) and each experiment's merged ``rows()`` hash
-must equal the serial hash — the serial-vs-parallel equivalence gate:
+With ``--parallel N`` the same plans are additionally executed across
+N worker processes (cache disabled) and each experiment's merged
+``rows()`` hash must equal the ``jobs=1`` hash — the serial-vs-parallel
+equivalence gate:
 
     python tools/check_determinism.py --parallel 4
     python tools/check_determinism.py --check baseline.json --parallel 4
@@ -44,6 +45,11 @@ stream itself is byte-stable under work-unit re-scheduling.  Like
 ``--streams`` it stands alone:
 
     python tools/check_determinism.py --trace 4
+
+``--parallel``, ``--streams``, ``--blame`` and ``--trace`` are rows of
+one table (:data:`RERUNS`): what to run, and a digest mapping labels to
+hashes.  Each row runs at ``jobs=1`` and at ``jobs=N`` and every label
+prints ``<label>: parallel X vs serial Y: ok|DIVERGED``.
 
 ``--only`` narrows any registry mode to one family.  The multi-host
 ``cluster_*`` experiments shard per observed host, and the
@@ -86,189 +92,104 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import registry  # noqa: E402
+from repro.runner import run_experiments  # noqa: E402
+from repro.runner.executor import execute_plan  # noqa: E402
 from repro.runner.ledger import rows_hash  # noqa: E402
+from repro.simcore.time import sec  # noqa: E402
 
 
 def experiment_digest(experiment_id: str, seed=None) -> dict:
-    """Run one experiment and return its row count and metrics hash.
-
-    With *seed* set, seed-taking experiments (the robustness family) run
-    through the work-unit plans in-process (``jobs=1``) so the override
-    reaches them; the plans are the same ones the parallel rerun uses.
-    """
+    """Run one experiment in-process and return its row count and hash."""
     started = time.perf_counter()
-    if seed is not None:
-        from repro.runner import run_experiments
-
-        report = run_experiments([experiment_id], jobs=1, seed=seed)
-        rows = report.reports[0].rows
-    else:
-        rows = registry.run(experiment_id).rows()
-    elapsed = time.perf_counter() - started
+    (report,) = run_experiments([experiment_id], jobs=1, seed=seed).reports
     return {
-        "rows": len(rows),
-        "sha256": rows_hash(rows),
-        "wall_s": round(elapsed, 2),
+        "rows": len(report.rows),
+        "sha256": rows_hash(report.rows),
+        "wall_s": round(time.perf_counter() - started, 2),
     }
 
 
-def check_parallel(ids, serial_digests, jobs: int, seed=None) -> list:
-    """Serial-vs-parallel gate: rerun through the work-unit runner.
-
-    The runner executes each experiment's work units across *jobs*
-    processes with the cache disabled and merges in canonical order; the
-    merged rows must hash identically to the serial ``registry.run``
-    path, otherwise the shard decomposition (or the engine's determinism)
-    has broken.
-    """
-    from repro.runner import run_experiments
-
-    print(f"[determinism] parallel rerun with {jobs} job(s) ...", flush=True)
+def registry_hashes(ids, jobs: int, seed=None) -> dict:
+    """Experiment id -> merged ``rows()`` hash of one run over *ids*."""
     report = run_experiments(ids, jobs=jobs, seed=seed)
-    failures = []
-    for experiment_report in report.reports:
-        experiment_id = experiment_report.experiment_id
-        got = rows_hash(experiment_report.rows)
-        want = serial_digests[experiment_id]["sha256"]
-        verdict = "ok" if got == want else "DIVERGED"
-        print(
-            f"[determinism]   {experiment_id}: parallel {got[:16]} "
-            f"vs serial {want[:16]}: {verdict}",
-            flush=True,
-        )
-        if got != want:
-            failures.append(
-                f"{experiment_id}: parallel hash {got[:16]} != serial {want[:16]}"
-            )
-    print(f"[determinism] parallel rerun took {report.wall_s:.1f}s", flush=True)
-    return failures
+    return {r.experiment_id: rows_hash(r.rows) for r in report.reports}
 
 
-def check_streams(jobs: int) -> list:
-    """Streamed-aggregates gate: sharded snapshots merge byte-identically.
-
-    Runs the telemetry probe plan in-process and again across *jobs*
-    worker processes; for every probed system the merged
-    :class:`~repro.telemetry.aggregate.StandardTelemetry` snapshot must
-    hash identically (exact tail mode makes the merge lossless, so any
-    divergence means the aggregate merge — or the engine — lost
-    determinism).
-    """
-    from repro.runner.executor import execute_plan
+def stream_hashes(ids, jobs: int, seed=None) -> dict:
+    """Telemetry probe: each system's merged streaming-aggregate snapshot."""
     from repro.telemetry.probe import probe_plan
 
-    print(f"[determinism] telemetry-stream rerun with {jobs} job(s) ...", flush=True)
-    plan = probe_plan()
-    serial = execute_plan(plan, jobs=1)
-    parallel = execute_plan(plan, jobs=max(1, jobs))
-    failures = []
-    for system in sorted(serial.merged):
-        want = rows_hash(serial.merged[system])
-        got = rows_hash(parallel.merged.get(system))
-        verdict = "ok" if got == want else "DIVERGED"
-        print(
-            f"[determinism]   streams/{system}: parallel {got[:16]} "
-            f"vs serial {want[:16]}: {verdict}",
-            flush=True,
-        )
-        if got != want:
-            failures.append(
-                f"streams/{system}: parallel snapshot {got[:16]} "
-                f"!= serial {want[:16]}"
-            )
-    return failures
+    merged = execute_plan(probe_plan(), jobs=jobs).merged
+    return {f"streams/{system}": rows_hash(merged[system]) for system in sorted(merged)}
 
 
-def check_blame(jobs: int, seed=None) -> list:
-    """Blame-report gate: sharded miss attribution merges byte-identically.
-
-    Runs a fixed blame sweep (two fault families, every scheduler, 1
-    simulated second, fixed seed) in-process and again across *jobs*
-    worker processes; the merged :class:`~repro.telemetry.blame.BlameReport`
-    snapshot and each cell's own snapshot must hash identically.
-    """
-    from repro.runner.executor import execute_plan
-    from repro.simcore.time import sec
+def blame_hashes(ids, jobs: int, seed=None) -> dict:
+    """Blame sweep (two fault families, every scheduler, 1 simulated
+    second): the merged report and every cell's own snapshot."""
     from repro.telemetry.blame_plan import blame_plan
 
-    print(f"[determinism] blame-sweep rerun with {jobs} job(s) ...", flush=True)
     plan = blame_plan(
         faults=("pcpu_fail", "hypercall"),
         duration_ns=sec(1),
         seed=seed if seed is not None else 11,
     )
-    serial = execute_plan(plan, jobs=1)
-    parallel = execute_plan(plan, jobs=max(1, jobs))
-    failures = []
-    want = rows_hash(serial.merged.snapshot())
-    got = rows_hash(parallel.merged.snapshot())
-    verdict = "ok" if got == want else "DIVERGED"
-    print(
-        f"[determinism]   blame/merged: parallel {got[:16]} "
-        f"vs serial {want[:16]}: {verdict}",
-        flush=True,
-    )
-    if got != want:
-        failures.append(
-            f"blame/merged: parallel report {got[:16]} != serial {want[:16]}"
-        )
-    for serial_part, parallel_part in zip(serial.parts, parallel.parts):
-        cell = f"{serial_part['fault']}/{serial_part['scheduler']}"
-        want = rows_hash(serial_part)
-        got = rows_hash(parallel_part)
-        if got != want:
-            print(
-                f"[determinism]   blame/{cell}: parallel {got[:16]} "
-                f"vs serial {want[:16]}: DIVERGED",
-                flush=True,
-            )
-            failures.append(
-                f"blame/{cell}: parallel shard {got[:16]} != serial {want[:16]}"
-            )
-    return failures
+    sweep = execute_plan(plan, jobs=jobs)
+    hashes = {"blame/merged": rows_hash(sweep.merged.snapshot())}
+    for part in sweep.parts:
+        hashes[f"blame/{part['fault']}/{part['scheduler']}"] = rows_hash(part)
+    return hashes
 
 
-def check_trace(jobs: int, seed=None) -> list:
-    """Flight-recorder gate: canonical trace hashes survive resharding.
-
-    Records a fixed robustness trace sweep (two fault families, every
-    scheduler, 1 simulated second) in-process and again across *jobs*
-    worker processes.  The merged trace — every telemetry event of
-    every cell, framed in canonical unit order — must hash identically
-    in both executions: the event *stream*, not just the derived
-    metrics, is byte-stable.
-    """
-    from repro.runner.executor import execute_plan
-    from repro.simcore.time import sec
+def trace_hashes(ids, jobs: int, seed=None) -> dict:
+    """Flight-recorder sweep (two fault families, every scheduler, 1
+    simulated second): the merged trace's canonical hash — a digest of
+    every telemetry event, not just the end metrics — and each cell's."""
     from repro.telemetry.trace_plan import trace_plan
 
-    print(f"[determinism] trace-sweep rerun with {jobs} job(s) ...", flush=True)
     plan = trace_plan(
         faults=("pcpu_fail", "vm_churn"),
         duration_ns=sec(1),
         seed=seed if seed is not None else 11,
     )
-    serial = execute_plan(plan, jobs=1)
-    parallel = execute_plan(plan, jobs=max(1, jobs))
+    sweep = execute_plan(plan, jobs=jobs)
+    hashes = {"trace/merged": sweep.merged_hash}
+    for part in sweep.parts:
+        hashes[f"trace/{part['fault']}/{part['scheduler']}"] = part["hash"]
+    return hashes
+
+
+#: (flag, what reruns, digest(ids, jobs, seed) -> {label: hash}).  Each
+#: row runs at jobs=1 and at jobs=N; every label must hash identically.
+#: ``--parallel``'s jobs=1 side is the per-experiment registry pass.
+RERUNS = (
+    ("parallel", "parallel", registry_hashes),
+    ("streams", "telemetry-stream", stream_hashes),
+    ("blame", "blame-sweep", blame_hashes),
+    ("trace", "trace-sweep", trace_hashes),
+)
+
+
+def compare_rerun(name: str, run, jobs: int, serial: dict) -> list:
+    """Run *run* at *jobs* workers and compare every label with *serial*."""
+    print(f"[determinism] {name} rerun with {jobs} job(s) ...", flush=True)
+    started = time.perf_counter()
+    parallel = run(jobs)
     failures = []
-    verdict = "ok" if parallel.merged_hash == serial.merged_hash else "DIVERGED"
+    for label in list(serial) + [k for k in parallel if k not in serial]:
+        want = serial.get(label, "missing")
+        got = parallel.get(label, "missing")
+        verdict = "ok" if got == want else "DIVERGED"
+        print(
+            f"[determinism]   {label}: parallel {got[:16]} "
+            f"vs serial {want[:16]}: {verdict}",
+            flush=True,
+        )
+        if got != want:
+            failures.append(f"{label}: parallel {got[:16]} != serial {want[:16]}")
     print(
-        f"[determinism]   trace/merged: parallel {parallel.merged_hash[:16]} "
-        f"vs serial {serial.merged_hash[:16]}: {verdict}",
+        f"[determinism] {name} rerun took {time.perf_counter() - started:.1f}s",
         flush=True,
     )
-    if parallel.merged_hash != serial.merged_hash:
-        failures.append(
-            f"trace/merged: parallel hash {parallel.merged_hash[:16]} "
-            f"!= serial {serial.merged_hash[:16]}"
-        )
-        for serial_part, parallel_part in zip(serial.parts, parallel.parts):
-            if serial_part["hash"] != parallel_part["hash"]:
-                cell = f"{serial_part['fault']}/{serial_part['scheduler']}"
-                failures.append(
-                    f"trace/{cell}: parallel shard {parallel_part['hash'][:16]} "
-                    f"!= serial {serial_part['hash'][:16]}"
-                )
     return failures
 
 
@@ -284,7 +205,7 @@ def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
     """
     import tempfile
 
-    from repro.runner import ResultCache, run_experiments
+    from repro.runner import ResultCache
 
     print(f"[determinism] cache gate: cold+warm run ({jobs} job(s)) ...", flush=True)
     with tempfile.TemporaryDirectory(prefix="repro-cache-gate-") as tmp:
@@ -461,18 +382,23 @@ def main(argv=None) -> int:
             )
 
     failures = []
-    if args.parallel:
-        failures.extend(check_parallel(ids, digests, args.parallel, seed=args.seed))
+    for flag, name, digest in RERUNS:
+        jobs = getattr(args, flag)
+        if not jobs:
+            continue
+
+        def run(n, digest=digest):
+            return digest(ids, n, seed=args.seed)
+
+        if flag == "parallel":
+            serial = {i: d["sha256"] for i, d in digests.items()}
+        else:
+            serial = run(1)
+        failures.extend(compare_rerun(name, run, max(1, jobs), serial))
     if args.cache:
         failures.extend(
             check_cache(ids, digests, jobs=args.parallel or 1, seed=args.seed)
         )
-    if args.streams:
-        failures.extend(check_streams(args.streams))
-    if args.blame:
-        failures.extend(check_blame(args.blame, seed=args.seed))
-    if args.trace:
-        failures.extend(check_trace(args.trace, seed=args.seed))
 
     if args.record:
         with open(args.record, "w") as fh:

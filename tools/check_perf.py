@@ -3,7 +3,7 @@
 
 Runs the tier-1 test suite, the engine-throughput microbenchmark
 (fails when events/sec regresses more than ``--tolerance``, default
-10%, against the committed ``BENCH_engine.json``), the parallel-runner
+5%, against the committed ``BENCH_engine.json``), the parallel-runner
 overhead gate (fails when a two-job run of a fast experiment subset is
 slower than the serial run beyond ``--parallel-tolerance`` — the
 "jobs 2 is never slower than serial" contract), and the full-registry
@@ -19,18 +19,14 @@ contract that keeps the parallel critical path bounded by one shard):
     python tools/check_perf.py --tolerance 0.2       # looser engine gate
     python tools/check_perf.py --repeat 3            # damp wall noise
 
-The engine record doubles as the telemetry-overhead gate: the benchmark
-subscribes nothing to the telemetry bus, so its throughput must also
-stay within ``--telemetry-tolerance`` (default 5%) of the baseline,
-bounding the cost of the instrumentation's zero-subscriber fast path.
-``--spans-tolerance`` (default 5%) gates the span/blame/profiler layer
-the same way: with no SpanBuilder attached and no profiler installed,
-the producers and hooks added for causal tracing must cost nothing.
-
-``--recorder-tolerance`` (default 5%) gates the flight recorder's
-detached path the same way: the engine benchmark runs with a
-``TraceRecorder`` attached to the bus and detached again before the
-timed section, so throughput measures the post-detach fast path.
+The engine benchmark subscribes nothing to the telemetry bus and
+installs no profiler, so its floor also bounds what the
+instrumentation's zero-subscriber fast path costs.
+``--detached-tolerance`` (default 5%) is the one detached-hook gate:
+the engine benchmark runs after every bus observer —
+``StandardTelemetry``, ``SpanBuilder``, ``TraceRecorder`` and ``Trace``
+— was attached and detached again, so throughput measures the
+post-detach fast path and must stay within the same kind of floor.
 
 Every run that reaches a verdict (unless ``--no-history``) appends one
 JSON line to ``BENCH_history.jsonl`` — stamp, git sha, ``status``
@@ -78,41 +74,34 @@ def run_tier1_tests() -> bool:
     return proc.returncode == 0
 
 
-def check_throughput(
-    tolerance: float,
-    repeat: int,
-    telemetry_tolerance: float = 0.0,
-    spans_tolerance: float = 0.0,
-    history: dict = None,
-) -> int:
-    """Engine gate, plus the telemetry- and spans-overhead gates.
+def _best_of(repeat: int, setup=None) -> dict:
+    """Best-of-*repeat* engine benchmark record."""
+    from benchmarks.bench_engine_throughput import run_benchmark
 
-    The benchmark never subscribes anything to the telemetry bus, so a
-    fresh run measures exactly the zero-subscriber fast path: every
-    hot-path emission site reduces to one cached boolean test.  With
-    *telemetry_tolerance* > 0 the same best-of-*repeat* record must also
-    stay within that (tighter) fraction of the committed baseline,
-    bounding what the instrumentation costs when nobody is listening.
-    *spans_tolerance* gates the span/blame/profiler additions the same
-    way: no SpanBuilder is attached and no profiler installed, so the
-    job-release producers and the profiler hook must stay free on the
-    disabled path.
-    """
+    records = [run_benchmark(setup=setup) for _ in range(max(1, repeat))]
+    return max(records, key=lambda record: record["events_per_sec"])
+
+
+def _load_engine_baseline():
     if not os.path.exists(BASELINE):
         print(f"check_perf: no committed baseline at {BASELINE}")
         print("check_perf: run benchmarks/bench_engine_throughput.py to create one")
-        return 3
+        return None
     with open(BASELINE) as fh:
-        baseline = json.load(fh)
+        return json.load(fh)
 
-    from benchmarks.bench_engine_throughput import run_benchmark
 
-    best = None
-    for _ in range(max(1, repeat)):
-        record = run_benchmark()
-        if best is None or record["events_per_sec"] > best["events_per_sec"]:
-            best = record
+def check_throughput(tolerance: float, repeat: int, history: dict = None) -> int:
+    """Engine gate: best-of-*repeat* events/sec above the baseline floor.
 
+    The benchmark subscribes nothing to the telemetry bus and installs
+    no profiler, so this one floor also bounds the cost of every
+    hot-path emission site on the zero-subscriber path.
+    """
+    baseline = _load_engine_baseline()
+    if baseline is None:
+        return 3
+    best = _best_of(repeat)
     reference = baseline["events_per_sec"]
     fresh = best["events_per_sec"]
     if history is not None:
@@ -123,25 +112,6 @@ def check_throughput(
         f"check_perf: {fresh:.1f} events/sec vs baseline {reference:.1f} "
         f"(floor {floor:.1f}, tolerance {tolerance:.0%}): {verdict}"
     )
-    failed = fresh < floor
-    if telemetry_tolerance > 0:
-        telemetry_floor = reference * (1.0 - telemetry_tolerance)
-        telemetry_verdict = "ok" if fresh >= telemetry_floor else "REGRESSION"
-        print(
-            f"check_perf: zero-subscriber telemetry gate: {fresh:.1f} vs "
-            f"floor {telemetry_floor:.1f} "
-            f"(tolerance {telemetry_tolerance:.0%}): {telemetry_verdict}"
-        )
-        failed = failed or fresh < telemetry_floor
-    if spans_tolerance > 0:
-        spans_floor = reference * (1.0 - spans_tolerance)
-        spans_verdict = "ok" if fresh >= spans_floor else "REGRESSION"
-        print(
-            f"check_perf: spans-disabled overhead gate: {fresh:.1f} vs "
-            f"floor {spans_floor:.1f} "
-            f"(tolerance {spans_tolerance:.0%}): {spans_verdict}"
-        )
-        failed = failed or fresh < spans_floor
     if best.get("events") != baseline.get("events"):
         # Not fatal by itself, but a changed event count means behaviour
         # moved, so the events/sec comparison is no longer like-for-like.
@@ -150,47 +120,43 @@ def check_throughput(
             f"({baseline.get('events')} -> {best.get('events')}); "
             "re-record BENCH_engine.json if the change is intended"
         )
-    return 2 if failed else 0
+    return 0 if fresh >= floor else 2
 
 
-def check_recorder_overhead(tolerance: float, repeat: int) -> int:
-    """Recorder-detached gate: a detached flight recorder costs nothing.
-
-    The flight recorder subscribes to every telemetry kind while
-    attached; once detached the bus must fall back to its cached
-    zero-subscriber fast path.  This gate runs the engine benchmark
-    with a :class:`~repro.telemetry.record.TraceRecorder` attached and
-    immediately detached before the timed run — so the hot path starts
-    from the post-detach bus state — and the best-of-*repeat*
-    throughput must stay within *tolerance* of the committed baseline,
-    the same floor discipline as the telemetry/spans gates.
-    """
-    if not os.path.exists(BASELINE):
-        print(f"check_perf: no committed baseline at {BASELINE}")
-        return 3
-    with open(BASELINE) as fh:
-        baseline = json.load(fh)
-
-    from benchmarks.bench_engine_throughput import run_benchmark
+def attach_and_detach_observers(system) -> None:
+    """Attach every bus observer to *system*, then detach them all."""
+    from repro.simcore.trace import Trace
+    from repro.telemetry import StandardTelemetry
     from repro.telemetry.record import TraceRecorder
+    from repro.telemetry.spans import SpanBuilder
 
-    def attach_detach(system) -> None:
-        recorder = TraceRecorder()
-        recorder.attach(system.machine.bus)
-        recorder.detach()
-        recorder.close()
+    bus = system.machine.bus
+    telemetry = StandardTelemetry(bus)
+    spans = SpanBuilder().attach(system.machine)
+    recorder = TraceRecorder().attach(bus)
+    trace = Trace().attach(bus)
+    for observer in (telemetry, spans, recorder, trace):
+        observer.detach()
+    recorder.close()
 
-    best = None
-    for _ in range(max(1, repeat)):
-        record = run_benchmark(setup=attach_detach)
-        if best is None or record["events_per_sec"] > best["events_per_sec"]:
-            best = record
-    reference = baseline["events_per_sec"]
-    fresh = best["events_per_sec"]
-    floor = reference * (1.0 - tolerance)
+
+def check_detached_overhead(tolerance: float, repeat: int) -> int:
+    """Detached-hook gate: observers that were attached cost nothing.
+
+    Every bus observer subscribes while attached; once detached the bus
+    must fall back to its cached zero-subscriber fast path.  The engine
+    benchmark runs after :func:`attach_and_detach_observers`, so the hot
+    path starts from the post-detach bus state, and the best-of-*repeat*
+    throughput must stay within *tolerance* of the committed baseline.
+    """
+    baseline = _load_engine_baseline()
+    if baseline is None:
+        return 3
+    fresh = _best_of(repeat, setup=attach_and_detach_observers)["events_per_sec"]
+    floor = baseline["events_per_sec"] * (1.0 - tolerance)
     verdict = "ok" if fresh >= floor else "REGRESSION"
     print(
-        f"check_perf: recorder-detached gate: {fresh:.1f} events/sec vs "
+        f"check_perf: detached-observer gate: {fresh:.1f} events/sec vs "
         f"floor {floor:.1f} (tolerance {tolerance:.0%}): {verdict}"
     )
     return 0 if fresh >= floor else 2
@@ -351,14 +317,10 @@ def run_gates(args, history: dict):
             return 1, "tests"
     gates = [
         ("throughput", True, lambda: check_throughput(
-            args.tolerance,
-            args.repeat,
-            telemetry_tolerance=args.telemetry_tolerance,
-            spans_tolerance=args.spans_tolerance,
-            history=history,
+            args.tolerance, args.repeat, history=history
         )),
-        ("recorder", args.recorder_tolerance > 0, lambda: check_recorder_overhead(
-            args.recorder_tolerance, args.repeat
+        ("detached", args.detached_tolerance > 0, lambda: check_detached_overhead(
+            args.detached_tolerance, args.repeat
         )),
         ("parallel", not args.skip_parallel, lambda: check_parallel_overhead(
             args.parallel_tolerance
@@ -381,8 +343,8 @@ def run_gates(args, history: dict):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="allowed fractional events/sec regression (default 0.10)",
+        "--tolerance", type=float, default=0.05,
+        help="allowed fractional events/sec regression (default 0.05)",
     )
     parser.add_argument(
         "--parallel-tolerance", type=float, default=0.25,
@@ -399,21 +361,11 @@ def main(argv=None) -> int:
         help="allowed fractional registry wall-time regression (default 0.15)",
     )
     parser.add_argument(
-        "--telemetry-tolerance", type=float, default=0.05,
-        help="allowed zero-subscriber telemetry overhead on engine "
-        "throughput (default 0.05; 0 disables the gate)",
-    )
-    parser.add_argument(
-        "--spans-tolerance", type=float, default=0.05,
-        help="allowed spans-disabled overhead on engine throughput — "
-        "no SpanBuilder attached, no profiler installed "
+        "--detached-tolerance", type=float, default=0.05,
+        help="allowed detached-observer overhead on engine throughput — "
+        "StandardTelemetry, SpanBuilder, TraceRecorder and Trace attached "
+        "to the bus and detached again before the timed run "
         "(default 0.05; 0 disables the gate)",
-    )
-    parser.add_argument(
-        "--recorder-tolerance", type=float, default=0.05,
-        help="allowed recorder-detached overhead on engine throughput — "
-        "a flight recorder attached to the bus and detached again "
-        "before the timed run (default 0.05; 0 disables the gate)",
     )
     parser.add_argument(
         "--no-history", action="store_true",
