@@ -63,10 +63,13 @@ class DPWrapScheduler(HostScheduler):
         self.min_global_slice_ns = min_global_slice_ns
         self.idle_slice_ns = idle_slice_ns
         self._active: Dict[int, VCPU] = {}  # uid -> RT VCPU
-        # The active VCPUs sorted by uid, rebuilt lazily after population
-        # changes.  Every slice and every donation scan walks this list;
-        # caching it removes a sorted() + dict-lookup pass per call.
-        self._sorted_vcpus: Optional[List[VCPU]] = None
+        # The active VCPUs sorted by uid as (uid, vcpu, holder), rebuilt
+        # lazily after population changes.  Every slice and every
+        # donation scan walks this list; caching it removes a sorted() +
+        # dict-lookup pass per call.  *holder* owns the VCPU's pending-job
+        # counter (the VM for gEDF guests, else the VCPU itself), so the
+        # donation scan tests for work without a method call.
+        self._sorted_vcpus: Optional[List[Tuple[int, VCPU, object]]] = None
         # CPU affinity (paper §6): uid -> pinned PCPU; these VCPUs are
         # excluded from wrap-around migration.
         self._affinity: Dict[int, int] = {}
@@ -149,13 +152,17 @@ class DPWrapScheduler(HostScheduler):
 
     # -- the deadline-partitioning step ----------------------------------------------
 
-    def _active_sorted(self) -> List[VCPU]:
-        """All active RT VCPUs in uid order (cached between population changes)."""
-        vcpus = self._sorted_vcpus
-        if vcpus is None:
+    def _active_sorted(self) -> List[Tuple[int, VCPU, object]]:
+        """``(uid, vcpu, holder)`` of every active RT VCPU in uid order
+        (cached between population changes)."""
+        entries = self._sorted_vcpus
+        if entries is None:
             active = self._active
-            vcpus = self._sorted_vcpus = [active[uid] for uid in sorted(active)]
-        return vcpus
+            entries = self._sorted_vcpus = [
+                (uid, vcpu, vcpu.vm if vcpu.vm._is_gedf else vcpu)
+                for uid, vcpu in sorted(active.items())
+            ]
+        return entries
 
     def _carry_add(self, uid: int, amount: int) -> None:
         """Add *amount* whole nanoseconds to a VCPU's fractional carry."""
@@ -165,7 +172,9 @@ class DPWrapScheduler(HostScheduler):
     def _rt_entries(self) -> List[VCPU]:
         """RT VCPUs with a positive bandwidth grant, in deterministic order."""
         return [
-            v for v in self._active_sorted() if v.period_ns > 0 and v.budget_ns > 0
+            v
+            for _, v, _ in self._active_sorted()
+            if v.period_ns > 0 and v.budget_ns > 0
         ]
 
     def _next_global_deadline(self, now: int) -> int:
@@ -196,8 +205,12 @@ class DPWrapScheduler(HostScheduler):
                     if lost > 0:
                         self._carry_add(uid, lost)
                         self._laid[uid] = self._laid.get(uid, 0) - lost
+        # At a slice boundary every event of the ending slice has fired;
+        # only a mid-slice re-partition finds some still pending.
+        engine = self.engine
         for event in self._slice_events:
-            self.engine.cancel(event)
+            if not event.consumed:
+                engine.cancel(event)
         self._slice_events.clear()
         self._owner.clear()
         self._piece_plan = []
@@ -478,11 +491,14 @@ class DPWrapScheduler(HostScheduler):
             and displaced.vm.vcpu_has_work(displaced)
         ):
             self.on_vcpu_wake(displaced)
+        # The piece's end has this PCPU's next tail, piece or slice event.
+        machine.set_horizon(pcpu_index, end)
 
     def _start_tail(self, pcpu_index: int) -> None:
         """Unreserved time at the end of a PCPU's slice begins."""
         self._owner[pcpu_index] = (None, self._slice_end)
         self._donate(pcpu_index, exclude=None)
+        self.machine.set_horizon(pcpu_index, self._slice_end)
 
     # -- donation / work conservation --------------------------------------------------------
 
@@ -498,12 +514,14 @@ class DPWrapScheduler(HostScheduler):
         best_key = None
         # Read the machine's placement map in place (no copy): this scan
         # runs on every donation decision and only tests membership.
+        # The cheap tests go first: most VCPUs have no pending work or
+        # are already placed.  Shared memory is read only for the few
+        # that pass every test.
         locations = self.machine._vcpu_pcpu
         affinity = self._affinity
         shared_memory = self.shared_memory
-        for vcpu in self._active_sorted():
-            uid = vcpu.uid
-            if vcpu is exclude or uid in locations:
+        for uid, vcpu, holder in self._active_sorted():
+            if holder._pending_jobs <= 0 or uid in locations or vcpu is exclude:
                 continue
             if affinity:
                 pinned = affinity.get(uid)
@@ -513,8 +531,6 @@ class DPWrapScheduler(HostScheduler):
                     and pinned != pcpu_index
                 ):
                     continue
-            if not vcpu.vm.vcpu_has_work(vcpu):
-                continue
             deadline = shared_memory.read(vcpu, now)
             key = (deadline if deadline is not None else 2**63, uid)
             if best_key is None or key < best_key:

@@ -411,6 +411,8 @@ class Machine:
         pcpu.last_sync = self.engine.now
         pcpu.overhead_until = self.engine.now
         pcpu.idle_notified = False
+        # A promise made before the failure binds no one any more.
+        pcpu.horizon = None
         self._dirty_pcpus.add(pcpu_index)
         if self._t_fault:
             self.bus.publish(
@@ -468,7 +470,26 @@ class Machine:
         else:
             due[time] = count - 1
 
+    def set_horizon(self, pcpu_index: int, time: int) -> None:
+        """The host scheduler promises to act on PCPU *pcpu_index* by *time*.
+
+        Acting means running again on this PCPU at or before *time* and
+        renewing the promise here.  Until then a completion whose target
+        lies beyond *time* is not pushed: it keeps the sequence number
+        it would have been pushed with, and is pushed by the renewal
+        whose horizon reaches it — strictly before its target, so it
+        fires with the same ``(time, priority, seq)`` key as an eagerly
+        pushed one (DESIGN.md §6, "Deferred completions").
+        """
+        pcpu = self.pcpus[pcpu_index]
+        pcpu.horizon = time
+        deferred = pcpu.deferred_completion
+        if deferred is not None and deferred[0] <= time:
+            pcpu.deferred_completion = None
+            self._push_completion(pcpu, *deferred)
+
     def _cancel_completion(self, pcpu: PCPU) -> None:
+        pcpu.deferred_completion = None
         event = pcpu.completion_event
         if event is not None:
             if not event.cancelled and not event.consumed:
@@ -481,7 +502,19 @@ class Machine:
         event = pcpu.completion_event
         if event is not None and event.active and event.time == target and event.args[1] is job:
             return
+        deferred = pcpu.deferred_completion
+        if deferred is not None and deferred[0] == target and deferred[1] is job:
+            return
         self._cancel_completion(pcpu)
+        horizon = pcpu.horizon
+        if horizon is not None and target > horizon:
+            pcpu.deferred_completion = (target, job, self.engine.reserve_seq())
+        else:
+            self._push_completion(pcpu, target, job, None)
+
+    def _push_completion(
+        self, pcpu: PCPU, target: int, job: Job, seq: Optional[int]
+    ) -> None:
         pcpu.completion_event = self.engine.at(
             target,
             self._on_completion,
@@ -489,6 +522,7 @@ class Machine:
             job,
             priority=PRIORITY_COMPLETION,
             name=job.task.completion_name,
+            seq=seq,
         )
         due = self._completions_due
         due[target] = due.get(target, 0) + 1

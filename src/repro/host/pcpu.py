@@ -8,7 +8,7 @@ overhead windows, tentative completion events) is driven by the
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..guest.task import Job
 from ..guest.vcpu import VCPU
@@ -25,6 +25,8 @@ class PCPU:
         "last_sync",
         "overhead_until",
         "completion_event",
+        "deferred_completion",
+        "horizon",
         "idle_notified",
         "usage",
         "failed",
@@ -40,6 +42,12 @@ class PCPU:
         self.overhead_until: int = 0
         #: Tentative job-completion event currently scheduled, if any.
         self.completion_event: Optional[Event] = None
+        #: A completion not yet pushed because its target lies past
+        #: :attr:`horizon`: ``(target, job, reserved seq)``.
+        self.deferred_completion: Optional[Tuple[int, Job, int]] = None
+        #: Time by which the host scheduler promises to act on this PCPU
+        #: again (``Machine.set_horizon``); None promises nothing.
+        self.horizon: Optional[int] = None
         #: Guard so an idle VCPU is reported to the host scheduler once.
         self.idle_notified: bool = False
         #: Cached :class:`PcpuUsage` record (bound on first charge).

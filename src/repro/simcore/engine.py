@@ -99,13 +99,30 @@ class Engine:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
         name: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule *callback* at absolute *time* (>= now)."""
+        """Schedule *callback* at absolute *time* (>= now).
+
+        *seq*, taken earlier from :meth:`reserve_seq`, gives the event
+        the place in same-instant ties it would have had if pushed then.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule {name or callback!r} at {time} before now={self._now}"
             )
-        return self._queue.push(time, callback, *args, priority=priority, name=name)
+        return self._queue.push(
+            time, callback, *args, priority=priority, name=name, seq=seq
+        )
+
+    def reserve_seq(self) -> int:
+        """Take the next event sequence number now, to push with later.
+
+        For timers armed lazily: the event is pushed through :meth:`at`
+        with this number once it might fire, and orders exactly as if it
+        had been pushed at reservation time.  The push must precede the
+        clock reaching the event's time.
+        """
+        return self._queue.reserve_seq()
 
     def after(
         self,

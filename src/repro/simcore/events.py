@@ -164,11 +164,18 @@ class EventQueue:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
         name: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule *callback(\\*args)* at absolute *time* and return the event."""
+        """Schedule *callback(\\*args)* at absolute *time* and return the event.
+
+        *seq* is a number taken earlier from :meth:`reserve_seq`; the
+        event then orders exactly as if it had been pushed back then.
+        """
         if time < 0:
             raise SimulationError(f"cannot schedule an event at negative time {time}")
-        seq = self._seq
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
         event = Event(time, priority, seq, callback, args, name)
         bucket = self._buckets.get(time)
         if bucket is None:
@@ -176,9 +183,18 @@ class EventQueue:
             heappush(self._times, time)
         else:
             heappush(bucket, (priority, seq, event))
-        self._seq = seq + 1
         self._live += 1
         return event
+
+    def reserve_seq(self) -> int:
+        """Take the next sequence number now for a later :meth:`push`.
+
+        The caller must push at most once with it, and only at a time
+        no event has been popped beyond.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.
@@ -265,15 +281,19 @@ class EventQueue:
         """Pop the next live event iff it is scheduled at exactly *time*.
 
         The engine's batch-loop hot path.  *Iff the head is at time*: an
-        event pending at an earlier instant must refuse the pop, so the
-        head is located first (cheap — mid-batch it is one stale-free
-        peek of the times heap) and the pop then only touches that
-        instant's own bucket.
+        event pending at an earlier instant must refuse the pop.  Every
+        pending instant sits on the times heap, so when its top already
+        reads *time* nothing earlier can be pending and a live bucket
+        head is popped at once; only a stale top or a cancelled head
+        takes the general :meth:`_head` walk.
         """
-        if self._head() != time:
-            return None
         buckets = self._buckets
-        bucket = buckets[time]
+        times = self._times
+        bucket = buckets.get(time) if times and times[0] == time else None
+        if bucket is None or bucket[0][2].cancelled:
+            if self._head() != time:
+                return None
+            bucket = buckets[time]
         event = heappop(bucket)[2]
         if not bucket:
             del buckets[time]

@@ -36,6 +36,7 @@ fast path), and an attached one pays only event fan-out.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -71,6 +72,26 @@ def clip_intervals(intervals: List[Interval], lo: int, hi: int) -> List[Interval
         if end > start:
             out.append((start, end))
     return merge_intervals(out)
+
+
+def clip_merged(
+    intervals: List[Interval], ends: List[int], lo: int, hi: int
+) -> List[Interval]:
+    """:func:`clip_intervals` for an already merged list, by bisection.
+
+    *ends* holds the list's end times (strictly increasing, since merged
+    intervals are disjoint), so only the intervals that meet
+    ``[lo, hi)`` are visited: O(log n + k) instead of O(n).
+    """
+    out: List[Interval] = []
+    for index in range(bisect_right(ends, lo), len(intervals)):
+        start, end = intervals[index]
+        if start >= hi:
+            break
+        start, end = max(start, lo), min(end, hi)
+        if end > start:
+            out.append((start, end))
+    return out
 
 
 def subtract_intervals(base: List[Interval], cut: List[Interval]) -> List[Interval]:
@@ -202,6 +223,10 @@ class SpanBuilder:
         self._throttled: Dict[str, List[Interval]] = {}
         self._throttled_open: Dict[str, int] = {}
         self._migrations: Dict[str, List[Interval]] = {}
+        #: End times of the merged ``_oncpu``/``_migrations`` lists, set
+        #: by :meth:`finalize` so each gap bisects instead of scanning.
+        self._oncpu_ends: Dict[str, List[int]] = {}
+        self._migration_ends: Dict[str, List[int]] = {}
         #: Open cluster stop-and-copy blackouts: vcpu name -> pause time.
         self._blackout_open: Dict[str, int] = {}
         self._hypercall_faults: List[Interval] = []
@@ -425,9 +450,11 @@ class SpanBuilder:
                 self._migrations.setdefault(name, []).append((start, end_time))
         self._blackout_open.clear()
         for name in self._oncpu:
-            self._oncpu[name] = merge_intervals(self._oncpu[name])
+            merged = self._oncpu[name] = merge_intervals(self._oncpu[name])
+            self._oncpu_ends[name] = [end for _, end in merged]
         for name in self._migrations:
-            self._migrations[name] = merge_intervals(self._migrations[name])
+            merged = self._migrations[name] = merge_intervals(self._migrations[name])
+            self._migration_ends[name] = [end for _, end in merged]
         self._hypercall_faults = merge_intervals(self._hypercall_faults)
         for span in self.spans:
             self._tile(span, end_time)
@@ -478,13 +505,19 @@ class SpanBuilder:
             return [(lo, hi, "wait", None, None)]
         gap = [(lo, hi)]
         out: List[Tuple[int, int, str, Optional[str], Optional[int]]] = []
-        migrating = clip_intervals(self._migrations.get(carrier, []), lo, hi)
+        migrating = clip_merged(
+            self._migrations.get(carrier, []),
+            self._migration_ends.get(carrier, []),
+            lo,
+            hi,
+        )
         for start, end in migrating:
             out.append((start, end, "migrating", carrier, None))
         rest = subtract_intervals(gap, migrating)
         oncpu = self._oncpu.get(carrier, [])
+        oncpu_ends = self._oncpu_ends.get(carrier, [])
         for start, end in rest:
-            queued = clip_intervals(oncpu, start, end)
+            queued = clip_merged(oncpu, oncpu_ends, start, end)
             for q_start, q_end in queued:
                 out.append((q_start, q_end, "wait", carrier, None))
             for p_start, p_end in subtract_intervals([(start, end)], queued):

@@ -52,12 +52,20 @@ _ops = st.lists(
 )
 
 # Richer op stream for the differential suite: constrained times force
-# same-instant collisions, explicit priorities force tie-breaks, and
-# pop_at/clear exercise the batch path and the reset path.
+# same-instant collisions, explicit priorities force tie-breaks,
+# pop_at/clear exercise the batch path and the reset path, and
+# reserve/push_reserved take a sequence number now and push with it
+# later, as a deferred completion timer does.
 _diff_ops = st.lists(
     st.one_of(
         st.tuples(
             st.just("push"), st.integers(0, 12), st.sampled_from([0, 10, 20, 50])
+        ),
+        st.tuples(st.just("reserve"), st.just(0), st.just(0)),
+        st.tuples(
+            st.just("push_reserved"),
+            st.integers(0, 12),
+            st.sampled_from([0, 10, 20, 50]),
         ),
         st.tuples(st.just("cancel"), st.integers(0, 60), st.just(0)),
         st.tuples(st.just("pop"), st.just(0), st.just(0)),
@@ -217,22 +225,29 @@ def test_calendar_heap_pop_equivalence(ops):
     (time, priority, seq) identity of the event), peek_time answers,
     live counts, and the live+dead accounting — must agree after every
     single step.  Sequence numbers are assigned in push order by both
-    implementations, so identical streams produce identical keys.
+    implementations, so identical streams produce identical keys; a
+    reserved number is pushed with later, oldest first.
     """
     cal, heap = EventQueue(), HeapEventQueue()
     created = []  # (calendar event, heap event) pairs, in push order
+    reserved = []  # sequence numbers taken but not yet pushed with
 
     def key(event):
         return (event.time, event.priority, event.seq)
 
     for kind, a, b in ops:
-        if kind == "push":
+        if kind == "push" or (kind == "push_reserved" and reserved):
+            seq = reserved.pop(0) if kind == "push_reserved" else None
             pair = (
-                cal.push(a, lambda: None, priority=b),
-                heap.push(a, lambda: None, priority=b),
+                cal.push(a, lambda: None, priority=b, seq=seq),
+                heap.push(a, lambda: None, priority=b, seq=seq),
             )
             assert key(pair[0]) == key(pair[1])
             created.append(pair)
+        elif kind == "reserve":
+            seq = cal.reserve_seq()
+            assert heap.reserve_seq() == seq
+            reserved.append(seq)
         elif kind == "cancel" and a < len(created):
             c, h = created[a]
             cal.cancel(c)

@@ -23,6 +23,7 @@ from repro.telemetry import events as T
 from repro.telemetry.blame import attribute_miss
 from repro.telemetry.spans import (
     clip_intervals,
+    clip_merged,
     merge_intervals,
     subtract_intervals,
     total,
@@ -58,6 +59,17 @@ class TestIntervalAlgebra:
             # Every instant of [lo, hi) lands in exactly one side.
             assert total(inside) + total(outside) == hi - lo
             inside_total += total(inside)
+
+    @given(
+        intervals,
+        st.integers(min_value=-10, max_value=510),
+        st.integers(min_value=-10, max_value=510),
+    )
+    def test_bisecting_clip_matches_the_scan(self, raw, lo, hi):
+        # clip_intervals is the oracle; the finalize hot path bisects.
+        merged = merge_intervals(raw)
+        ends = [end for _, end in merged]
+        assert clip_merged(merged, ends, lo, hi) == clip_intervals(merged, lo, hi)
 
     @given(intervals, intervals)
     def test_subtract_is_disjoint_from_cut(self, raw, cut_raw):

@@ -58,15 +58,26 @@ class HeapEventQueue:
         *args: Any,
         priority: int = PRIORITY_DEFAULT,
         name: str = "",
+        seq: Optional[int] = None,
     ) -> Event:
-        """Schedule *callback(\\*args)* at absolute *time* and return the event."""
+        """Schedule *callback(\\*args)* at absolute *time* and return the event.
+
+        *seq* is a number taken earlier from :meth:`reserve_seq`.
+        """
         if time < 0:
             raise SimulationError(f"cannot schedule an event at negative time {time}")
-        event = Event(time, priority, self._seq, callback, args, name)
-        heappush(self._heap, (time, priority, self._seq, event))
-        self._seq += 1
+        if seq is None:
+            seq = self.reserve_seq()
+        event = Event(time, priority, seq, callback, args, name)
+        heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
+
+    def reserve_seq(self) -> int:
+        """Take the next sequence number now for a later :meth:`push`."""
+        seq = self._seq
+        self._seq += 1
+        return seq
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.

@@ -73,6 +73,14 @@ class TestSameInstant:
         # may add another batch at the same time only if events appeared.
         assert hooks == [10, 20]
 
+    def test_reserved_seq_ties_as_if_pushed_then(self, engine):
+        log = []
+        seq = engine.reserve_seq()
+        engine.at(10, log.append, "pushed first", priority=10)
+        engine.at(10, log.append, "reserved first", priority=10, seq=seq)
+        engine.run_until(20)
+        assert log == ["reserved first", "pushed first"]
+
     def test_cancel_pending_event(self, engine):
         log = []
         event = engine.at(10, log.append, "x")

@@ -114,3 +114,23 @@ class TestPackageSurface:
         }
         unreachable = sorted(modules - reached)
         assert not unreachable, "no run reaches: " + ", ".join(unreachable)
+
+    def test_only_the_engine_touches_its_queue(self):
+        # Per-layer work counts (events armed and cancelled) are taken by
+        # wrapping Engine.at and Engine.cancel; a module that reached the
+        # queue directly would arm or cancel timers those counts miss.
+        import repro
+
+        package_root = Path(repro.__file__).parent
+        engine = package_root / "simcore" / "engine.py"
+        offenders = []
+        for path in sorted(package_root.rglob("*.py")):
+            if path == engine:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and node.attr == "_queue":
+                    relative = path.relative_to(package_root)
+                    offenders.append(f"{relative}:{node.lineno}")
+        assert not offenders, "event queue reached around Engine: " + ", ".join(
+            offenders
+        )
