@@ -3,13 +3,8 @@
 from .csa import csa_best_interface, csa_interface, default_period_candidates, is_schedulable
 from .dbf import AnalysisTask, dbf, dbf_task, demand_checkpoints, hyperperiod, utilization
 from .dmpr import DMPRInterface, claim_for_group, claimed_cpus, decompose
-from .sbf import PeriodicResource, lsbf, sbf
-from .utilization import (
-    dpwrap_schedulable,
-    edf_uniprocessor_schedulable,
-    exact_utilization,
-    minimum_cpus_dpwrap,
-)
+from .sbf import PeriodicResource, sbf
+from .utilization import exact_utilization, minimum_cpus_dpwrap
 
 __all__ = [
     "AnalysisTask",
@@ -20,7 +15,6 @@ __all__ = [
     "utilization",
     "PeriodicResource",
     "sbf",
-    "lsbf",
     "csa_interface",
     "csa_best_interface",
     "default_period_candidates",
@@ -30,7 +24,5 @@ __all__ = [
     "claimed_cpus",
     "claim_for_group",
     "exact_utilization",
-    "edf_uniprocessor_schedulable",
-    "dpwrap_schedulable",
     "minimum_cpus_dpwrap",
 ]

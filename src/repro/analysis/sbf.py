@@ -38,11 +38,6 @@ class PeriodicResource:
     def bandwidth(self) -> float:
         return self.budget / self.period
 
-    @property
-    def longest_starvation(self) -> int:
-        """The worst-case supply gap 2(Π − Θ)."""
-        return 2 * (self.period - self.budget)
-
 
 def sbf(resource: PeriodicResource, t: int) -> int:
     """Minimum guaranteed supply of *resource* in an interval of length *t*."""
@@ -56,11 +51,3 @@ def sbf(resource: PeriodicResource, t: int) -> int:
         return 0
     k = y // period
     return k * budget + max(0, y - k * period - (period - budget))
-
-
-def lsbf(resource: PeriodicResource, t: int) -> float:
-    """Linear lower bound on sbf (useful for quick feasibility pruning)."""
-    period, budget = resource.period, resource.budget
-    if budget == 0:
-        return 0.0
-    return max(0.0, (budget / period) * (t - 2 * (period - budget)))

@@ -16,18 +16,6 @@ def exact_utilization(pairs: Iterable[Tuple[int, int]]) -> Fraction:
     return total
 
 
-def edf_uniprocessor_schedulable(tasks: Sequence[AnalysisTask]) -> bool:
-    """Implicit-deadline EDF on one CPU: schedulable iff U <= 1."""
-    return exact_utilization((t.wcet, t.period) for t in tasks) <= 1
-
-
-def dpwrap_schedulable(tasks: Sequence[AnalysisTask], cpus: int) -> bool:
-    """DP-WRAP optimality: schedulable iff U <= m and every U_i <= 1."""
-    if any(Fraction(t.wcet, t.period) > 1 for t in tasks):
-        return False
-    return exact_utilization((t.wcet, t.period) for t in tasks) <= cpus
-
-
 def minimum_cpus_dpwrap(tasks: Sequence[AnalysisTask]) -> int:
     """Fewest CPUs DP-WRAP needs (the ceiling of total utilization)."""
     total = exact_utilization((t.wcet, t.period) for t in tasks)

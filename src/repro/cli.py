@@ -22,9 +22,10 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .experiments import registry
+from .simcore.time import SEC
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,8 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--blame",
         action="store_true",
-        help="after each robustness_* experiment, rerun it with causal "
-        "spans attached and print the deadline-miss blame table",
+        help="after each experiment, rerun it with causal spans attached "
+        "and print the deadline-miss blame table (robustness_* ids only; "
+        "any other id exits 2)",
     )
     run_all = sub.add_parser(
         "run-all",
@@ -171,12 +173,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--duration-s",
         type=float,
-        default=2.0,
+        default=registry.CLUSTER_DURATION_NS / SEC,
         metavar="S",
-        help="simulated seconds (default 2)",
+        help="simulated seconds (default: the cluster_* registry length)",
     )
     cluster.add_argument(
-        "--seed", type=int, default=29, metavar="N", help="RNG seed (default 29)"
+        "--seed",
+        type=int,
+        default=registry.CLUSTER_SEED,
+        metavar="N",
+        help="RNG seed (default: the cluster_* registry seed)",
     )
     cluster.add_argument(
         "--clock-offset-ms",
@@ -249,14 +255,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the blame sweep (default 1)",
     )
     explain.add_argument(
-        "--seed", type=int, default=11, metavar="N", help="RNG seed (default 11)"
+        "--seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help="RNG seed (default: the experiment's registry seed)",
     )
     explain.add_argument(
         "--duration-s",
         type=float,
-        default=5.0,
+        default=None,
         metavar="S",
-        help="simulated seconds per cell (default 5, the robustness length)",
+        help="simulated seconds per cell (default: the experiment's "
+        "registry length)",
     )
     explain.add_argument(
         "--misses",
@@ -292,12 +303,17 @@ def _build_parser() -> argparse.ArgumentParser:
     t_record.add_argument(
         "--duration-s",
         type=float,
-        default=5.0,
+        default=None,
         metavar="S",
-        help="simulated seconds for robustness targets (default 5)",
+        help="simulated seconds for robustness targets (default: the "
+        "registry length)",
     )
     t_record.add_argument(
-        "--seed", type=int, default=11, metavar="N", help="RNG seed (default 11)"
+        "--seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help="RNG seed for robustness targets (default: the registry seed)",
     )
     t_inspect = trace_sub.add_parser(
         "inspect", help="print a trace's header, counts and canonical hash"
@@ -360,35 +376,50 @@ def _cmd_run(ids: List[str], blame: bool = False) -> int:
             print(exc.args[0], file=sys.stderr)
             print(f"known ids: {', '.join(registry.all_ids())}", file=sys.stderr)
             return 2
+    if blame:
+        unblamable = [i for i in ids if not i.startswith("robustness_")]
+        if unblamable:
+            print(
+                f"--blame covers robustness_* ids only, not: "
+                f"{', '.join(unblamable)}",
+                file=sys.stderr,
+            )
+            return 2
     for experiment_id in ids:
         entry = registry.REGISTRY[experiment_id]
         print(f"=== {entry.paper_ref}: {entry.description}")
         started = time.time()
         (report,) = run_experiments([experiment_id], jobs=1).reports
         print(report.summary)
-        if blame and experiment_id.startswith("robustness_"):
-            sweep = _blame_family(experiment_id[len("robustness_"):], jobs=1)
-            print(sweep.summary())
+        if blame:
+            duration_ns, seed = _run_parameters(experiment_id, None, None)
+            fault = experiment_id[len("robustness_"):]
+            print(_blame_family(fault, 1, duration_ns, seed).summary())
         print(f"--- ({time.time() - started:.1f}s wall)\n")
     return 0
 
 
-def _blame_family(
-    fault: str,
-    jobs: int,
-    duration_ns: Optional[int] = None,
-    seed: int = 11,
-):
+def _run_parameters(
+    experiment_id: str, duration_s: Optional[float], seed: Optional[int]
+) -> Tuple[int, int]:
+    """``(duration_ns, seed)`` of a run of *experiment_id*: the flags
+    where given, else the registry's full-length parameters."""
+    from .runner.workunits import BINDINGS
+    from .simcore.time import sec
+
+    full = BINDINGS[experiment_id].full
+    return (
+        full["duration_ns"] if duration_s is None else sec(duration_s),
+        full["seed"] if seed is None else seed,
+    )
+
+
+def _blame_family(fault: str, jobs: int, duration_ns: int, seed: int):
     """Run the blame sweep of one fault family through the plan executor."""
     from .runner.executor import execute_plan
-    from .simcore.time import sec
     from .telemetry.blame_plan import blame_plan
 
-    plan = blame_plan(
-        faults=(fault,),
-        duration_ns=duration_ns if duration_ns is not None else sec(5),
-        seed=seed,
-    )
+    plan = blame_plan(faults=(fault,), duration_ns=duration_ns, seed=seed)
     return execute_plan(plan, jobs=jobs)
 
 
@@ -765,13 +796,13 @@ def _explain_feedback(args) -> int:
     from .experiments.feedback_adaptive import explain_feedback
     from .experiments.common import format_table
     from .report.ascii import render_blame_table
-    from .simcore.time import sec
 
-    cells = explain_feedback(args.target, sec(args.duration_s), args.seed)
+    duration_ns, seed = _run_parameters(args.target, args.duration_s, args.seed)
+    cells = explain_feedback(args.target, duration_ns, seed)
     for cell in cells:
         print(
             f"=== {args.target} — policy {cell['policy']!r} "
-            f"({args.duration_s:g}s, seed {args.seed})"
+            f"({duration_ns / SEC:g}s, seed {seed})"
         )
         print(format_table(cell["rows"], title="result rows"))
         print(render_blame_table(cell["blame"]))
@@ -833,7 +864,6 @@ def _cmd_explain(args) -> int:
     if args.target in FEEDBACK_CELLS:
         return _explain_feedback(args)
     from .experiments.robustness import ROBUSTNESS_FAULTS
-    from .simcore.time import sec
 
     fault = args.target
     if fault.startswith("robustness_"):
@@ -849,7 +879,9 @@ def _cmd_explain(args) -> int:
             file=sys.stderr,
         )
         return 2
-    duration_ns = sec(args.duration_s)
+    duration_ns, seed = _run_parameters(
+        f"robustness_{fault}", args.duration_s, args.seed
+    )
     if args.job:
         from .experiments.robustness import run_robustness_case
         from .telemetry.spans import SpanBuilder
@@ -863,19 +895,17 @@ def _cmd_explain(args) -> int:
             fault,
             args.scheduler,
             duration_ns,
-            args.seed,
+            seed,
             check_invariants=False,
             attach=attach,
         )
         builder = holder["spans"].finalize()
         print(
             f"robustness_{fault} under {args.scheduler} "
-            f"({args.duration_s:g}s, seed {args.seed}):\n"
+            f"({duration_ns / SEC:g}s, seed {seed}):\n"
         )
         return _print_timelines(builder, args.job, args.misses)
-    sweep = _blame_family(
-        fault, jobs=args.jobs, duration_ns=duration_ns, seed=args.seed
-    )
+    sweep = _blame_family(fault, args.jobs, duration_ns, seed)
     print(sweep.summary())
     for part in sweep.parts:
         worst = sorted(part["misses"], key=lambda m: -m["lateness_ns"])
@@ -902,7 +932,6 @@ def _trace_record(args) -> int:
         recorded = record_scenario_file(args.target, output)
     else:
         from .experiments.robustness import ROBUSTNESS_FAULTS
-        from .simcore.time import sec
         from .telemetry.replay import canonical_scheduler, record_robustness_case
 
         fault = args.target
@@ -922,8 +951,11 @@ def _trace_record(args) -> int:
             print(exc.args[0], file=sys.stderr)
             return 2
         output = args.output or f"robustness_{fault}.rtvt"
+        duration_ns, seed = _run_parameters(
+            f"robustness_{fault}", args.duration_s, args.seed
+        )
         recorded = record_robustness_case(
-            fault, scheduler, sec(args.duration_s), args.seed, path=output
+            fault, scheduler, duration_ns, seed, path=output
         )
     reader = recorded.reader()
     print(format_table(recorded.rows, title="recorded run"))

@@ -106,7 +106,7 @@ class Cluster:
         self.log: List[Tuple[int, str, tuple]] = []
         #: The cluster's own actuation port: placement mutations
         #: (migrate, rebalance) flow through it, so feedback policies
-        #: can observe/issue them the same way they do bandwidth ones.
+        #: issue them the same way they do bandwidth ones.
         self.control = ActuationPort()
         self.control.register(
             A.MigrateVM.kind,

@@ -136,12 +136,6 @@ class DPWrapScheduler(HostScheduler):
         if self._started:
             self._new_slice()
 
-    def clear_affinity(self, vcpu: VCPU) -> None:
-        """Allow *vcpu* to migrate again."""
-        self._affinity.pop(vcpu.uid, None)
-        if self._started:
-            self._new_slice()
-
     def update_vcpu(self, vcpu: VCPU) -> None:
         """A hypercall changed *vcpu*'s bandwidth: re-partition now."""
         if vcpu.uid not in self._active:

@@ -72,11 +72,6 @@ class SharedMemoryPage:
         }
         self._frozen_until = until
 
-    def thaw(self) -> None:
-        """Resume live reads immediately."""
-        self._frozen_until = -1
-        self._frozen_values = {}
-
     def read(self, vcpu: VCPU, now: int) -> Optional[int]:
         """Host-side read of one VCPU's published deadline."""
         entry = self._slots.get(vcpu.uid)
@@ -123,11 +118,6 @@ class SharedMemoryPage:
                 if deadline is not None and (best is None or deadline < best):
                     best = deadline
         return best
-
-    @property
-    def size_bytes(self) -> int:
-        """Shared-memory footprint: 8 bytes per VCPU (paper §4.5)."""
-        return 8 * len(self._slots)
 
     def __len__(self) -> int:
         return len(self._slots)

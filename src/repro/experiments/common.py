@@ -46,8 +46,3 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def percent(value: float) -> str:
-    """Format a ratio as a percent string."""
-    return f"{100.0 * value:.3f}%"

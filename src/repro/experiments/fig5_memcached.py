@@ -104,10 +104,6 @@ class Fig5Result:
                 return o
         raise KeyError(scheduler)
 
-    def cdf(self, scheduler: str) -> List[Tuple[float, float]]:
-        """The Figure 5 CDF series for one scheduler, µs."""
-        return self.outcome(scheduler).latency.cdf_usec()
-
 
 # -- scenario (a): 19 non-RTA VMs, 2 PCPUs -----------------------------------------
 

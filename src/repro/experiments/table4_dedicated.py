@@ -71,10 +71,6 @@ class Table4Result:
             self.rows(), title="Table 4 — memcached tails on a dedicated CPU (µs)"
         )
 
-    def slice_for(self, scheduler: str) -> int:
-        """The reservation Table 4 implies: ceil of the p99.9 latency, ns."""
-        return round(self.tails[scheduler][99.9] * 1000)
-
 
 def _measure(system, vm, rng, register=None) -> LatencyRecorder:
     svc = MemcachedService(system.engine, vm, rng, register=register is None)

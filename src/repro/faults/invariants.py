@@ -54,7 +54,6 @@ class InvariantChecker:
         #: telemetry bus, so a violation can be correlated with the
         #: fault activity that preceded it.
         self.fault_log: List[Tuple[int, str, str]] = []
-        self._unsubscribe = None
 
     def attach(self) -> "InvariantChecker":
         """Register with the engine and the machine's telemetry bus.
@@ -69,24 +68,10 @@ class InvariantChecker:
         """
         self.engine.add_post_hook(self._check)
         bus = self.machine.bus
-        cancels = [
-            bus.subscribe(T.FAULT_INJECTED, self._on_fault_injected),
-            bus.subscribe(T.FAULT_RECOVERED, self._on_fault_recovered),
-            bus.subscribe(T.ADMISSION_DECISION, self._on_admission),
-        ]
-
-        def unsubscribe() -> None:
-            for cancel in cancels:
-                cancel()
-
-        self._unsubscribe = unsubscribe
+        bus.subscribe(T.FAULT_INJECTED, self._on_fault_injected)
+        bus.subscribe(T.FAULT_RECOVERED, self._on_fault_recovered)
+        bus.subscribe(T.ADMISSION_DECISION, self._on_admission)
         return self
-
-    def detach_telemetry(self) -> None:
-        """Drop the bus subscriptions (the post hook stays registered)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
 
     # -- bus subscribers ----------------------------------------------------------
 

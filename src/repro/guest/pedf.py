@@ -20,7 +20,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..control.actions import DecBandwidth, IncBandwidth
 from ..simcore.errors import AdmissionError, ConfigurationError
@@ -344,7 +344,3 @@ class PEDFGuestScheduler:
 
     def on_vcpu_descheduled(self, vcpu: VCPU) -> None:
         """pEDF has no cross-VCPU state to release."""
-
-    def rt_bandwidth_by_vcpu(self) -> Dict[str, float]:
-        """Diagnostic: per-VCPU pinned RT bandwidth."""
-        return {v.name: float(v.rt_bandwidth()) for v in self.vm.vcpus}

@@ -73,12 +73,6 @@ class Job:
     def done(self) -> bool:
         return self.remaining == 0
 
-    @property
-    def response_time(self) -> Optional[int]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.release
-
     def charge(self, amount: int) -> None:
         """Consume *amount* ns of this job's remaining work."""
         if amount < 0:

@@ -99,10 +99,6 @@ class VCPU:
         """Pinned tasks that have deadlines (periodic or sporadic)."""
         return [t for t in self.tasks if t.kind is not TaskKind.BACKGROUND]
 
-    def rt_bandwidth(self) -> Fraction:
-        """Sum of pinned real-time tasks' required bandwidths."""
-        return sum((t.bandwidth for t in self.rt_tasks()), Fraction(0))
-
     # -- dispatch --------------------------------------------------------------
 
     def pick_job(self, now: int) -> Optional[Job]:
@@ -133,11 +129,6 @@ class VCPU:
     def has_work(self) -> bool:
         """True when any pinned task has a pending job.  O(1)."""
         return self._pending_jobs > 0
-
-    @property
-    def has_rt_work(self) -> bool:
-        """True when a deadline-bearing job is pending."""
-        return any(t.has_work for t in self.rt_tasks())
 
     # -- cross-layer information ------------------------------------------------
 

@@ -343,15 +343,6 @@ class EDFHostScheduler(HostScheduler):
         servers.sort(key=_SERVER_KEY)
         return servers
 
-    def _eligible_count(self) -> int:
-        count = 0
-        for s in self._ready.values():
-            vcpu = s.vcpu
-            vm = vcpu.vm
-            if (vm._pending_jobs if vm._is_gedf else vcpu._pending_jobs) > 0:
-                count += 1
-        return count
-
     def _choose(self) -> List[_Server]:
         """The m earliest-deadline eligible servers.
 

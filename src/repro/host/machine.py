@@ -135,11 +135,6 @@ class Machine:
         return len(self.pcpus)
 
     @property
-    def available_pcpus(self) -> List[PCPU]:
-        """The PCPUs currently online (not failed)."""
-        return [p for p in self.pcpus if not p.failed]
-
-    @property
     def available_count(self) -> int:
         """Number of online PCPUs (cached; updated on fail/recover)."""
         return self._available

@@ -5,24 +5,14 @@ from .bandwidth import (
     allocated_savings_percent,
     average_extra_cpu,
     claimed_savings_percent,
-    total_bandwidth,
 )
 from .deadlines import DeadlineStats, MissReport, collect_miss_report
 from .latency import LatencyRecorder, merge_recorders
 from .overhead import HostMetrics, OverheadStats, PcpuUsage
-from .percentiles import (
-    TAIL_PERCENTILES,
-    cdf_points,
-    fraction_below,
-    mean,
-    percentile,
-    percentiles,
-    tail_summary,
-)
+from .percentiles import TAIL_PERCENTILES
 
 __all__ = [
     "BandwidthBreakdown",
-    "total_bandwidth",
     "average_extra_cpu",
     "claimed_savings_percent",
     "allocated_savings_percent",
@@ -34,11 +24,5 @@ __all__ = [
     "HostMetrics",
     "OverheadStats",
     "PcpuUsage",
-    "percentile",
-    "percentiles",
-    "tail_summary",
-    "cdf_points",
-    "fraction_below",
-    "mean",
     "TAIL_PERCENTILES",
 ]

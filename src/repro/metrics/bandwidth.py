@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from ..simcore.time import bandwidth as bw_fraction
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -48,14 +46,6 @@ class BandwidthBreakdown:
             "RT-Xen: Claimed": float(self.rtxen_claimed) * 100.0,
             "RTVirt": float(self.rtvirt) * 100.0,
         }
-
-
-def total_bandwidth(pairs: Iterable[Tuple[int, int]]) -> Fraction:
-    """Sum of slice/period bandwidths over (slice_ns, period_ns) pairs."""
-    total = Fraction(0)
-    for slice_ns, period_ns in pairs:
-        total += bw_fraction(slice_ns, period_ns)
-    return total
 
 
 def average_extra_cpu(breakdowns: Sequence[BandwidthBreakdown], kind: str) -> float:

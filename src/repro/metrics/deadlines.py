@@ -58,13 +58,6 @@ class DeadlineStats:
             return 0.0
         return self.missed / self.decided
 
-    @property
-    def met_ratio(self) -> float:
-        """Fraction of decided jobs that met their deadline."""
-        if self.decided == 0:
-            return 1.0
-        return self.met / self.decided
-
 
 @dataclass
 class MissReport:
@@ -95,16 +88,6 @@ class MissReport:
     def tasks_with_misses(self) -> List[str]:
         """Names of tasks that missed at least one deadline."""
         return sorted(name for name, s in self.per_task.items() if s.missed > 0)
-
-    @property
-    def worst_task_miss_ratio(self) -> float:
-        """The highest per-task miss ratio (the paper quotes 0.136% / 0.8%)."""
-        if not self.per_task:
-            return 0.0
-        return max(s.miss_ratio for s in self.per_task.values())
-
-    def task_miss_ratio(self, name: str) -> float:
-        return self.per_task[name].miss_ratio
 
     @property
     def all_miss_times(self) -> List[int]:

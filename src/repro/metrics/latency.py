@@ -61,18 +61,6 @@ class LatencyRecorder:
         """Average latency in µs."""
         return self._sorted_usec().mean()
 
-    def cdf_usec(self) -> List[Tuple[float, float]]:
-        """Empirical CDF points in µs (a Figure 5 curve)."""
-        return self._sorted_usec().cdf_points()
-
-    def slo_attainment(self, slo_usec: float) -> float:
-        """Fraction of requests at or below *slo_usec*."""
-        return self._sorted_usec().fraction_below(slo_usec)
-
-    def meets_slo(self, slo_usec: float, quantile: float = 99.9) -> bool:
-        """True when the given percentile is within the SLO."""
-        return self._sorted_usec().percentile(quantile) <= slo_usec
-
 
 def merge_recorders(recorders: Sequence[LatencyRecorder], name: str = "merged") -> LatencyRecorder:
     """Aggregate several recorders (Figure 5b merges 5 memcached VMs)."""

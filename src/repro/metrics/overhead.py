@@ -62,20 +62,6 @@ class OverheadStats:
             raise ValueError("total_cpu_time must be positive")
         return 100.0 * self.total_overhead_time() / total_cpu_time
 
-    def mean_schedule_call_usec(self) -> float:
-        """Average duration of one schedule() invocation, µs."""
-        if self.schedule_calls == 0:
-            return 0.0
-        return self.schedule_time / self.schedule_calls / 1_000.0
-
-    def as_table6_row(self, total_cpu_time: int) -> Dict[str, float]:
-        """The three columns of a Table 6 row (times in µs)."""
-        return {
-            "schedule_us": self.schedule_time / 1_000.0,
-            "context_switch_us": self.switch_and_migration_time / 1_000.0,
-            "overhead_percent": self.overhead_percent(total_cpu_time),
-        }
-
 
 @dataclass
 class PcpuUsage:
@@ -101,6 +87,3 @@ class HostMetrics:
         if index not in self.per_pcpu:
             self.per_pcpu[index] = PcpuUsage()
         return self.per_pcpu[index]
-
-    def total_busy(self) -> int:
-        return sum(u.busy for u in self.per_pcpu.values())

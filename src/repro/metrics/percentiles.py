@@ -1,13 +1,13 @@
-"""Percentile and CDF math used across the evaluation.
+"""Percentile math used across the evaluation.
 
 The paper reports 90th/95th/99th/99.9th percentile latencies (Table 4,
-Figure 5) and CDF curves.  We use the nearest-rank definition on the
-sorted sample, which is what latency-measurement tools like Mutilate
-report and is well-defined for the small-tail quantiles we care about.
+Figure 5).  We use the nearest-rank definition on the sorted sample,
+which is what latency-measurement tools like Mutilate report and is
+well-defined for the small-tail quantiles we care about.
 
-All query helpers route through :class:`SortedSamples`, which sorts the
+Every query goes through :class:`SortedSamples`, which sorts the
 sample exactly once; callers that ask several questions of the same
-sample (every tail + CDF + SLO check) should construct one and reuse
+sample (every tail percentile and the mean) construct one and reuse
 it.  :func:`merge_sorted_samples` combines already-sorted shards in
 linear time — the runner's aggregate merge uses it to recombine
 per-work-unit samples without re-sorting the union.
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 
 def _rank(p: float, n: int) -> int:
@@ -57,25 +56,6 @@ class SortedSamples:
         """90/95/99/99.9th percentiles, the row format of Table 4."""
         return self.percentiles(TAIL_PERCENTILES)
 
-    def cdf_points(self) -> List[Tuple[float, float]]:
-        """(value, cumulative_fraction) points of the empirical CDF."""
-        if not self.ordered:
-            return []
-        n = len(self.ordered)
-        points: List[Tuple[float, float]] = []
-        for i, v in enumerate(self.ordered, start=1):
-            if points and points[-1][0] == v:
-                points[-1] = (v, i / n)
-            else:
-                points.append((v, i / n))
-        return points
-
-    def fraction_below(self, threshold: float) -> float:
-        """Fraction of samples <= threshold (SLO attainment)."""
-        if not self.ordered:
-            raise ValueError("fraction_below() of an empty sample")
-        return bisect_right(self.ordered, threshold) / len(self.ordered)
-
     def mean(self) -> float:
         """Arithmetic mean."""
         if not self.ordered:
@@ -94,42 +74,5 @@ def merge_sorted_samples(shards: Iterable[Sequence[float]]) -> List[float]:
     return list(heapq.merge(*shards))
 
 
-def percentile(samples: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile of *samples* (p in (0, 100])."""
-    return SortedSamples(samples).percentile(p)
-
-
-def percentiles(samples: Sequence[float], ps: Sequence[float]) -> Dict[float, float]:
-    """Several percentiles computed over one sort of *samples*."""
-    return SortedSamples(samples).percentiles(ps)
-
-
 #: The tail percentiles Table 4 reports.
 TAIL_PERCENTILES = (90.0, 95.0, 99.0, 99.9)
-
-
-def tail_summary(samples: Sequence[float]) -> Dict[float, float]:
-    """90/95/99/99.9th percentiles, the row format of Table 4."""
-    return SortedSamples(samples).tail_summary()
-
-
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """(value, cumulative_fraction) points of the empirical CDF.
-
-    Duplicate values collapse to a single point carrying the highest
-    cumulative fraction, so the series is strictly increasing in x and
-    non-decreasing in y — directly plottable as Figure 5's curves.
-    """
-    return SortedSamples(samples).cdf_points()
-
-
-def fraction_below(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples <= threshold (SLO attainment)."""
-    return SortedSamples(samples).fraction_below(threshold)
-
-
-def mean(samples: Sequence[float]) -> float:
-    """Arithmetic mean."""
-    if not samples:
-        raise ValueError("mean() of an empty sample")
-    return sum(samples) / len(samples)

@@ -1,12 +1,8 @@
 """Terminal rendering and trace-export helpers for the paper's figures."""
 
-from .ascii import render_cdf, render_gantt, sparkline
 from .export import export_chrome_trace, trace_to_chrome_events
 
 __all__ = [
-    "sparkline",
-    "render_cdf",
-    "render_gantt",
     "export_chrome_trace",
     "trace_to_chrome_events",
 ]

@@ -1,133 +1,12 @@
-"""Terminal rendering of the paper's figures.
+"""Terminal rendering of the ``repro explain`` views.
 
-Pure-text renderers (no plotting dependencies) used by the examples and
-the bench output: latency CDFs (Figure 5), allocation sparklines
-(Figure 4), schedule Gantt charts (Figure 1), and the ``repro
-explain`` views — deadline-miss blame tables and per-job causal
-timelines.
+Pure-text renderers (no plotting dependencies): deadline-miss blame
+tables and per-job causal timelines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from ..simcore.errors import ConfigurationError
-from ..simcore.trace import Trace
-
-_BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], width: int = 60, peak: Optional[float] = None) -> str:
-    """Compress *values* into a block-character strip of at most *width*."""
-    if width <= 0:
-        raise ConfigurationError("width must be positive")
-    if not values:
-        return ""
-    if peak is None:
-        peak = max(values)
-    peak = max(peak, 1e-12)
-    step = max(1, len(values) // width)
-    cells = []
-    for i in range(0, len(values), step):
-        chunk = values[i : i + step]
-        level = min(1.0, (sum(chunk) / len(chunk)) / peak)
-        cells.append(_BLOCKS[round(level * (len(_BLOCKS) - 1))])
-    return "".join(cells)
-
-
-def render_cdf(
-    curves: Dict[str, List[Tuple[float, float]]],
-    width: int = 64,
-    height: int = 16,
-    x_label: str = "latency (µs)",
-    slo: Optional[float] = None,
-) -> str:
-    """Plot several CDF curves on a log-x character canvas (Figure 5).
-
-    *curves* maps a series name to (value, cumulative_fraction) points,
-    as produced by :meth:`repro.metrics.latency.LatencyRecorder.cdf_usec`.
-    """
-    import math
-
-    if not curves or all(not pts for pts in curves.values()):
-        return "(no data)"
-    xs = [x for pts in curves.values() for x, _ in pts if x > 0]
-    if slo:
-        xs.append(slo)
-    lo, hi = math.log10(min(xs)), math.log10(max(xs))
-    if hi - lo < 1e-9:
-        hi = lo + 1.0
-
-    def col(x: float) -> int:
-        return min(width - 1, max(0, round((math.log10(max(x, 1e-12)) - lo) / (hi - lo) * (width - 1))))
-
-    canvas = [[" "] * width for _ in range(height)]
-    if slo is not None:
-        c = col(slo)
-        for r in range(height):
-            canvas[r][c] = "|"
-    markers = "*o+x#@"
-    legend = []
-    for idx, (name, pts) in enumerate(curves.items()):
-        mark = markers[idx % len(markers)]
-        legend.append(f"{mark} {name}")
-        for x, y in pts:
-            r = height - 1 - min(height - 1, round(y * (height - 1)))
-            canvas[r][col(x)] = mark
-    lines = ["1.0 ┤" + "".join(canvas[0])]
-    for r in range(1, height - 1):
-        lines.append("    │" + "".join(canvas[r]))
-    lines.append("0.0 ┤" + "".join(canvas[height - 1]))
-    lines.append("    └" + "─" * width)
-    footer = f"     {10 ** lo:.0f} .. {10 ** hi:.0f} {x_label} (log)"
-    if slo is not None:
-        footer += f"   | = SLO {slo:g}"
-    lines.append(footer)
-    lines.append("     " + "   ".join(legend))
-    return "\n".join(lines)
-
-
-def render_gantt(
-    trace: Trace,
-    start: int,
-    end: int,
-    width: int = 72,
-    lanes: Optional[Sequence[str]] = None,
-) -> str:
-    """Character Gantt chart of who ran on each PCPU (Figure 1's style).
-
-    Each PCPU is one row; each column a time bucket, labelled with the
-    first letter of the VCPU that ran the majority of the bucket.
-    """
-    if end <= start:
-        raise ConfigurationError("empty time window")
-    pcpus = sorted({s.pcpu for s in trace.segments})
-    if not pcpus:
-        return "(no execution)"
-    bucket = max(1, (end - start) // width)
-    names = lanes if lanes is not None else sorted({s.vcpu for s in trace.segments})
-    letters = {name: chr(ord("A") + i % 26) for i, name in enumerate(names)}
-    lines = []
-    for pcpu in pcpus:
-        row = []
-        for t in range(start, end, bucket):
-            best_name, best_time = None, 0
-            for name in names:
-                used = sum(
-                    min(s.end, t + bucket) - max(s.start, t)
-                    for s in trace.segments
-                    if s.pcpu == pcpu
-                    and s.vcpu == name
-                    and s.end > t
-                    and s.start < t + bucket
-                )
-                if used > best_time:
-                    best_name, best_time = name, used
-            row.append(letters[best_name] if best_name else "·")
-        lines.append(f"pcpu{pcpu} |{''.join(row)}|")
-    key = "  ".join(f"{letter}={name}" for name, letter in letters.items())
-    lines.append(f"key: {key}")
-    return "\n".join(lines)
+from typing import Dict, Optional
 
 
 def render_blame_table(snapshot: Dict, width: int = 24) -> str:

@@ -15,7 +15,7 @@ shell: ``python -m repro run fig3`` (one experiment, in-process) or
         print(exp.experiment_id, exp.unit_wall_s)
 """
 
-from .cache import CACHE_DIR_NAME, ResultCache, clear_salt_caches, code_salt, unit_salt
+from .cache import CACHE_DIR_NAME, ResultCache, code_salt, unit_salt
 from .costs import COSTS_FILE_NAME, CostModel
 from .executor import ExperimentReport, RunReport, run_experiments
 from .workunits import ExperimentPlan, WorkUnit, build_plans, plan_for
@@ -30,7 +30,6 @@ __all__ = [
     "RunReport",
     "WorkUnit",
     "build_plans",
-    "clear_salt_caches",
     "code_salt",
     "plan_for",
     "run_experiments",

@@ -54,17 +54,10 @@ LAST_RUN_FILE_NAME = "last_run.json"
 
 # Per-process memos.  Source files are assumed immutable for the life of
 # the process (the same assumption the import system makes); tests that
-# rewrite files under a fixed root must call clear_salt_caches().
+# rewrite files under a fixed root must clear all three.
 _SALT_CACHE: Dict[str, str] = {}
 _DEPS_CACHE: Dict[Tuple[str, str], Optional[Set[str]]] = {}
 _UNIT_SALT_CACHE: Dict[Tuple[str, str], str] = {}
-
-
-def clear_salt_caches() -> None:
-    """Drop every memoised salt/dependency entry (for tests)."""
-    _SALT_CACHE.clear()
-    _DEPS_CACHE.clear()
-    _UNIT_SALT_CACHE.clear()
 
 
 def _default_package_root() -> str:
@@ -394,32 +387,6 @@ class ResultCache:
                 pass
         self._remove_empty_fanout_dirs()
         return removed
-
-    def prune(self, max_bytes: int) -> Tuple[int, int]:
-        """Evict least-recently-used entries until the cache fits.
-
-        Entries are removed oldest-mtime-first (hits touch their entry,
-        so recently *used* survives, not just recently written) until
-        the total is at most *max_bytes*.  Deletes are plain unlinks —
-        atomic, and safe against concurrent readers, which treat a
-        vanished entry as a miss.  Returns ``(removed, remaining_bytes)``.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        entries = self.entries()
-        total = sum(size for _, size, _ in entries)
-        removed = 0
-        for entry_path, size, _ in sorted(entries, key=lambda e: (e[2], e[0])):
-            if total <= max_bytes:
-                break
-            try:
-                os.unlink(entry_path)
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-        self._remove_empty_fanout_dirs()
-        return removed, total
 
     def evict(self, paths) -> int:
         """Unlink specific entry files (a combined-LRU caller picked them).

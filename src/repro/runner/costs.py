@@ -64,9 +64,6 @@ class CostModel:
         except (OSError, ValueError, AttributeError):
             return {}
 
-    def cost_for(self, unit_id: str) -> Optional[float]:
-        return self.costs.get(unit_id)
-
     def record(self, walls: Mapping[str, float]) -> None:
         """Merge measured *walls* (unit id -> seconds) and persist.
 

@@ -79,12 +79,6 @@ class RunReport:
     cache_misses: int
     cache_writes: int
 
-    def report_for(self, experiment_id: str) -> ExperimentReport:
-        for report in self.reports:
-            if report.experiment_id == experiment_id:
-                return report
-        raise KeyError(experiment_id)
-
 
 def _timed_execute(unit: WorkUnit) -> Tuple[Any, float]:
     """Worker body: run one unit, returning its part and wall time."""

@@ -86,15 +86,6 @@ def write_manifest(run_dir: str, manifest: Dict[str, object]) -> str:
     return path
 
 
-def read_manifest(run_dir: str) -> Optional[Dict[str, object]]:
-    path = os.path.join(run_dir, MANIFEST_NAME)
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
 def run_entries(root: str = RUNS_DIR_NAME) -> List[Tuple[str, int, float]]:
     """Ledger entries as ``(run_dir, total_bytes, latest_mtime)``.
 

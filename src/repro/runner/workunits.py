@@ -374,14 +374,22 @@ def fig4_plan(duration_ns: int, seed: int) -> ExperimentPlan:
     return ExperimentPlan("fig4", units, _assemble_fig4)
 
 
+#: Figure 5 scenario -> (unit function, assembler).
+_FIG5_SCENARIOS = {
+    "a": ("repro.experiments.fig5_memcached:run_fig5a_scheduler", _assemble_fig5a),
+    "b": ("repro.experiments.fig5_memcached:run_fig5b_scheduler", _assemble_fig5b),
+}
+
+
 def fig5_plan(scenario: str, duration_ns: int, seed: int) -> ExperimentPlan:
     """Figure 5 scenario ``"a"`` or ``"b"``: one unit per scheduler."""
     experiment_id = f"fig5{scenario}"
+    fn, assemble = _FIG5_SCENARIOS[scenario]
     units = tuple(
         WorkUnit(
             experiment_id=experiment_id,
             unit_id=f"{experiment_id}/{scheduler}",
-            fn=f"repro.experiments.fig5_memcached:run_fig5{scenario}_scheduler",
+            fn=fn,
             kwargs=(
                 ("scheduler", scheduler),
                 ("duration_ns", duration_ns),
@@ -390,7 +398,6 @@ def fig5_plan(scenario: str, duration_ns: int, seed: int) -> ExperimentPlan:
         )
         for scheduler in FIG5_SCHEDULERS
     )
-    assemble = _assemble_fig5a if scenario == "a" else _assemble_fig5b
     return ExperimentPlan(experiment_id, units, assemble)
 
 

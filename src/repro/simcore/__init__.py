@@ -35,12 +35,9 @@ from .time import (
     SEC,
     USEC,
     bandwidth,
-    format_time,
     msec,
     nsec,
     sec,
-    to_msec,
-    to_sec,
     to_usec,
     usec,
 )
@@ -70,9 +67,6 @@ __all__ = [
     "msec",
     "sec",
     "to_usec",
-    "to_msec",
-    "to_sec",
-    "format_time",
     "bandwidth",
     "PRIORITY_RELEASE",
     "PRIORITY_COMPLETION",

@@ -52,16 +52,3 @@ class HostClock:
     def local(self, global_ns: int) -> int:
         """This host's clock reading at true (engine) time *global_ns*."""
         return global_ns + self.offset_ns + global_ns * self.drift_ppb // _NS_PER_S
-
-    def to_global(self, local_ns: int) -> int:
-        """True time at which this clock reads *local_ns* (inverse map).
-
-        Exact for zero drift; with drift the floor-division inverse is
-        within 1 ns of the fixed point, which is below every modelled
-        timescale.
-        """
-        return (local_ns - self.offset_ns) * _NS_PER_S // (_NS_PER_S + self.drift_ppb)
-
-    @property
-    def synchronized(self) -> bool:
-        return self.offset_ns == 0 and self.drift_ppb == 0

@@ -181,20 +181,6 @@ class Engine:
             self._running = False
         return self._now
 
-    def run_next(self) -> Optional[int]:
-        """Execute the next batch of same-instant events; return its time.
-
-        Returns None when the queue is empty.  Useful for stepping tests.
-        """
-        next_time = self._queue.peek_time()
-        if next_time is None:
-            return None
-        if next_time < self._now:  # pragma: no cover - queue invariant
-            raise SimulationError("event queue went backwards")
-        self._now = next_time
-        self._execute_batch(next_time)
-        return next_time
-
     def _execute_batch(self, time: int) -> None:
         # Hot path: everything needed inside the loop is bound to locals
         # once per batch, and no per-batch scratch objects are allocated —

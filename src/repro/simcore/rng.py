@@ -32,10 +32,6 @@ class RandomSource:
         """Uniform float in [low, high)."""
         return self._rng.uniform(low, high)
 
-    def normal(self, mean: float, stddev: float) -> float:
-        """Gaussian sample."""
-        return self._rng.gauss(mean, stddev)
-
     def normal_positive(self, mean: float, stddev: float, floor: float = 0.0) -> float:
         """Gaussian sample clamped below at *floor* (inter-arrival times)."""
         return max(floor, self._rng.gauss(mean, stddev))
@@ -43,12 +39,6 @@ class RandomSource:
     def lognormal(self, mu: float, sigma: float) -> float:
         """Log-normal sample (natural-log parameters)."""
         return self._rng.lognormvariate(mu, sigma)
-
-    def exponential(self, mean: float) -> float:
-        """Exponential sample with the given mean."""
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        return self._rng.expovariate(1.0 / mean)
 
     def choice(self, items):
         """Uniform choice from a non-empty sequence."""

@@ -72,33 +72,6 @@ def to_usec(ticks: int) -> float:
     return ticks / USEC
 
 
-def to_msec(ticks: int) -> float:
-    """Convert integer nanoseconds to (float) milliseconds for reporting."""
-    return ticks / MSEC
-
-
-def to_sec(ticks: int) -> float:
-    """Convert integer nanoseconds to (float) seconds for reporting."""
-    return ticks / SEC
-
-
-def format_time(ticks: int) -> str:
-    """Render a tick count using the most natural unit.
-
-    >>> format_time(1_500_000)
-    '1.500ms'
-    >>> format_time(250_000)
-    '250.000us'
-    """
-    if ticks >= SEC:
-        return f"{ticks / SEC:.3f}s"
-    if ticks >= MSEC:
-        return f"{ticks / MSEC:.3f}ms"
-    if ticks >= USEC:
-        return f"{ticks / USEC:.3f}us"
-    return f"{ticks}ns"
-
-
 def bandwidth(slice_ticks: int, period_ticks: int) -> Fraction:
     """Exact CPU bandwidth of a (slice, period) reservation.
 

@@ -2,9 +2,8 @@
 
 A trace records what ran where and when: execution segments per PCPU,
 context switches, job completions and injected faults.  It rebuilds
-timelines without instrumenting the schedulers: Figure 1's schedule
-diagram (:func:`repro.report.ascii.render_gantt`), Figure 4's
-allocation-over-time series, and the chrome://tracing file
+timelines without instrumenting the schedulers: Figure 4's
+allocation-over-time series and the chrome://tracing file
 :func:`repro.report.export.export_chrome_trace` writes.
 
 A trace is a plain subscriber of the machine's
@@ -21,7 +20,7 @@ can build synthetic traces without a simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -123,42 +122,12 @@ class Trace:
         """All segments in which *vcpu* ran, in time order."""
         return [s for s in self.segments if s.vcpu == vcpu]
 
-    def segments_for_task(self, task: str) -> List[Segment]:
-        """All segments in which *task* ran, in time order."""
-        return [s for s in self.segments if s.task == task]
-
-    def segments_for_pcpu(self, pcpu: int) -> List[Segment]:
-        """All segments executed on *pcpu*, in time order."""
-        return [s for s in self.segments if s.pcpu == pcpu]
-
-    def events_of_kind(self, kind: str) -> List[TraceEvent]:
-        """All point events whose kind equals *kind*."""
-        return [e for e in self.events if e.kind == kind]
-
-    def busy_time(self, pcpu: Optional[int] = None) -> int:
-        """Total traced execution time, optionally restricted to one PCPU."""
-        if pcpu is None:
-            return sum(s.duration for s in self.segments)
-        return sum(s.duration for s in self.segments if s.pcpu == pcpu)
-
-    def vcpu_usage_between(self, vcpu: str, start: int, end: int) -> int:
-        """Execution time *vcpu* received inside the window [start, end)."""
-        total = 0
-        for s in self.segments:
-            if s.vcpu != vcpu:
-                continue
-            lo = max(s.start, start)
-            hi = min(s.end, end)
-            if hi > lo:
-                total += hi - lo
-        return total
-
     def usage_series(
         self, vcpu: str, start: int, end: int, bucket: int
     ) -> List[Tuple[int, int]]:
         """(bucket_start, usage) samples for *vcpu* over [start, end).
 
-        Each bucket holds :meth:`vcpu_usage_between` over
+        Each bucket holds the time *vcpu* ran inside
         ``[bucket_start, min(bucket_start + bucket, end))``, computed in
         one pass over the segments.  Used to regenerate Figure 4's
         allocation-over-time curves.
@@ -178,17 +147,3 @@ class Trace:
                 lo = edge
                 index += 1
         return [(start + i * bucket, used) for i, used in enumerate(usage)]
-
-    def iter_overlaps(self) -> Iterator[Tuple[Segment, Segment]]:
-        """Yield pairs of segments that overlap in time on the same PCPU.
-
-        A correct simulation yields nothing; tests use this as an invariant.
-        """
-        by_pcpu: Dict[int, List[Segment]] = {}
-        for s in self.segments:
-            by_pcpu.setdefault(s.pcpu, []).append(s)
-        for segs in by_pcpu.values():
-            segs = sorted(segs, key=lambda s: s.start)
-            for a, b in zip(segs, segs[1:]):
-                if b.start < a.end:
-                    yield (a, b)

@@ -24,7 +24,7 @@ from .aggregate import (
 from .blame import CAUSES, BlameReport, analyze_spans, attribute_miss
 from .bus import TelemetryBus
 from .diff import TraceDiff, diff_traces
-from .profile import SimProfiler, profile_scope
+from .profile import SimProfiler
 from .record import TraceReader, TraceRecorder, merge_traces
 from .spans import Span, SpanBuilder
 
@@ -49,5 +49,4 @@ __all__ = [
     "analyze_spans",
     "attribute_miss",
     "SimProfiler",
-    "profile_scope",
 ]

@@ -112,9 +112,6 @@ class TailAggregator:
     def tail_summary(self) -> Dict[float, float]:
         return self._view().tail_summary()
 
-    def cdf_points(self):
-        return self._view().cdf_points()
-
     def snapshot(self) -> dict:
         """JSON-able state; samples are stored sorted."""
         return {"samples": list(self._view().ordered)}
@@ -242,7 +239,7 @@ class BandwidthAggregator:
     Consumption accumulates the exact elapsed-ns charges the machine
     reports at every sync point (``CPU_ACCOUNT``); grants track each
     VCPU's latest (budget, period) reservation (``VCPU_PARAMS``) as an
-    exact fraction, so over-claimer analysis needs no trace replay.
+    exact fraction, so comparing the two needs no trace replay.
     """
 
     __slots__ = ("consumed_ns", "granted", "_cancel")
@@ -273,23 +270,6 @@ class BandwidthAggregator:
             self.granted[event.vcpu] = Fraction(event.budget_ns, event.period_ns)
         else:
             self.granted[event.vcpu] = Fraction(0)
-
-    def consumed_bandwidth(self, vcpu: str, elapsed_ns: int) -> Fraction:
-        """Consumed CPU share of *vcpu* over an *elapsed_ns* horizon."""
-        if elapsed_ns <= 0:
-            raise ValueError(f"elapsed_ns must be positive, got {elapsed_ns}")
-        return Fraction(self.consumed_ns.get(vcpu, 0), elapsed_ns)
-
-    def over_claimers(self, elapsed_ns: int, slack: float = 0.0) -> List[str]:
-        """VCPUs whose granted share exceeds consumption by > *slack*."""
-        out = []
-        for vcpu in sorted(self.granted):
-            margin = float(self.granted[vcpu]) - float(
-                self.consumed_bandwidth(vcpu, elapsed_ns)
-            )
-            if margin > slack:
-                out.append(vcpu)
-        return out
 
     def snapshot(self) -> dict:
         return {

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .spans import Span, SpanBuilder, clip_intervals, subtract_intervals
+from .spans import Span, SpanBuilder, subtract_intervals
 
 #: Cause taxonomy; order is the tie-break rank for the primary cause.
 CAUSES = (
@@ -71,14 +71,14 @@ def _classify_preempted(
     """Subdivide an off-CPU slice by *why* the carrier lost its PCPU."""
     remaining = [(slice_lo, slice_hi)]
     if carrier is not None:
-        for cause, windows in (
-            ("admission_throttle", builder.throttled_windows(carrier)),
-            ("budget_exhaustion", builder.depleted_windows(carrier)),
-            ("hypercall_fault", builder.hypercall_fault_windows()),
+        for cause, vcpu in (
+            ("admission_throttle", carrier),
+            ("budget_exhaustion", carrier),
+            ("hypercall_fault", None),
         ):
             matched: List[Tuple[int, int]] = []
             for lo, hi in remaining:
-                matched.extend(clip_intervals(windows, lo, hi))
+                matched.extend(builder.windows(cause, vcpu, lo, hi))
             if matched:
                 lost[cause] = lost.get(cause, 0) + sum(
                     hi - lo for lo, hi in matched
@@ -149,9 +149,6 @@ class BlameReport:
         for cause, ns in lost.items():
             self.per_cause.setdefault(cause, [0, 0])[1] += ns
             task_losses[cause] = task_losses.get(cause, 0) + ns
-
-    def total_lost_ns(self) -> int:
-        return sum(entry[1] for entry in self.per_cause.values())
 
     # -- the mergeable-snapshot contract (see aggregate.py) ---------------------------
 

@@ -120,26 +120,3 @@ class SimProfiler:
         if len(lines) == 1:
             lines.append("  (nothing recorded)")
         return "\n".join(lines)
-
-
-def profile_scope(engine=None, bus=None) -> "_ProfileScope":
-    """Context manager: install a fresh profiler, uninstall on exit.
-
-    >>> with profile_scope(engine=system.engine, bus=machine.bus) as prof:
-    ...     system.run(duration)
-    >>> prof.snapshot()
-    """
-    return _ProfileScope(engine, bus)
-
-
-class _ProfileScope:
-    def __init__(self, engine, bus) -> None:
-        self.profiler = SimProfiler()
-        self._engine = engine
-        self._bus = bus
-
-    def __enter__(self) -> SimProfiler:
-        return self.profiler.install(engine=self._engine, bus=self._bus)
-
-    def __exit__(self, *exc_info) -> None:
-        self.profiler.uninstall()

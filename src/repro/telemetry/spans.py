@@ -64,24 +64,14 @@ def merge_intervals(intervals: List[Interval]) -> List[Interval]:
     return out
 
 
-def clip_intervals(intervals: List[Interval], lo: int, hi: int) -> List[Interval]:
-    """The merged portion of *intervals* inside ``[lo, hi)``."""
-    out: List[Interval] = []
-    for start, end in intervals:
-        start, end = max(start, lo), min(end, hi)
-        if end > start:
-            out.append((start, end))
-    return merge_intervals(out)
-
-
 def clip_merged(
     intervals: List[Interval], ends: List[int], lo: int, hi: int
 ) -> List[Interval]:
-    """:func:`clip_intervals` for an already merged list, by bisection.
+    """The portion of a merged interval list inside ``[lo, hi)``.
 
     *ends* holds the list's end times (strictly increasing, since merged
-    intervals are disjoint), so only the intervals that meet
-    ``[lo, hi)`` are visited: O(log n + k) instead of O(n).
+    intervals are disjoint), so bisection skips to the intervals that
+    meet ``[lo, hi)``: O(log n + k) instead of a scan of all n.
     """
     out: List[Interval] = []
     for index in range(bisect_right(ends, lo), len(intervals)):
@@ -178,12 +168,6 @@ class Span:
         return (self.task, self.job)
 
     @property
-    def response_time(self) -> Optional[int]:
-        if self.end is None:
-            return None
-        return self.end - self.release
-
-    @property
     def lateness(self) -> int:
         """Nanoseconds past the deadline (0 when met or undecided)."""
         if self.end is None or self.end <= self.deadline:
@@ -227,6 +211,11 @@ class SpanBuilder:
         #: by :meth:`finalize` so each gap bisects instead of scanning.
         self._oncpu_ends: Dict[str, List[int]] = {}
         self._migration_ends: Dict[str, List[int]] = {}
+        #: Blame windows, merged by :meth:`finalize`: (cause, vcpu) ->
+        #: (intervals, their end times); see :meth:`windows`.
+        self._windows: Dict[
+            Tuple[str, Optional[str]], Tuple[List[Interval], List[int]]
+        ] = {}
         #: Open cluster stop-and-copy blackouts: vcpu name -> pause time.
         self._blackout_open: Dict[str, int] = {}
         self._hypercall_faults: List[Interval] = []
@@ -455,7 +444,14 @@ class SpanBuilder:
         for name in self._migrations:
             merged = self._migrations[name] = merge_intervals(self._migrations[name])
             self._migration_ends[name] = [end for _, end in merged]
-        self._hypercall_faults = merge_intervals(self._hypercall_faults)
+        for cause, table in (
+            ("admission_throttle", self._throttled),
+            ("budget_exhaustion", self._depleted),
+            ("hypercall_fault", {None: self._hypercall_faults}),
+        ):
+            for name, windows in table.items():
+                merged = merge_intervals(windows)
+                self._windows[(cause, name)] = (merged, [end for _, end in merged])
         for span in self.spans:
             self._tile(span, end_time)
         return self
@@ -530,15 +526,15 @@ class SpanBuilder:
     def spans_for(self, task: str) -> List[Span]:
         return [s for s in self.spans if s.task == task]
 
-    def missed_spans(self) -> List[Span]:
-        """Spans past their deadline (completed late or abandoned)."""
-        return [s for s in self.spans if s.missed]
+    def windows(
+        self, cause: str, vcpu: Optional[str], lo: int, hi: int
+    ) -> List[Interval]:
+        """The merged *cause* windows of *vcpu* inside ``[lo, hi)``.
 
-    def depleted_windows(self, vcpu: str) -> List[Interval]:
-        return list(self._depleted.get(vcpu, []))
-
-    def throttled_windows(self, vcpu: str) -> List[Interval]:
-        return list(self._throttled.get(vcpu, []))
-
-    def hypercall_fault_windows(self) -> List[Interval]:
-        return list(self._hypercall_faults)
+        *cause* is ``"admission_throttle"`` (host admission shed the
+        VCPU), ``"budget_exhaustion"`` (its budget was depleted) or
+        ``"hypercall_fault"`` (a dropped or delayed hypercall; host-wide,
+        so *vcpu* is None).  Bisects the lists :meth:`finalize` merged.
+        """
+        intervals, ends = self._windows.get((cause, vcpu), ((), ()))
+        return clip_merged(intervals, ends, lo, hi)

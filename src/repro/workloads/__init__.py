@@ -8,7 +8,7 @@ from .memcached import (
     MemcachedService,
 )
 from .netdelay import NetLink
-from .periodic import TABLE1_GROUPS, TABLE5_GROUPS, PeriodicDriver, RTASpec, build_group_vms
+from .periodic import TABLE1_GROUPS, TABLE5_GROUPS, PeriodicDriver, RTASpec
 from .sporadic import SporadicDriver
 from .video import (
     TABLE3_PROFILES,
@@ -25,7 +25,6 @@ __all__ = [
     "TABLE1_GROUPS",
     "TABLE5_GROUPS",
     "PeriodicDriver",
-    "build_group_vms",
     "SporadicDriver",
     "StreamProfile",
     "TABLE3_PROFILES",

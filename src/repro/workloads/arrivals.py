@@ -78,11 +78,6 @@ class ArrivalMux:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def events_saved(self) -> int:
-        """Engine events avoided so far by batching same-instant arrivals."""
-        return self.scheduled - self.fires
-
     def after(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule *callback* to run *delay* ns from now."""
         self.at(self.engine.now + delay, callback)

@@ -88,10 +88,6 @@ class MemcachedService:
         self.requests_sent = 0
         self._stopped = False
 
-    def register_with(self, register_fn) -> None:
-        """Alternative registration hook (e.g. RT-Xen's static path)."""
-        register_fn(self.vm, self.task)
-
     def start(self) -> "MemcachedService":
         self._schedule_next()
         return self

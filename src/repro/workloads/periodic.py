@@ -10,7 +10,7 @@ groups of Table 1 used throughout §4.2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..guest.task import Task
 from ..guest.vm import VM
@@ -119,28 +119,3 @@ class PeriodicDriver:
             priority=PRIORITY_RELEASE,
             name=f"release:{self.task.name}",
         )
-
-
-def build_group_vms(
-    system,
-    group: str,
-    specs: Optional[Sequence[RTASpec]] = None,
-    name_prefix: str = "vm",
-) -> List[Tuple[VM, Task]]:
-    """One RTA per VM for a Table 1 group (the §4.2 setup).
-
-    *system* is an :class:`~repro.core.system.RTVirtSystem`-like object
-    exposing ``create_vm``; returns (vm, task) pairs with the tasks
-    registered but with no drivers started yet.
-    """
-    if specs is None:
-        if group not in TABLE1_GROUPS:
-            raise ConfigurationError(f"unknown Table 1 group {group!r}")
-        specs = TABLE1_GROUPS[group]
-    pairs: List[Tuple[VM, Task]] = []
-    for i, spec in enumerate(specs):
-        vm = system.create_vm(f"{name_prefix}{i + 1}")
-        task = Task(f"{group}.rta{i + 1}", spec.slice_ns, spec.period_ns)
-        vm.register_task(task)
-        pairs.append((vm, task))
-    return pairs

@@ -228,9 +228,6 @@ class DynamicStreamingWorkload:
     def admitted_sessions(self) -> List[SessionRecord]:
         return [s for s in self.sessions if s.admitted]
 
-    def sessions_with_misses(self) -> List[SessionRecord]:
-        return [s for s in self.admitted_sessions() if s.stats.missed > 0]
-
     def worst_miss_ratio(self) -> float:
         """Worst per-session miss ratio (the paper reports 0.136%)."""
         ratios = [s.stats.miss_ratio for s in self.admitted_sessions() if s.stats.decided]

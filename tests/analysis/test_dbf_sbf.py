@@ -10,7 +10,7 @@ from repro.analysis.dbf import (
     hyperperiod,
     utilization,
 )
-from repro.analysis.sbf import PeriodicResource, lsbf, sbf
+from repro.analysis.sbf import PeriodicResource, sbf
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
 
@@ -88,17 +88,8 @@ class TestSbf:
         values = [sbf(r, t) for t in range(0, msec(50), msec(1) // 4)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_lsbf_lower_bounds_sbf(self):
-        r = PeriodicResource(period=msec(7), budget=msec(3))
-        for t in range(0, msec(60), msec(2)):
-            assert lsbf(r, t) <= sbf(r, t) + 1e-6
-
     def test_invalid_resource_rejected(self):
         with pytest.raises(ConfigurationError):
             PeriodicResource(period=0, budget=0)
         with pytest.raises(ConfigurationError):
             PeriodicResource(period=5, budget=6)
-
-    def test_longest_starvation(self):
-        r = PeriodicResource(period=msec(10), budget=msec(4))
-        assert r.longest_starvation == msec(12)

@@ -1,38 +1,13 @@
 """Unit tests for utilization predicates."""
 
-from fractions import Fraction
-
 from repro.analysis.dbf import AnalysisTask
-from repro.analysis.utilization import (
-    dpwrap_schedulable,
-    edf_uniprocessor_schedulable,
-    exact_utilization,
-    minimum_cpus_dpwrap,
-)
+from repro.analysis.utilization import exact_utilization, minimum_cpus_dpwrap
 from repro.simcore.time import msec
 
 
 class TestUtilization:
     def test_exact_sum(self):
         assert exact_utilization([(1, 3), (1, 3), (1, 3)]) == 1
-
-    def test_edf_uniprocessor_boundary(self):
-        ok = [AnalysisTask(msec(5), msec(15)), AnalysisTask(msec(10), msec(15))]
-        assert edf_uniprocessor_schedulable(ok)
-        over = ok + [AnalysisTask(1, msec(15))]
-        assert not edf_uniprocessor_schedulable(over)
-
-    def test_dpwrap_optimality_bound(self):
-        tasks = [AnalysisTask(msec(8), msec(10)) for _ in range(2)]
-        tasks.append(AnalysisTask(msec(4), msec(10)))
-        assert dpwrap_schedulable(tasks, cpus=2)
-        assert not dpwrap_schedulable(tasks, cpus=1)
-
-    def test_dpwrap_rejects_over_unit_task(self):
-        # A task demanding more than one CPU's worth of bandwidth
-        # (utilization 1.1 via an extended deadline) is never schedulable.
-        task = AnalysisTask(msec(11), msec(10), deadline=msec(11))
-        assert not dpwrap_schedulable([task], cpus=4)
 
     def test_minimum_cpus(self):
         tasks = [AnalysisTask(msec(8), msec(10)) for _ in range(3)]  # U=2.4

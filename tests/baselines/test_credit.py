@@ -8,6 +8,7 @@ from repro.host.costs import ZERO_COSTS
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec, usec
 from repro.simcore.trace import Trace
+from tests.simcore.trace_queries import vcpu_usage_between
 
 
 def make_system(pcpus=1, trace=None, **kw):
@@ -48,8 +49,8 @@ class TestProportionalShare:
         for i in range(2):
             system.create_background_vm(f"bg{i}")
         system.run(msec(300))
-        u0 = trace.vcpu_usage_between("bg0.vcpu0", 0, msec(300))
-        u1 = trace.vcpu_usage_between("bg1.vcpu0", 0, msec(300))
+        u0 = vcpu_usage_between(trace, "bg0.vcpu0", 0, msec(300))
+        u1 = vcpu_usage_between(trace, "bg1.vcpu0", 0, msec(300))
         assert abs(u0 - u1) < msec(40)
 
     def test_work_conserving_single_vm(self):
@@ -57,7 +58,7 @@ class TestProportionalShare:
         system = make_system(trace=trace)
         system.create_background_vm("solo")
         system.run(msec(50))
-        assert trace.vcpu_usage_between("solo.vcpu0", 0, msec(50)) == msec(50)
+        assert vcpu_usage_between(trace, "solo.vcpu0", 0, msec(50)) == msec(50)
 
     def test_multiprocessor_spreads(self):
         trace = Trace()
@@ -66,7 +67,7 @@ class TestProportionalShare:
             system.create_background_vm(f"bg{i}")
         system.run(msec(50))
         for i in range(2):
-            assert trace.vcpu_usage_between(f"bg{i}.vcpu0", 0, msec(50)) > msec(45)
+            assert vcpu_usage_between(trace, f"bg{i}.vcpu0", 0, msec(50)) > msec(45)
 
 
 class TestBoost:

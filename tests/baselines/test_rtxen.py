@@ -13,6 +13,7 @@ from repro.host.costs import ZERO_COSTS
 from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
 from repro.workloads.periodic import TABLE1_GROUPS, RTASpec, PeriodicDriver
+from tests.simcore.trace_queries import vcpu_usage_between
 
 
 class TestConfiguration:
@@ -128,4 +129,4 @@ class TestBehaviour:
         PeriodicDriver(system.engine, vm, task).start()
         system.create_background_vm("bg")
         system.run(msec(100))
-        assert trace.vcpu_usage_between("bg.vcpu0", 0, msec(100)) >= msec(45)
+        assert vcpu_usage_between(trace, "bg.vcpu0", 0, msec(100)) >= msec(45)

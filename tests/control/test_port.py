@@ -1,4 +1,4 @@
-"""Unit tests for the actuation port (executor registry + observer tap)."""
+"""Unit tests for the actuation port (the executor registry)."""
 
 import pytest
 
@@ -28,37 +28,6 @@ class TestRegistry:
         port.register("shed", lambda a: "old")
         port.register("shed", lambda a: "new")
         assert port.submit(make_action()) == "new"
-
-
-class TestObservers:
-    def test_observer_sees_action_and_result(self):
-        port = ActuationPort()
-        port.register("shed", lambda a: 42)
-        seen = []
-        port.observe(lambda action, result: seen.append((action, result)))
-        action = make_action()
-        port.submit(action)
-        assert seen == [(action, 42)]
-
-    def test_observers_run_after_executor_in_order(self):
-        port = ActuationPort()
-        calls = []
-        port.register("shed", lambda a: calls.append("exec"))
-        port.observe(lambda a, r: calls.append("obs1"))
-        port.observe(lambda a, r: calls.append("obs2"))
-        port.submit(make_action())
-        assert calls == ["exec", "obs1", "obs2"]
-
-    def test_unsubscribe(self):
-        port = ActuationPort()
-        port.register("shed", lambda a: None)
-        seen = []
-        cancel = port.observe(lambda a, r: seen.append(a))
-        port.submit(make_action())
-        cancel()
-        cancel()  # idempotent
-        port.submit(make_action())
-        assert len(seen) == 1
 
 
 class TestActionShapes:

@@ -76,19 +76,6 @@ class TestAffinity:
             for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
                 assert s2 >= e1
 
-    def test_clear_affinity_restores_migration(self):
-        trace = Trace()
-        system = build(trace=trace)
-        vm_a, t_a = add_rta(system, "pinned", 8, 10)
-        add_rta(system, "b", 8, 10)
-        add_rta(system, "c", 3, 10)
-        system.scheduler.set_affinity(vm_a.vcpus[0], 1)
-        system.run(msec(50))
-        system.scheduler.clear_affinity(vm_a.vcpus[0])
-        system.run(msec(100))
-        system.finalize()
-        assert t_a.stats.missed == 0
-
     def test_invalid_pcpu_rejected(self):
         system = build()
         vm, _ = add_rta(system, "a", 1, 10)

@@ -11,6 +11,7 @@ from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec, usec
 from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.trace_queries import events_of_kind, vcpu_usage_between
 
 
 def system_with(pcpus=1, trace=None, **kw):
@@ -99,7 +100,7 @@ class TestWrapMechanics:
         for name, (s, p) in {"a": (8, 10), "b": (8, 10), "c": (4, 10)}.items():
             add_rta(system, name, s, p)
         system.run(msec(100))
-        migrations = [e for e in trace.events_of_kind("switch") if e.detail[2]]
+        migrations = [e for e in events_of_kind(trace, "switch") if e.detail[2]]
         slices = system.scheduler.slices_computed
         # DP-WRAP bound: at most m-1 = 1 split vcpu per slice; each split
         # causes at most 2 migration-flagged switches (away and back).
@@ -126,7 +127,7 @@ class TestWrapMechanics:
         # A competing reservation so 'a' cannot borrow all slack.
         add_rta(system, "b", 7, 10)
         system.run(msec(100))
-        usage = trace.vcpu_usage_between(vm.vcpus[0].name, 0, msec(100))
+        usage = vcpu_usage_between(trace, vm.vcpus[0].name, 0, msec(100))
         assert usage == msec(30)
 
     def test_min_global_slice_enforced(self):
@@ -178,7 +179,7 @@ class TestWorkConservation:
         add_rta(system, "a", 2, 10)
         system.create_background_vm("bg")
         system.run(msec(100))
-        bg_usage = trace.vcpu_usage_between("bg.vcpu0", 0, msec(100))
+        bg_usage = vcpu_usage_between(trace, "bg.vcpu0", 0, msec(100))
         assert bg_usage >= msec(75)
 
     def test_rt_waiter_preferred_over_background(self):
@@ -189,7 +190,7 @@ class TestWorkConservation:
         vm_a, task_a, _ = add_rta(system, "a", 4, 10)
         system.create_background_vm("bg")
         system.run(msec(100))
-        a_usage = trace.vcpu_usage_between(vm_a.vcpus[0].name, 0, msec(100))
+        a_usage = vcpu_usage_between(trace, vm_a.vcpus[0].name, 0, msec(100))
         assert a_usage == msec(40)  # exactly its demand; rest to bg
 
     def test_dynamic_update_repartitions(self):

@@ -63,13 +63,6 @@ class TestPage:
         page.map_vcpu(vcpu, provider=lambda now: now + 42)
         assert page.read(vcpu, 100) == 142
 
-    def test_footprint_8_bytes_per_vcpu(self):
-        page = SharedMemoryPage()
-        for _ in range(3):
-            vcpu, _ = make_vcpu_with_task()
-            page.map_vcpu(vcpu)
-        assert page.size_bytes == 24
-
     def test_sporadic_worst_case_published(self):
         page = SharedMemoryPage()
         vcpu, task = make_vcpu_with_task(kind=TaskKind.SPORADIC)

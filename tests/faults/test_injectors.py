@@ -22,6 +22,7 @@ from repro.host.costs import ZERO_COSTS
 from repro.simcore.rng import RandomStreams
 from repro.simcore.time import msec, sec
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.trace_queries import events_of_kind
 
 
 def rtvirt(pcpu_count=2, **kw):
@@ -87,7 +88,7 @@ class TestPcpuFaults:
         system.run(msec(1))
         PcpuFail(0).apply(ctx)
         assert [(k, d) for _, k, d in ctx.log] == [("pcpu_fail", (0,))]
-        kinds = [e.detail[0] for e in trace.events_of_kind("fault")]
+        kinds = [e.detail[0] for e in events_of_kind(trace, "fault")]
         assert "pcpu_fail" in kinds
 
     @pytest.mark.parametrize("build", [

@@ -186,7 +186,7 @@ class TestReshuffle:
         vm.register_task(c)
         d = Task("d", msec(6), msec(10))  # 0.6 doesn't fit either; repack:
         vm.register_task(d)  # FFD: 0.6+0.4 / 0.5+0.3
-        loads = sorted(float(v.rt_bandwidth()) for v in vm.vcpus)
+        loads = sorted(float(sum(t.bandwidth for t in v.rt_tasks())) for v in vm.vcpus)
         assert loads == [0.8, 1.0]
 
     def test_reshuffle_failure_raises(self):

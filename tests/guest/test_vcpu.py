@@ -50,7 +50,8 @@ class TestPinning:
     def test_rt_bandwidth_excludes_background(self, vm):
         vm.vcpus[0].pin_task(Task("t", msec(1), msec(4)))
         vm.vcpus[0].pin_task(make_background_task("bg"))
-        assert vm.vcpus[0].rt_bandwidth() == Fraction(1, 4)
+        rt = vm.vcpus[0].rt_tasks()
+        assert sum(t.bandwidth for t in rt) == Fraction(1, 4)
 
 
 class TestDispatch:
@@ -87,13 +88,6 @@ class TestDispatch:
 
     def test_empty_vcpu_picks_nothing(self, vm):
         assert vm.vcpus[0].pick_job(0) is None
-
-    def test_has_rt_work(self, vm):
-        v = vm.vcpus[0]
-        bg = make_background_task("bg")
-        v.pin_task(bg)
-        bg.release_job(now=0)
-        assert v.has_work and not v.has_rt_work
 
 
 class TestDeadlinePublication:

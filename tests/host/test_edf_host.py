@@ -12,6 +12,7 @@ from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
 from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.trace_queries import vcpu_usage_between
 
 
 def build(pcpus=1, trace=None):
@@ -84,7 +85,7 @@ class TestEDFBehaviour:
         PeriodicDriver(system.engine, vm_a, t_a).start()
         PeriodicDriver(system.engine, vm_b, t_b).start()
         system.run(msec(10))
-        a_usage = trace.vcpu_usage_between("a.vcpu0", 0, msec(10))
+        a_usage = vcpu_usage_between(trace, "a.vcpu0", 0, msec(10))
         assert a_usage == msec(2)
 
     def test_deferrable_retains_budget_while_idle(self):
@@ -121,7 +122,7 @@ class TestBackgroundFill:
         bg_vm.add_background_process()
         sched.add_background_vcpu(bg_vm.vcpus[0])
         system.run(msec(10))
-        assert trace.vcpu_usage_between("bg.vcpu0", 0, msec(10)) >= msec(7)
+        assert vcpu_usage_between(trace, "bg.vcpu0", 0, msec(10)) >= msec(7)
 
     def test_background_rotation_shares_time(self):
         trace = Trace()
@@ -132,8 +133,8 @@ class TestBackgroundFill:
             bg_vm.add_background_process()
             sched.add_background_vcpu(bg_vm.vcpus[0])
         system.run(msec(20))
-        u0 = trace.vcpu_usage_between("bg0.vcpu0", 0, msec(20))
-        u1 = trace.vcpu_usage_between("bg1.vcpu0", 0, msec(20))
+        u0 = vcpu_usage_between(trace, "bg0.vcpu0", 0, msec(20))
+        u1 = vcpu_usage_between(trace, "bg1.vcpu0", 0, msec(20))
         assert u0 > 0 and u1 > 0
         assert abs(u0 - u1) <= msec(2)  # one rotation quantum
 

@@ -11,6 +11,7 @@ from repro.simcore.engine import Engine
 from repro.simcore.errors import ConfigurationError, SchedulingError
 from repro.simcore.time import msec, usec
 from repro.simcore.trace import Trace
+from tests.simcore.trace_queries import iter_overlaps
 
 
 class ManualScheduler(HostScheduler):
@@ -74,7 +75,7 @@ class TestWorkCharging:
         machine.start()
         engine.run_until(msec(5))
         machine.sync_all()
-        assert machine.metrics.total_busy() == 0
+        assert all(u.busy == 0 for u in machine.metrics.per_pcpu.values())
 
     def test_preemption_splits_work(self):
         engine, machine, sched, vm = build()
@@ -118,9 +119,9 @@ class TestWorkCharging:
         vm.release_job(t, now=0)
         machine.set_running(0, t.vcpu)
         engine.run_until(msec(3))
-        segs = trace.segments_for_task("t")
+        segs = [s for s in trace.segments if s.task == "t"]
         assert sum(s.duration for s in segs) == msec(2)
-        assert list(trace.iter_overlaps()) == []
+        assert list(iter_overlaps(trace)) == []
 
 
 class TestNotifications:

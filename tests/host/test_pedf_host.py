@@ -12,6 +12,7 @@ from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec
 from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.trace_queries import vcpu_usage_between
 
 
 def build(pcpus=2, trace=None):
@@ -148,7 +149,7 @@ class TestExecution:
         bg.add_background_process()
         sched.add_background_vcpu(bg.vcpus[0])
         system.run(msec(100))
-        assert trace.vcpu_usage_between("bg.vcpu0", 0, msec(100)) >= msec(70)
+        assert vcpu_usage_between(trace, "bg.vcpu0", 0, msec(100)) >= msec(70)
 
     def test_fragmentation_vs_global(self):
         """The documented pEDF-host weakness: a set schedulable under

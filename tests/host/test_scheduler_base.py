@@ -10,6 +10,7 @@ from repro.simcore.engine import Engine
 from repro.simcore.errors import SchedulingError
 from repro.simcore.time import msec
 from repro.simcore.trace import Trace
+from tests.simcore.trace_queries import vcpu_usage_between
 
 
 class BareScheduler(HostScheduler):
@@ -59,13 +60,13 @@ class TestBackgroundHelpers:
     def test_single_background_runs_continuously(self):
         engine, machine, sched, trace, vms = build(bg_count=1)
         machine.run(msec(10))
-        assert trace.vcpu_usage_between("bg0.vcpu0", 0, msec(10)) == msec(10)
+        assert vcpu_usage_between(trace, "bg0.vcpu0", 0, msec(10)) == msec(10)
 
     def test_rotation_alternates_vcpus(self):
         engine, machine, sched, trace, vms = build(bg_count=2)
         machine.run(msec(10))
-        u0 = trace.vcpu_usage_between("bg0.vcpu0", 0, msec(10))
-        u1 = trace.vcpu_usage_between("bg1.vcpu0", 0, msec(10))
+        u0 = vcpu_usage_between(trace, "bg0.vcpu0", 0, msec(10))
+        u1 = vcpu_usage_between(trace, "bg1.vcpu0", 0, msec(10))
         assert u0 > 0 and u1 > 0
         assert abs(u0 - u1) <= sched.bg_quantum_ns
 

@@ -13,6 +13,7 @@ from repro.simcore.trace import Trace
 from repro.workloads.memcached import MemcachedService
 from repro.workloads.background import add_background_vms
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.trace_queries import busy_time
 
 
 class TestDynamicLifecycle:
@@ -114,7 +115,8 @@ class TestAccountingConsistency:
         PeriodicDriver(system.engine, vm, t).start()
         system.run(msec(100))
         system.finalize()
-        assert trace.busy_time() == system.machine.metrics.total_busy()
+        per_pcpu = system.machine.metrics.per_pcpu.values()
+        assert busy_time(trace) == sum(u.busy for u in per_pcpu)
 
     def test_work_executed_equals_work_completed(self):
         system = RTVirtSystem(pcpu_count=1, cost_model=ZERO_COSTS, slack_ns=0)
@@ -127,7 +129,7 @@ class TestAccountingConsistency:
         system.finalize()
         completed_work = t.stats.completed * msec(3)
         pending_progress = sum(j.work - j.remaining for j in t.pending)
-        assert trace.busy_time() == completed_work + pending_progress
+        assert busy_time(trace) == completed_work + pending_progress
 
     def test_determinism_across_runs(self):
         def run_once():

@@ -9,7 +9,6 @@ from repro.metrics.bandwidth import (
     allocated_savings_percent,
     average_extra_cpu,
     claimed_savings_percent,
-    total_bandwidth,
 )
 
 
@@ -37,8 +36,6 @@ class TestBreakdown:
 
 
 class TestAggregates:
-    def test_total_bandwidth(self):
-        assert total_bandwidth([(1, 4), (1, 2)]) == Fraction(3, 4)
 
     def test_average_extra_cpu(self):
         b = [_breakdown(), _breakdown(claimed="4")]

@@ -12,7 +12,6 @@ class TestDeadlineStats:
         s.record_completion(release=100, deadline=200, completion=250)
         assert s.met == 1 and s.missed == 1
         assert s.miss_ratio == 0.5
-        assert s.met_ratio == 0.5
 
     def test_boundary_completion_meets(self):
         s = DeadlineStats()
@@ -43,7 +42,6 @@ class TestDeadlineStats:
     def test_empty_ratios(self):
         s = DeadlineStats()
         assert s.miss_ratio == 0.0
-        assert s.met_ratio == 1.0
 
 
 class _FakeTask:
@@ -71,14 +69,9 @@ class TestMissReport:
         report = MissReport({"a": self._stats(9, 1), "b": self._stats(10, 0)})
         assert report.tasks_with_misses == ["a"]
 
-    def test_worst_task_miss_ratio(self):
-        report = MissReport({"a": self._stats(1, 1), "b": self._stats(99, 1)})
-        assert report.worst_task_miss_ratio == 0.5
-
     def test_empty_report(self):
         report = MissReport({})
         assert report.overall_miss_ratio == 0.0
-        assert report.worst_task_miss_ratio == 0.0
 
     def test_collect_from_tasks(self):
         from repro.metrics.deadlines import collect_miss_report

@@ -31,21 +31,6 @@ class TestRecorder:
         r.record(1)
         assert len(r) == 1
 
-    def test_slo(self):
-        r = LatencyRecorder()
-        for v in [100] * 998 + [600, 600]:
-            r.record(usec(v))
-        assert not r.meets_slo(500.0)
-        assert r.meets_slo(500.0, quantile=99.0)
-        assert r.slo_attainment(500.0) == 0.998
-
-    def test_cdf_ends_at_one(self):
-        r = LatencyRecorder()
-        for v in (5, 1, 5):
-            r.record(usec(v))
-        cdf = r.cdf_usec()
-        assert cdf[-1] == (5.0, 1.0)
-
 
 class TestMerge:
     def test_merge_combines_samples(self):

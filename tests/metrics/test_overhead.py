@@ -27,27 +27,12 @@ class TestOverheadStats:
         with pytest.raises(ValueError):
             OverheadStats().overhead_percent(0)
 
-    def test_mean_schedule_call(self):
-        s = OverheadStats()
-        assert s.mean_schedule_call_usec() == 0.0
-        s.record_schedule(2000)
-        assert s.mean_schedule_call_usec() == 2.0
-
-    def test_table6_row(self):
-        s = OverheadStats()
-        s.record_schedule(1_000)
-        s.record_context_switch(2_000)
-        row = s.as_table6_row(1_000_000)
-        assert row["schedule_us"] == 1.0
-        assert row["context_switch_us"] == 2.0
-        assert row["overhead_percent"] == pytest.approx(0.3)
-
 
 class TestHostMetrics:
     def test_pcpu_lazily_created(self):
         m = HostMetrics()
         m.pcpu(3).busy += 10
-        assert m.total_busy() == 10
+        assert m.per_pcpu == {3: PcpuUsage(busy=10)}
 
     def test_utilization(self):
         u = PcpuUsage(busy=50, overhead=10)

@@ -1,15 +1,12 @@
-"""Unit tests for percentile/CDF math."""
+"""Unit tests for nearest-rank percentile math."""
 
 import pytest
 
-from repro.metrics.percentiles import (
-    cdf_points,
-    fraction_below,
-    mean,
-    percentile,
-    percentiles,
-    tail_summary,
-)
+from repro.metrics.percentiles import SortedSamples
+
+
+def percentile(samples, p):
+    return SortedSamples(samples).percentile(p)
 
 
 class TestPercentile:
@@ -45,43 +42,19 @@ class TestPercentile:
 
     def test_percentiles_batch_matches_single(self):
         data = [3, 1, 4, 1, 5, 9, 2, 6]
-        batch = percentiles(data, [50, 90, 99])
+        batch = SortedSamples(data).percentiles([50, 90, 99])
         for p in (50, 90, 99):
             assert batch[p] == percentile(data, p)
 
     def test_tail_summary_keys(self):
-        tail = tail_summary([1, 2, 3])
+        tail = SortedSamples([1, 2, 3]).tail_summary()
         assert set(tail) == {90.0, 95.0, 99.0, 99.9}
-
-
-class TestCdf:
-    def test_points_monotone(self):
-        pts = cdf_points([3, 1, 2, 2])
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
-        assert ys[-1] == 1.0
-
-    def test_duplicates_collapse(self):
-        pts = cdf_points([2, 2, 2])
-        assert pts == [(2, 1.0)]
-
-    def test_empty(self):
-        assert cdf_points([]) == []
-
-    def test_fraction_below(self):
-        assert fraction_below([1, 2, 3, 4], 2) == 0.5
-
-    def test_fraction_below_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fraction_below([], 1)
 
 
 class TestMean:
     def test_mean(self):
-        assert mean([1, 2, 3]) == 2
+        assert SortedSamples([1, 2, 3]).mean() == 2
 
     def test_mean_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean([])
+            SortedSamples([]).mean()

@@ -12,6 +12,7 @@ from repro.host.costs import ZERO_COSTS
 from repro.simcore.time import msec
 from repro.simcore.trace import Trace
 from repro.workloads.periodic import PeriodicDriver
+from tests.simcore.trace_queries import busy_time, vcpu_usage_between
 
 server_spec = st.tuples(st.integers(1, 5), st.integers(6, 20))
 
@@ -35,7 +36,7 @@ def test_deferrable_server_never_exceeds_budget(specs):
     for vm, budget, period in vms:
         for k in range(horizon // msec(period)):
             window = (k * msec(period), (k + 1) * msec(period))
-            usage = trace.vcpu_usage_between(vm.vcpus[0].name, *window)
+            usage = vcpu_usage_between(trace, vm.vcpus[0].name, *window)
             assert usage <= msec(budget)
 
 
@@ -54,7 +55,7 @@ def test_edf_host_work_conserving(specs):
         PeriodicDriver(system.engine, vm, task).start()
     horizon = msec(100)
     system.run(horizon)
-    busy = trace.busy_time(pcpu=0)
+    busy = busy_time(trace, pcpu=0)
     expected = min(float(total_bw), 1.0) * horizon
     assert busy >= expected * 0.95
 
@@ -73,8 +74,8 @@ def test_credit_proportional_share(weight_ratio, vm_pairs):
     trace = Trace().attach(system.machine.bus)
     horizon = msec(600)
     system.run(horizon)
-    heavy_time = trace.vcpu_usage_between("heavy.vcpu0", 0, horizon)
-    light_time = trace.vcpu_usage_between("light.vcpu0", 0, horizon)
+    heavy_time = vcpu_usage_between(trace, "heavy.vcpu0", 0, horizon)
+    light_time = vcpu_usage_between(trace, "light.vcpu0", 0, horizon)
     assert heavy_time + light_time >= horizon * 0.99  # work conserving
     if weight_ratio > 1:
         assert heavy_time > light_time * 0.9

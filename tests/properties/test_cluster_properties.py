@@ -24,7 +24,8 @@ from repro.placement.migration import precopy_schedule
 from repro.simcore.rng import RandomStreams
 from repro.simcore.time import msec, sec
 from repro.telemetry import SpanBuilder
-from repro.telemetry.spans import clip_intervals, merge_intervals, total
+from repro.telemetry.spans import merge_intervals, total
+from tests.telemetry.interval_oracle import clip_intervals
 
 DURATION_NS = sec(1)
 RTAS = ((msec(3), msec(10)),)

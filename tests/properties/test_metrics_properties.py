@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics.percentiles import cdf_points, percentile, tail_summary
+from repro.metrics.percentiles import SortedSamples
 from repro.simcore.time import bandwidth
 
 floats = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
@@ -15,7 +15,7 @@ floats = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 def test_percentile_is_monotone_in_p(samples):
     prev = None
     for p in (10, 50, 90, 99, 99.9, 100):
-        value = percentile(samples, p)
+        value = SortedSamples(samples).percentile(p)
         if prev is not None:
             assert value >= prev
         prev = value
@@ -24,28 +24,17 @@ def test_percentile_is_monotone_in_p(samples):
 @given(st.lists(floats, min_size=1, max_size=300))
 def test_percentile_within_sample_range(samples):
     for p in (1, 50, 100):
-        assert min(samples) <= percentile(samples, p) <= max(samples)
+        assert min(samples) <= SortedSamples(samples).percentile(p) <= max(samples)
 
 
 @given(st.lists(floats, min_size=1, max_size=300))
 def test_p100_is_max(samples):
-    assert percentile(samples, 100) == max(samples)
-
-
-@given(st.lists(floats, min_size=1, max_size=200))
-def test_cdf_is_valid_distribution(samples):
-    pts = cdf_points(samples)
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    assert xs == sorted(set(xs))
-    assert all(0 < y <= 1 for y in ys)
-    assert ys == sorted(ys)
-    assert abs(ys[-1] - 1.0) < 1e-12
+    assert SortedSamples(samples).percentile(100) == max(samples)
 
 
 @given(st.lists(floats, min_size=4, max_size=300))
 def test_tail_summary_ordered(samples):
-    tail = tail_summary(samples)
+    tail = SortedSamples(samples).tail_summary()
     assert tail[90.0] <= tail[95.0] <= tail[99.0] <= tail[99.9]
 
 

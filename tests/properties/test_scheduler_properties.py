@@ -35,6 +35,7 @@ from repro.workloads.sporadic import SporadicDriver
 task_spec = st.tuples(st.integers(1, 9), st.integers(10, 40)).map(
     lambda t: (min(t[0], t[1]), t[1])
 )
+from tests.simcore.trace_queries import iter_overlaps, vcpu_usage_between
 
 
 def _build(specs, pcpus, trace=None):
@@ -87,7 +88,7 @@ def test_pcpu_never_runs_two_vcpus(specs):
     trace = Trace()
     system, tasks = _build(specs, pcpus, trace=trace)
     system.run(msec(200))
-    assert list(trace.iter_overlaps()) == []
+    assert list(iter_overlaps(trace)) == []
 
 
 @given(st.lists(task_spec, min_size=1, max_size=4), st.integers(0, 3))
@@ -105,7 +106,7 @@ def test_allocation_tracks_entitlement(specs, extra_idle_pcpus):
     for task, (s, p) in zip(tasks, specs):
         windows = horizon // msec(p)
         demand = windows * msec(s)
-        usage = trace.vcpu_usage_between(task.vcpu.name, 0, windows * msec(p))
+        usage = vcpu_usage_between(trace, task.vcpu.name, 0, windows * msec(p))
         assert usage >= demand  # every released job completed on time
 
 

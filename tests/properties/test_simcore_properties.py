@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.simcore.engine import Engine
 from repro.simcore.events import EventQueue
 from repro.simcore.trace import Trace
+from tests.simcore.trace_queries import vcpu_usage_between
 
 
 @given(st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 90)), max_size=60))
@@ -78,7 +79,7 @@ def test_usage_series_matches_per_bucket_usage(segments, start, span, bucket):
         trace.record_segment(0, vcpu, None, begin, begin + length)
     end = start + span
     expected = [
-        (t, trace.vcpu_usage_between("v1", t, min(t + bucket, end)))
+        (t, vcpu_usage_between(trace, "v1", t, min(t + bucket, end)))
         for t in range(start, end, bucket)
     ]
     assert trace.usage_series("v1", start, end, bucket) == expected

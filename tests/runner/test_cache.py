@@ -3,8 +3,6 @@
 import os
 import pickle
 
-import pytest
-
 from repro.runner.cache import ResultCache, code_salt, disabled_cache
 from repro.runner.workunits import WorkUnit
 
@@ -174,36 +172,6 @@ class TestMaintenance:
             not os.path.isdir(os.path.join(cache.path, name))
             for name in os.listdir(cache.path)
         )
-
-    def test_prune_evicts_least_recently_used_first(self, tmp_path):
-        cache = make_cache(tmp_path)
-        for index, unit in enumerate((UNIT,) + OTHER_UNITS):
-            cache.put(unit, "part")
-            entry = cache._entry_path(cache.key(unit))
-            stamp = 1_000 + index
-            os.utime(entry, (stamp, stamp))
-        newest = cache._entry_path(cache.key(OTHER_UNITS[-1]))
-        keep = os.stat(newest).st_size
-        removed, remaining = cache.prune(max_bytes=keep)
-        assert removed == 2
-        assert remaining == keep
-        assert [path for path, _, _ in cache.entries()] == [newest]
-
-    def test_prune_within_budget_removes_nothing(self, tmp_path):
-        cache = make_cache(tmp_path)
-        cache.put(UNIT, "part")
-        assert cache.prune(max_bytes=1 << 30) == (0, cache.stats()["bytes"])
-
-    def test_prune_to_zero_clears_everything(self, tmp_path):
-        cache = make_cache(tmp_path)
-        cache.put(UNIT, "part")
-        cache.put(OTHER_UNITS[0], "part")
-        removed, remaining = cache.prune(max_bytes=0)
-        assert (removed, remaining) == (2, 0)
-
-    def test_prune_rejects_negative_budget(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_cache(tmp_path).prune(max_bytes=-1)
 
     def test_hit_refreshes_entry_mtime(self, tmp_path):
         """LRU honesty: a read must count as recent use."""

@@ -21,8 +21,6 @@ class TestPersistence:
         writer.record({"fig3/whole": 1.23456, "table2/whole": 0.5})
         reader = model(tmp_path)
         assert reader.costs == {"fig3/whole": 1.235, "table2/whole": 0.5}
-        assert reader.cost_for("fig3/whole") == 1.235
-        assert reader.cost_for("nope") is None
 
     def test_merge_keeps_unmeasured_units(self, tmp_path):
         """A partial (--only) run must not forget the skipped units."""

@@ -13,12 +13,15 @@ import shutil
 import pytest
 
 from repro.runner import build_plans
-from repro.runner.cache import (
-    ResultCache,
-    clear_salt_caches,
-    code_salt,
-    unit_salt,
-)
+from repro.runner import cache as cache_module
+from repro.runner.cache import ResultCache, code_salt, unit_salt
+
+
+def clear_salt_caches():
+    """Drop every memoised salt and dependency entry."""
+    cache_module._SALT_CACHE.clear()
+    cache_module._DEPS_CACHE.clear()
+    cache_module._UNIT_SALT_CACHE.clear()
 
 
 @pytest.fixture(autouse=True)

@@ -9,23 +9,19 @@ from repro.simcore.errors import ConfigurationError
 from repro.simcore.time import msec, sec
 
 offsets = st.integers(min_value=-sec(1), max_value=sec(1))
-drifts = st.integers(min_value=-500_000, max_value=500_000)  # ±500 ppm
 times = st.integers(min_value=0, max_value=sec(3600))
 
 
 class TestHostClock:
     def test_default_is_identity(self):
         clock = HostClock()
-        assert clock.synchronized
         for t in (0, 1, msec(7), sec(123)):
             assert clock.local(t) == t
-            assert clock.to_global(t) == t
 
     def test_offset_shifts_reading(self):
         clock = HostClock(offset_ns=msec(25))
         assert clock.local(0) == msec(25)
         assert clock.local(sec(1)) == sec(1) + msec(25)
-        assert not clock.synchronized
 
     def test_drift_accumulates(self):
         clock = HostClock(drift_ppb=1000)  # 1 ppm fast
@@ -50,9 +46,3 @@ class TestHostClock:
         assert (clock.local(completion) <= stamped) == (
             completion <= release + relative
         )
-
-    @given(offsets, drifts, times)
-    def test_to_global_inverts_local_within_1ns(self, offset, drift, t):
-        clock = HostClock(offset_ns=offset, drift_ppb=drift)
-        back = clock.to_global(clock.local(t))
-        assert abs(back - t) <= 1

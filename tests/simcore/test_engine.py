@@ -93,12 +93,6 @@ class TestSameInstant:
 
 
 class TestStepping:
-    def test_run_next_returns_batch_time(self, engine):
-        engine.at(5, lambda: None)
-        engine.at(7, lambda: None)
-        assert engine.run_next() == 5
-        assert engine.run_next() == 7
-        assert engine.run_next() is None
 
     def test_events_processed_counter(self, engine):
         for t in (1, 2, 3):

@@ -56,15 +56,6 @@ class TestDistributions:
         values = [r.normal_positive(0.0, 10.0, floor=0.5) for _ in range(100)]
         assert min(values) >= 0.5
 
-    def test_exponential_mean(self):
-        r = RandomSource(0, "t")
-        values = [r.exponential(10.0) for _ in range(5000)]
-        assert 9.0 < sum(values) / len(values) < 11.0
-
-    def test_exponential_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            RandomSource(0, "t").exponential(0)
-
     def test_lognormal_positive(self):
         r = RandomSource(0, "t")
         assert all(r.lognormal(1.0, 0.5) > 0 for _ in range(100))

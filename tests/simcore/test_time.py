@@ -10,12 +10,9 @@ from repro.simcore.time import (
     SEC,
     USEC,
     bandwidth,
-    format_time,
     msec,
     nsec,
     sec,
-    to_msec,
-    to_sec,
     to_usec,
     usec,
 )
@@ -56,18 +53,6 @@ class TestUnits:
 class TestReporting:
     def test_to_usec(self):
         assert to_usec(2_500) == 2.5
-
-    def test_to_msec(self):
-        assert to_msec(1_500_000) == 1.5
-
-    def test_to_sec(self):
-        assert to_sec(SEC) == 1.0
-
-    def test_format_picks_unit(self):
-        assert format_time(999) == "999ns"
-        assert format_time(usec(250)) == "250.000us"
-        assert format_time(msec(1.5)) == "1.500ms"
-        assert format_time(sec(3)) == "3.000s"
 
 
 class TestBandwidth:

@@ -3,6 +3,12 @@
 from repro.simcore.trace import Trace
 from repro.telemetry import events as E
 from repro.telemetry.bus import TelemetryBus
+from tests.simcore.trace_queries import (
+    busy_time,
+    events_of_kind,
+    iter_overlaps,
+    vcpu_usage_between,
+)
 
 
 class TestSegments:
@@ -16,29 +22,22 @@ class TestSegments:
         trace.record_segment(0, "v1", "t1", 10, 10)
         assert trace.segments == []
 
-    def test_query_by_task_and_pcpu(self, trace):
-        trace.record_segment(0, "v1", "t1", 0, 10)
-        trace.record_segment(0, "v1", "t2", 10, 20)
-        trace.record_segment(1, "v1", "t1", 20, 30)
-        assert len(trace.segments_for_task("t1")) == 2
-        assert len(trace.segments_for_pcpu(0)) == 2
-
     def test_busy_time(self, trace):
         trace.record_segment(0, "v1", "t1", 0, 10)
         trace.record_segment(1, "v2", "t2", 0, 5)
-        assert trace.busy_time() == 15
-        assert trace.busy_time(pcpu=1) == 5
+        assert busy_time(trace) == 15
+        assert busy_time(trace, pcpu=1) == 5
 
 
 class TestUsageQueries:
     def test_usage_between_clips_to_window(self, trace):
         trace.record_segment(0, "v1", "t1", 0, 100)
-        assert trace.vcpu_usage_between("v1", 30, 60) == 30
+        assert vcpu_usage_between(trace, "v1", 30, 60) == 30
 
     def test_usage_sums_disjoint_segments(self, trace):
         trace.record_segment(0, "v1", "t1", 0, 10)
         trace.record_segment(1, "v1", "t1", 50, 70)
-        assert trace.vcpu_usage_between("v1", 0, 100) == 30
+        assert vcpu_usage_between(trace, "v1", 0, 100) == 30
 
     def test_usage_series_buckets(self, trace):
         trace.record_segment(0, "v1", "t1", 0, 15)
@@ -56,25 +55,25 @@ class TestOverlapInvariant:
     def test_no_overlap_when_sequential(self, trace):
         trace.record_segment(0, "a", None, 0, 10)
         trace.record_segment(0, "b", None, 10, 20)
-        assert list(trace.iter_overlaps()) == []
+        assert list(iter_overlaps(trace)) == []
 
     def test_overlap_detected(self, trace):
         trace.record_segment(0, "a", None, 0, 10)
         trace.record_segment(0, "b", None, 5, 15)
-        assert len(list(trace.iter_overlaps())) == 1
+        assert len(list(iter_overlaps(trace))) == 1
 
     def test_same_interval_different_pcpus_ok(self, trace):
         trace.record_segment(0, "a", None, 0, 10)
         trace.record_segment(1, "b", None, 0, 10)
-        assert list(trace.iter_overlaps()) == []
+        assert list(iter_overlaps(trace)) == []
 
 
 class TestEventsAndNull:
     def test_point_events(self, trace):
         trace.record_event(5, "switch", 0, "v1")
         trace.record_event(9, "miss", "t1")
-        assert len(trace.events_of_kind("switch")) == 1
-        assert trace.events_of_kind("miss")[0].detail == ("t1",)
+        assert len(events_of_kind(trace, "switch")) == 1
+        assert events_of_kind(trace, "miss")[0].detail == ("t1",)
 
 
 def publish_segment(bus, start, end):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.metrics.percentiles import tail_summary
+from repro.metrics.percentiles import SortedSamples
 from repro.telemetry import (
     BandwidthAggregator,
     LatencyAggregator,
@@ -51,7 +51,7 @@ class TestTailAggregator:
         tail = TailAggregator()
         for v in samples:
             tail.add(v)
-        assert tail.tail_summary() == tail_summary(samples)
+        assert tail.tail_summary() == SortedSamples(samples).tail_summary()
         assert tail.percentile(50) == sorted(samples)[len(samples) // 2]
 
     def test_exact_merge_is_byte_identical_to_single_stream(self):
@@ -121,7 +121,7 @@ class TestLatencyAggregator:
             bus.publish(T.JOB_LATENCY, T.JobLatencyEvent(100 + i, "t", i, ns))
         assert agg.stats.count == 4
         assert agg.mean_usec() == 3.0
-        assert agg.tail_usec() == tail_summary([5.0, 1.0, 3.0, 3.0])
+        assert agg.tail_usec() == SortedSamples([5.0, 1.0, 3.0, 3.0]).tail_summary()
 
     def test_merge_equals_single_stream(self):
         latencies = list(range(1, 50))
@@ -148,19 +148,11 @@ class TestBandwidthAggregator:
         bus.publish(T.VCPU_PARAMS, T.VcpuParamsEvent(6, "v2", 2, 900, 1000))
         assert agg.consumed_ns == {"v1": 500}
         assert agg.granted == {"v1": Fraction(1, 4), "v2": Fraction(9, 10)}
-        assert agg.consumed_bandwidth("v1", 1000) == Fraction(1, 2)
-        assert agg.consumed_bandwidth("v2", 1000) == 0
-        # v2 was granted 0.9 but consumed nothing; v1 under-claims.
-        assert agg.over_claimers(1000, slack=0.1) == ["v2"]
 
     def test_zero_period_grants_zero(self):
         agg = BandwidthAggregator()
         agg._on_params(T.VcpuParamsEvent(0, "v", 1, 100, 0))
         assert agg.granted["v"] == 0
-
-    def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            BandwidthAggregator().consumed_bandwidth("v", 0)
 
     def test_merge_sums_consumption_last_grant_wins(self):
         a, b = BandwidthAggregator(), BandwidthAggregator()

@@ -1,7 +1,7 @@
 """Unit tests for the simulator self-profiler."""
 
 from repro.simcore.engine import Engine
-from repro.telemetry import SimProfiler, TelemetryBus, profile_scope
+from repro.telemetry import SimProfiler, TelemetryBus
 from repro.telemetry import events as T
 from repro.telemetry.profile import ANONYMOUS_PHASE
 
@@ -73,14 +73,15 @@ class TestEnginePhases:
 
 
 class TestScopeAndOutput:
-    def test_profile_scope_installs_and_restores(self):
+    def test_install_and_uninstall_cover_engine_and_bus(self):
         engine = Engine()
         bus = TelemetryBus()
         bus.subscribe(T.JOB_COMPLETE, lambda e: None)
-        with profile_scope(engine=engine, bus=bus) as profiler:
-            engine.after(5, lambda: None, name="tick")
-            engine.run_until(10)
-            _publish_n(bus, 1)
+        profiler = SimProfiler().install(engine=engine, bus=bus)
+        engine.after(5, lambda: None, name="tick")
+        engine.run_until(10)
+        _publish_n(bus, 1)
+        profiler.uninstall()
         assert engine._profile is None
         assert bus._profile is None
         snap = profiler.snapshot()
@@ -90,8 +91,9 @@ class TestScopeAndOutput:
     def test_summary_lists_hot_entries(self):
         bus = TelemetryBus()
         bus.subscribe(T.JOB_COMPLETE, lambda e: None)
-        with profile_scope(bus=bus) as profiler:
-            _publish_n(bus, 4)
+        profiler = SimProfiler().install(bus=bus)
+        _publish_n(bus, 4)
+        profiler.uninstall()
         text = profiler.summary()
         assert T.JOB_COMPLETE in text
         assert "4 pubs" in text
@@ -103,8 +105,9 @@ class TestScopeAndOutput:
 
         bus = TelemetryBus()
         bus.subscribe(T.JOB_COMPLETE, lambda e: None)
-        with profile_scope(bus=bus) as profiler:
-            _publish_n(bus, 2)
+        profiler = SimProfiler().install(bus=bus)
+        _publish_n(bus, 2)
+        profiler.uninstall()
         path = tmp_path / "profile.json"
         written = export_profile(profiler, str(path))
         on_disk = json.loads(path.read_text())

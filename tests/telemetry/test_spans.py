@@ -4,12 +4,8 @@ import pytest
 
 from repro.telemetry import SpanBuilder, TelemetryBus
 from repro.telemetry import events as T
-from repro.telemetry.spans import (
-    clip_intervals,
-    merge_intervals,
-    subtract_intervals,
-    total,
-)
+from repro.telemetry.spans import merge_intervals, subtract_intervals, total
+from tests.telemetry.interval_oracle import clip_intervals
 
 
 class _Costs:
@@ -103,7 +99,7 @@ class TestSpanBuilder:
             "preempted": 20,
             "migrating": 0,
         }
-        assert sum(span.buckets.values()) == span.response_time == 80
+        assert sum(span.buckets.values()) == span.end - span.release == 80
         assert span.enqueue_time == 0 and span.enqueue_scope == "local"
 
     def test_miss_event_marks_span(self):
@@ -173,7 +169,7 @@ class TestSpanBuilder:
         assert second.buckets["run"] == 20
         assert second.buckets["wait"] == 20  # queued behind job 0
         for span in builder.spans:
-            assert sum(span.buckets.values()) == span.response_time
+            assert sum(span.buckets.values()) == span.end - span.release
 
     def test_depleted_and_throttled_windows_tracked(self):
         machine = _StubMachine()
@@ -192,8 +188,10 @@ class TestSpanBuilder:
             T.AdmissionDecisionEvent(70, "host", "commit", "v1", True, "8/10"),
         )
         builder.finalize(end_time=100)
-        assert builder.depleted_windows("v0") == [(10, 30)]
-        assert builder.throttled_windows("v1") == [(40, 70)]
+        assert builder.windows("budget_exhaustion", "v0", 0, 100) == [(10, 30)]
+        assert builder.windows("admission_throttle", "v1", 0, 100) == [(40, 70)]
+        assert builder.windows("budget_exhaustion", "v0", 20, 50) == [(20, 30)]
+        assert builder.windows("admission_throttle", "v0", 0, 100) == []
 
     def test_detach_stops_consuming(self):
         machine = _StubMachine()
@@ -224,6 +222,6 @@ class TestSystemIntegration:
         builder = holder["spans"].finalize(result.duration_ns)
         assert builder.spans, "deadline-bearing jobs must produce spans"
         for span in builder.spans:
-            assert sum(span.buckets.values()) == span.response_time
+            assert sum(span.buckets.values()) == span.end - span.release
         completed = [s for s in builder.spans if not s.incomplete]
         assert completed and all(s.buckets["run"] > 0 for s in completed)

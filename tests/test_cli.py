@@ -75,6 +75,12 @@ class TestRun:
         out = capsys.readouterr().out
         assert "Figure 3" in out and "Table 2" in out
 
+    def test_blame_rejects_ids_it_cannot_blame(self, capsys):
+        assert main(["run", "table1", "--blame"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything ran
+        assert captured.err.count("\n") == 1 and "table1" in captured.err
+
     def test_unknown_id_fails(self, capsys):
         assert main(["run", "nope"]) == 2
         err = capsys.readouterr().err
@@ -257,6 +263,28 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "vm2.rta1" in out
         assert "release" in out and "run " in out
+
+    def test_feedback_explains_the_registry_run(self, capsys, monkeypatch):
+        # Without flags, explain re-runs the registry's cells: its
+        # per-policy result rows are the rows `repro run` reports.
+        from repro.experiments import feedback_adaptive, registry
+        from repro.runner import run_experiments
+
+        explained = []
+        explain_feedback = feedback_adaptive.explain_feedback
+
+        def recording(*args):
+            cells = explain_feedback(*args)
+            explained.extend(row for cell in cells for row in cell["rows"])
+            return cells
+
+        monkeypatch.setattr(feedback_adaptive, "explain_feedback", recording)
+        assert main(["explain", "feedback_migrate"]) == 0
+        length_s = registry.FEEDBACK_DURATION_NS / 1e9
+        header = f"({length_s:g}s, seed {registry.FEEDBACK_SEED})"
+        assert header in capsys.readouterr().out
+        (report,) = run_experiments(["feedback_migrate"]).reports
+        assert explained == report.rows
 
     def test_job_without_spans_fails(self, capsys):
         rc = main(

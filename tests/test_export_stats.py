@@ -6,6 +6,7 @@ import pytest
 
 from repro.report.export import export_chrome_trace, trace_to_chrome_events
 from repro.simcore.errors import ConfigurationError
+from repro.simcore.time import sec
 from repro.simcore.trace import Trace
 
 
@@ -109,7 +110,6 @@ class TestStreamingExporter:
     @pytest.fixture(scope="class")
     def faulted_run(self):
         from repro.experiments.robustness import run_robustness_case
-        from repro.simcore.time import sec
         from repro.telemetry.spans import SpanBuilder
 
         holder = {}
@@ -173,6 +173,7 @@ class TestStreamingExporter:
         ]
         assert meta and meta[0]["args"]["name"] == "faults"
         # And the span consumer on the same bus saw the run too.
-        spans = faulted_run["spans"]
-        assert spans.spans and spans.hypercall_fault_windows() == []
+        spans = faulted_run["spans"].finalize(sec(1))
+        assert spans.spans
+        assert spans.windows("hypercall_fault", None, 0, sec(1)) == []
 

@@ -1,11 +1,12 @@
 """Tests for report formatting helpers and small shared utilities."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import format_table, percent
+from repro.experiments.common import format_table
 from repro.simcore.errors import (
     AdmissionError,
     AnalysisError,
@@ -40,9 +41,6 @@ class TestFormatTable:
     def test_missing_cell_blank(self):
         out = format_table([{"a": 1, "b": 2}, {"a": 3}])
         assert out.count("\n") == 3
-
-    def test_percent(self):
-        assert percent(0.123456) == "12.346%"
 
 
 class TestErrorHierarchy:
@@ -114,6 +112,65 @@ class TestPackageSurface:
         }
         unreachable = sorted(modules - reached)
         assert not unreachable, "no run reaches: " + ", ".join(unreachable)
+
+    def test_every_function_is_named_outside_tests(self):
+        # Every function, method and class under src/repro must be named
+        # by code outside tests/: src/repro itself (package __init__
+        # files only re-export), tools/, perfbench/, benchmarks/ or
+        # examples/.  A name is an identifier, an attribute, an imported
+        # name, or a string constant that spells an identifier or a
+        # dotted reference ("repro.pkg.module:function").  Docstrings do
+        # not name anything; dunder methods are exempt.
+        import repro
+
+        package_root = Path(repro.__file__).parent
+        repo_root = Path(__file__).resolve().parents[1]
+        sources = [
+            path
+            for path in sorted(package_root.rglob("*.py"))
+            if path.name != "__init__.py"
+        ]
+        naming = list(sources)
+        for directory in ("tools", "perfbench", "benchmarks", "examples"):
+            naming += sorted((repo_root / directory).rglob("*.py"))
+        scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        named = set()
+        for path in naming:
+            tree = ast.parse(path.read_text())
+            docstrings = {
+                id(node.body[0].value)
+                for node in ast.walk(tree)
+                if isinstance(node, scopes)
+                and node.body
+                and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.update(node.name.split("."))
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                ):
+                    parts = re.split(r"[.:]", node.value)
+                    if all(part.isidentifier() for part in parts):
+                        named.update(parts)
+        unnamed = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, scopes[1:]):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if node.name not in named:
+                    relative = path.relative_to(package_root)
+                    unnamed.append(f"{relative}:{node.lineno} {node.name}")
+        assert not unnamed, "named only by tests: " + ", ".join(unnamed)
 
     def test_only_the_engine_touches_its_queue(self):
         # Per-layer work counts (events armed and cancelled) are taken by

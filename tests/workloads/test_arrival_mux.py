@@ -44,7 +44,6 @@ class TestMuxMechanism:
         engine.run_until(100)
         assert fired == list("abcde")
         assert mux.scheduled == 5 and mux.fires == 1
-        assert mux.events_saved == 4
 
     def test_callback_scheduling_now_drains_same_fire(self):
         engine = Engine()
@@ -161,5 +160,4 @@ def test_synchronized_clients_compress_to_one_event_per_instant():
     waves = 20  # arrivals at 200 ms, 400 ms, ..., 4.0 s inclusive
     assert mux.scheduled >= 10 * waves
     assert mux.fires == waves
-    assert mux.events_saved == mux.scheduled - waves
     assert all(d.requests_sent == waves for d in drivers)

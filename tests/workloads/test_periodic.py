@@ -81,22 +81,3 @@ class TestDriver:
     def test_negative_phase_rejected(self):
         with pytest.raises(ConfigurationError):
             self._setup(phase=-1)
-
-
-class TestBuildGroupVMs:
-    def test_builds_one_vm_per_rta(self):
-        from repro.core.system import RTVirtSystem
-        from repro.workloads.periodic import build_group_vms
-
-        system = RTVirtSystem(pcpu_count=3)
-        pairs = build_group_vms(system, "H-Dec")
-        assert len(pairs) == 4
-        for vm, task in pairs:
-            assert task.vm is vm
-
-    def test_unknown_group_rejected(self):
-        from repro.core.system import RTVirtSystem
-        from repro.workloads.periodic import build_group_vms
-
-        with pytest.raises(ConfigurationError):
-            build_group_vms(RTVirtSystem(pcpu_count=1), "Nope")
