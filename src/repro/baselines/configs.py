@@ -8,7 +8,7 @@ Also holds Table 2's published interface values for cross-checking.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..analysis.csa import csa_best_interface
 from ..analysis.dbf import AnalysisTask

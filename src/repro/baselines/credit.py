@@ -38,7 +38,7 @@ from ..host.scheduler import HostScheduler
 from ..simcore.engine import Engine
 from ..simcore.errors import ConfigurationError
 from ..simcore.events import PRIORITY_BUDGET, PRIORITY_SCHEDULE, Event
-from ..simcore.time import MSEC, USEC
+from ..simcore.time import MSEC
 from ..telemetry import events as T
 
 BOOST = 0

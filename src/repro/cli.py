@@ -8,23 +8,28 @@
     python -m repro run-all --only fig3,table1 --no-cache
     python -m repro cache stats          # entry count, bytes, last-run hits
     python -m repro cache prune --max-bytes 50000000    # LRU eviction
-    python -m repro explain robustness_pcpu_fail        # why did jobs miss?
-    python -m repro explain robustness_pcpu_fail --job vm2.rta1#15
-    python -m repro trace record robustness_pcpu_fail -o fail.rtvt
-    python -m repro trace replay fail.rtvt --scheduler Credit --diff
-    python -m repro trace diff fail.rtvt whatif.rtvt    # first divergence
-    python -m repro explain fail.rtvt                   # blame from a trace
+    python -m repro run robustness_pcpu_fail --blame    # why did jobs miss?
+    python -m repro run robustness_pcpu_fail --job vm2.rta1#15
+    python -m repro run table1 --blame                  # any simulating id
+    python -m repro run my_setup.json --telemetry --chrome-trace t.json
+    python -m repro run robustness_pcpu_fail --record fail.rtvt  # per cell
+    python -m repro trace replay fail.robustness_pcpu_fail-RTVirt.rtvt --diff \
+        --scheduler Credit                              # what-if replay
+    python -m repro trace diff a.rtvt b.rtvt            # first divergence
+    python -m repro trace inspect a.rtvt --blame        # blame from a trace
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from typing import List, Optional, Tuple
 
 from .experiments import registry
+from .simcore.errors import ConfigurationError
 from .simcore.time import SEC
 
 
@@ -35,19 +40,69 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the reproducible tables and figures")
-    run = sub.add_parser("run", help="run one or more experiments by id")
+    run = sub.add_parser(
+        "run",
+        help="run experiments or scenario files, optionally observed",
+        description="Run each TARGET's work-unit plan in-process and print "
+        "its summary.  The observer flags attach the same named observers "
+        "to every system each unit of every target builds; `all` and globs "
+        "run the ids that simulate nothing unobserved.  A file flag writes "
+        "one file per system: PATH itself for a one-unit run of one "
+        "system, else PATH's stem, the unit id when the run has several "
+        "units (each run of characters outside [A-Za-z0-9_.-] becomes "
+        "'-'), the system's index when its unit builds several, and PATH's "
+        "suffix, e.g. r.robustness_pcpu_fail-RT-Xen.rtvt, r.0.rtvt.",
+    )
     run.add_argument(
-        "ids",
+        "targets",
         nargs="+",
-        metavar="ID",
-        help="experiment ids from `repro list`, or 'all'",
+        metavar="TARGET",
+        help="experiment ids or globs from `repro list`, 'all', or a "
+        "scenario .json file",
     )
     run.add_argument(
         "--blame",
         action="store_true",
-        help="after each experiment, rerun it with causal spans attached "
-        "and print the deadline-miss blame table (robustness_* ids only; "
-        "any other id exits 2)",
+        help="build causal job spans of every simulated system and print the "
+        "deadline-miss blame table and worst misses",
+    )
+    run.add_argument(
+        "--job",
+        metavar="TASK[#N]",
+        help="render the causal timeline of one job in every system (e.g. "
+        "vm2.rta1#15); a bare task name shows its worst missed jobs; "
+        "implies --blame",
+    )
+    run.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="stream miss-ratio / latency-tail / bandwidth aggregates and "
+        "print them per system",
+    )
+    run.add_argument(
+        "--chrome-trace",
+        metavar="PATH",
+        help="write each system's execution trace as a chrome://tracing "
+        "timeline (.json)",
+    )
+    run.add_argument(
+        "--record",
+        metavar="PATH",
+        help="write each system's flight-recorder trace (.rtvt; robustness "
+        "and scenario traces replay with `repro trace replay`)",
+    )
+    run.add_argument(
+        "--profile",
+        metavar="PATH",
+        help="self-profile the simulator (per-event-kind handler time, "
+        "per-phase engine time) and write each system's snapshot (.json)",
+    )
+    run.add_argument(
+        "--seed",
+        type=int,
+        metavar="N",
+        help="RNG seed of the seeded ids (robustness_*, cluster_*, "
+        "feedback_*, tenant_*); any other target exits 2",
     )
     run_all = sub.add_parser(
         "run-all",
@@ -198,127 +253,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the management-plane event log (placements, "
         "migrations, faults)",
     )
-    scenario = sub.add_parser(
-        "scenario", help="run a declarative JSON scenario file"
-    )
-    scenario.add_argument("path", help="path to the scenario JSON")
-    scenario.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="attach streaming aggregators to the telemetry bus and "
-        "print miss-ratio / latency-tail / bandwidth summaries",
-    )
-    scenario.add_argument(
-        "--chrome-trace",
-        metavar="PATH",
-        help="record the run's execution trace and write it to PATH "
-        "(.json) as a chrome://tracing timeline",
-    )
-    scenario.add_argument(
-        "--blame",
-        action="store_true",
-        help="build causal job spans during the run and print the "
-        "deadline-miss blame table",
-    )
-    scenario.add_argument(
-        "--profile",
-        metavar="PATH",
-        help="self-profile the simulator (per-event-kind handler time, "
-        "per-phase engine time) and write the snapshot to PATH (.json)",
-    )
-    explain = sub.add_parser(
-        "explain",
-        help="attribute deadline misses to root causes via causal spans",
-    )
-    explain.add_argument(
-        "target",
-        help="a robustness_<fault> or feedback_*/tenant_* experiment id, "
-        "or a scenario JSON path",
-    )
-    explain.add_argument(
-        "--job",
-        metavar="TASK[#N]",
-        help="render the causal timeline of one job (e.g. vm2.rta1#15); "
-        "a bare task name shows its missed jobs",
-    )
-    explain.add_argument(
-        "--scheduler",
-        default="RTVirt",
-        help="scheduler for --job timelines (default RTVirt)",
-    )
-    explain.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the blame sweep (default 1)",
-    )
-    explain.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="RNG seed (default: the experiment's registry seed)",
-    )
-    explain.add_argument(
-        "--duration-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="simulated seconds per cell (default: the experiment's "
-        "registry length)",
-    )
-    explain.add_argument(
-        "--misses",
-        type=int,
-        default=5,
-        metavar="N",
-        help="worst misses listed per scheduler (default 5)",
-    )
     trace = sub.add_parser(
         "trace",
-        help="flight recorder: record, inspect, replay and diff "
-        "durable telemetry traces",
+        help="flight recorder: inspect, replay and diff durable telemetry "
+        "traces (record one with `repro run TARGET --record PATH`)",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    t_record = trace_sub.add_parser(
-        "record", help="run once with the flight recorder attached"
-    )
-    t_record.add_argument(
-        "target",
-        help="a robustness_<fault> experiment id or a scenario JSON path",
-    )
-    t_record.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="trace file to write (default <target>.rtvt)",
-    )
-    t_record.add_argument(
-        "--scheduler",
-        default="RTVirt",
-        help="scheduler for robustness targets (default RTVirt)",
-    )
-    t_record.add_argument(
-        "--duration-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="simulated seconds for robustness targets (default: the "
-        "registry length)",
-    )
-    t_record.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        metavar="N",
-        help="RNG seed for robustness targets (default: the registry seed)",
-    )
     t_inspect = trace_sub.add_parser(
         "inspect", help="print a trace's header, counts and canonical hash"
     )
     t_inspect.add_argument("path", help="recorded .rtvt trace file")
+    t_inspect.add_argument(
+        "--blame",
+        action="store_true",
+        help="rebuild causal spans from the trace (no simulation) and "
+        "print the deadline-miss blame table and worst misses",
+    )
+    t_inspect.add_argument(
+        "--job",
+        metavar="TASK[#N]",
+        help="render the causal timeline of one job (e.g. vm2.rta1#15); "
+        "a bare task name shows its worst missed jobs; implies --blame",
+    )
     t_replay = trace_sub.add_parser(
         "replay",
         help="re-drive a recorded stimulus, optionally under a "
@@ -356,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     width = max(len(i) for i in registry.all_ids())
     for experiment_id in registry.all_ids():
         entry = registry.REGISTRY[experiment_id]
@@ -364,63 +320,272 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(ids: List[str], blame: bool = False) -> int:
-    from .runner import run_experiments
+def _observer_flags(args) -> List[Tuple[str, str]]:
+    """``(flag, observer name)`` of every observer flag given, in
+    install order: telemetry, chrome trace, recorder, spans, profiler."""
+    blame = ("--job", f"blame:{args.job}") if args.job else ("--blame", "blame")
+    flags = (
+        ("--telemetry", "telemetry", args.telemetry),
+        ("--chrome-trace", "chrome_trace", args.chrome_trace),
+        ("--record", "record", args.record),
+        blame + (args.blame or args.job,),
+        ("--profile", "profile", args.profile),
+    )
+    return [(flag, name) for flag, name, given in flags if given]
 
-    if ids == ["all"]:
-        ids = registry.all_ids()
-    else:
+
+def _check_job(job: Optional[str]) -> None:
+    if job is not None and not re.fullmatch(r"[^#]+(#\d+)?", job):
+        raise ConfigurationError(f"--job takes TASK or TASK#N, got {job!r}")
+
+
+def _run_targets(args, flags: List[Tuple[str, str]]) -> List[Tuple[str, object]]:
+    """``(header, plan)`` per target, each unit carrying the observers.
+
+    Raises :class:`ConfigurationError` for an unknown id, an unreadable
+    scenario, or a flag that cannot apply to a target.  An observer
+    flag rejects an id that simulates nothing only when it is named:
+    ``all`` and globs run such ids unobserved.
+    """
+    from .runner.workunits import (
+        ANALYTIC_FNS,
+        BINDINGS,
+        observed_plan,
+        plan_for,
+        scenario_plan,
+    )
+    targets = {}  # in command-line order, each id once
+    for name in args.targets:
+        if name.endswith(".json"):
+            if args.seed is not None:
+                raise ConfigurationError(
+                    f"--seed does not apply to {name}: a scenario sets its own seed"
+                )
+            targets[name] = (f"scenario {name}", scenario_plan(name))
+            continue
         try:
-            ids = registry.expand_ids(ids)
+            ids = registry.expand_ids(["*" if name == "all" else name])
         except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            print(f"known ids: {', '.join(registry.all_ids())}", file=sys.stderr)
-            return 2
-    if blame:
-        unblamable = [i for i in ids if not i.startswith("robustness_")]
-        if unblamable:
-            print(
-                f"--blame covers robustness_* ids only, not: "
-                f"{', '.join(unblamable)}",
-                file=sys.stderr,
-            )
-            return 2
-    for experiment_id in ids:
-        entry = registry.REGISTRY[experiment_id]
-        print(f"=== {entry.paper_ref}: {entry.description}")
+            raise ConfigurationError(
+                f"{exc.args[0]}; known ids: {', '.join(registry.all_ids())}"
+            ) from None
+        for experiment_id in ids:
+            if args.seed is not None and not BINDINGS[experiment_id].seeded:
+                raise ConfigurationError(
+                    f"--seed does not apply to {experiment_id}: it takes no "
+                    "seed override"
+                )
+            entry = registry.REGISTRY[experiment_id]
+            header = f"{entry.paper_ref}: {entry.description}"
+            plan = plan_for(experiment_id, args.seed)
+            named = experiment_id == name  # not reached through `all` or a glob
+            if flags and named and all(u.fn in ANALYTIC_FNS for u in plan.units):
+                raise ConfigurationError(
+                    f"{', '.join(flag for flag, _ in flags)} cannot observe "
+                    f"{name}: it simulates no system"
+                )
+            targets.setdefault(experiment_id, (header, plan))
+    names = [name for _, name in flags]
+    return [(header, observed_plan(plan, names)) for header, plan in targets.values()]
+
+
+def _output_path(path: str, unit, system: Optional[int], many: bool) -> str:
+    """PATH itself for one system of a one-unit run; otherwise PATH's
+    stem, the unit id when the run has several units (runs outside
+    ``[A-Za-z0-9_.-]`` become ``-``), the *system* index when the unit
+    built several, and PATH's suffix."""
+    labels = [re.sub(r"[^A-Za-z0-9_.-]+", "-", unit.unit_id)] if many else []
+    if system is not None:
+        labels.append(str(system))
+    if not labels:
+        return path
+    stem, ext = os.path.splitext(path)
+    return ".".join([stem, *labels]) + ext
+
+
+def _cmd_run(args) -> int:
+    from .runner.executor import execute_units
+
+    _check_job(args.job)
+    json_flags = ("--chrome-trace", args.chrome_trace), ("--profile", args.profile)
+    for flag, path in json_flags:
+        if path is not None and not path.endswith(".json"):
+            raise ConfigurationError(f"{flag} writes a .json file, got {path!r}")
+    targets = _run_targets(args, _observer_flags(args))
+    many = sum(len(plan.units) for _, plan in targets) > 1  # name files by unit
+    status = 0
+    for header, plan in targets:
+        print(f"=== {header}")
         started = time.time()
-        (report,) = run_experiments([experiment_id], jobs=1).reports
-        print(report.summary)
-        if blame:
-            duration_ns, seed = _run_parameters(experiment_id, None, None)
-            fault = experiment_id[len("robustness_"):]
-            print(_blame_family(fault, 1, duration_ns, seed).summary())
+        results = execute_units(plan.units)
+        print(plan.assemble([part for part, _ in results]).summary())
+        status = max(status, _print_observed(plan, results, args, many))
         print(f"--- ({time.time() - started:.1f}s wall)\n")
-    return 0
+    return status
 
 
-def _run_parameters(
-    experiment_id: str, duration_s: Optional[float], seed: Optional[int]
-) -> Tuple[int, int]:
-    """``(duration_ns, seed)`` of a run of *experiment_id*: the flags
-    where given, else the registry's full-length parameters."""
-    from .runner.workunits import BINDINGS
-    from .simcore.time import sec
+def _unit_label(unit, system: Optional[int]) -> str:
+    """The unit id, and the *system* index when the unit built several."""
+    return unit.unit_id if system is None else f"{unit.unit_id} system {system}"
 
-    full = BINDINGS[experiment_id].full
-    return (
-        full["duration_ns"] if duration_s is None else sec(duration_s),
-        full["seed"] if seed is None else seed,
+
+def _unit_title(unit, system: Optional[int] = None) -> str:
+    """A robustness or feedback cell as its run parameters, else its
+    :func:`_unit_label`."""
+    kwargs = dict(unit.kwargs)
+    if "fault" in kwargs:
+        label = f"{unit.experiment_id} under {kwargs['scheduler']}"
+    elif "policy" in kwargs:
+        label = f"{unit.experiment_id} — policy {kwargs['policy']!r}"
+    else:
+        return _unit_label(unit, system)
+    return f"{label} ({kwargs['duration_ns'] / SEC:g}s, seed {kwargs['seed']})"
+
+
+def _watched(plan, results, name: str) -> List[tuple]:
+    """``(unit, part, output, system)`` for every system observer *name*
+    watched, in unit order; *system* is the system's index in a unit
+    that built several, else ``None``."""
+    watched = []
+    for unit, (part, observed) in zip(plan.units, results):
+        outputs = observed.get(name, [])
+        for index, output in enumerate(outputs):
+            watched.append((unit, part, output, index if len(outputs) > 1 else None))
+    return watched
+
+
+def _print_observed(plan, results, args, many: bool) -> int:
+    """Print (and write) every observer output of one target's units,
+    one per system each unit built."""
+    from .experiments.common import format_table
+    from .report.export import export_chrome_trace, export_profile
+    from .telemetry.record import TraceReader
+
+    several = len(plan.units) > 1
+    for unit, _, snapshot, system in _watched(plan, results, "telemetry"):
+        titled = several or system is not None
+        heading = f" — {_unit_label(unit, system)}" if titled else ""
+        print(f"telemetry (streamed){heading}:")
+        _print_telemetry(snapshot)
+    for unit, _, trace, system in _watched(plan, results, "chrome_trace"):
+        path = _output_path(args.chrome_trace, unit, system, many)
+        count = export_chrome_trace(trace, path)
+        print(f"chrome trace: {count} events -> {path}")
+    for unit, _, recorded, system in _watched(plan, results, "record"):
+        path = _output_path(args.record, unit, system, many)
+        with open(path, "wb") as handle:
+            handle.write(recorded["data"])
+        if recorded["rows"] is not None:
+            print(format_table(recorded["rows"], title="recorded run"))
+        reader = TraceReader(recorded["data"])
+        print(
+            f"trace: {reader.event_count} events, "
+            f"hash {reader.trace_hash[:16]} -> {path}"
+        )
+    status = 0
+    cells = _watched(plan, results, "blame")
+    if cells:
+        status = _print_blame(plan, results, cells, args.job)
+    for unit, _, profiler, system in _watched(plan, results, "profile"):
+        path = _output_path(args.profile, unit, system, many)
+        export_profile(profiler, path)
+        print(profiler.summary())
+        print(f"profile: -> {path}")
+    return status
+
+
+def _print_telemetry(snapshot: dict) -> None:
+    from .telemetry import BandwidthAggregator, LatencyAggregator, MissRatioAggregator
+
+    misses = MissRatioAggregator.merge([snapshot["misses"]])
+    latency = LatencyAggregator.merge([snapshot["latency"]])
+    consumed_ns = BandwidthAggregator.merge([snapshot["bandwidth"]]).consumed_ns
+    print(
+        f"  deadline miss ratio: {misses.miss_ratio() * 100:.3f}% "
+        f"({misses.decided()} decided)"
+    )
+    if latency.stats.count:
+        tails = latency.tail_usec()
+        tail_text = "  ".join(f"p{p:g}={v:.1f}us" for p, v in sorted(tails.items()))
+        print(f"  job latency: mean={latency.mean_usec():.1f}us  {tail_text}")
+    print(
+        f"  cpu consumed: {sum(consumed_ns.values()) / 1e6:.1f}ms "
+        f"across {len(consumed_ns)} vcpus"
     )
 
 
-def _blame_family(fault: str, jobs: int, duration_ns: int, seed: int):
-    """Run the blame sweep of one fault family through the plan executor."""
-    from .runner.executor import execute_plan
-    from .telemetry.blame_plan import blame_plan
+def _print_blame(plan, results, cells, job: Optional[str]) -> int:
+    """A robustness family prints the blame sweep and each cell's worst
+    misses; a feedback cell its rows, blame and per-tenant table; any
+    other unit its blame table and worst misses."""
+    from .experiments.common import format_table
+    from .report.ascii import render_blame_table
+    from .telemetry.blame_plan import blame_sweep
 
-    plan = blame_plan(faults=(fault,), duration_ns=duration_ns, seed=seed)
-    return execute_plan(plan, jobs=jobs)
+    several = len(plan.units) > 1
+    titled = several or any(system is not None for *_, system in cells)
+    if plan.experiment_id.startswith("robustness_"):
+        sweep = blame_sweep(plan.units, results)
+        print(sweep.summary())
+        for part in sweep.parts:
+            _print_worst_misses(
+                part["misses"], f"\nworst misses — {part['scheduler']}:", True
+            )
+    else:
+        for unit, part, blame, system in cells:
+            if "tenants" in blame:
+                print(f"=== {_unit_title(unit)}")
+                print(format_table(part, title="result rows"))
+                print(render_blame_table(blame["blame"]))
+                print(format_table(blame["tenants"], title="per-tenant blame/credit"))
+                print()
+                continue
+            if titled:
+                print(f"blame — {_unit_label(unit, system)}:")
+            print(render_blame_table(blame["blame"]))
+            _print_worst_misses(blame["misses"], "worst misses:")
+    if job is None:
+        return 0
+    timelines = [
+        (_unit_title(unit, system) if titled else None, blame["timelines"])
+        for unit, _, blame, system in cells
+    ]
+    return _print_timelines(timelines, job)
+
+
+def _print_worst_misses(misses, title: str, unfinished: bool = False) -> None:
+    """The worst misses by lateness; *unfinished* marks jobs the run
+    ended before completing."""
+    from .telemetry.observers import WORST_MISSES
+
+    worst = sorted(misses, key=lambda m: -m["lateness_ns"])[:WORST_MISSES]
+    if not worst:
+        return
+    print(title)
+    for m in worst:
+        state = " (unfinished)" if unfinished and m["incomplete"] else ""
+        print(
+            f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
+            f"primary={m['primary']}{state}"
+        )
+
+
+def _print_timelines(titled, job: str) -> int:
+    """Rendered job timelines per system (titled when several); exit 2
+    when no unit has a span of *job*."""
+    if not any(rendered for _, rendered in titled):
+        print(f"no spans for {job!r}", file=sys.stderr)
+        return 2
+    for title, rendered in titled:
+        if not rendered:
+            continue
+        if title is not None:
+            print(f"{title}:")
+        print()
+        for text in rendered:
+            print(text)
+            print()
+    return 0
 
 
 def _cmd_run_all(args) -> int:
@@ -509,10 +674,15 @@ def _write_run_ledger(args, report) -> None:
         },
     }
     if args.trace:
-        from .runner.executor import execute_plan
-        from .telemetry.trace_plan import trace_plan
+        from .experiments.robustness import ROBUSTNESS_FAULTS
+        from .runner.executor import execute_units
+        from .runner.workunits import observed_smoke_units
+        from .telemetry.trace_plan import trace_bundle
 
-        bundle = execute_plan(trace_plan(), jobs=report.jobs)
+        units = observed_smoke_units(
+            [f"robustness_{fault}" for fault in ROBUSTNESS_FAULTS], ("record",)
+        )
+        bundle = trace_bundle(units, execute_units(units, jobs=report.jobs))
         trace_path = bundle.write(os.path.join(run_dir, "robustness.rtvt"))
         manifest["trace"] = {
             "path": os.path.basename(trace_path),
@@ -612,6 +782,7 @@ def _cmd_cache(args) -> int:
 def _cmd_cluster(args) -> int:
     from .experiments.cluster_scale import assemble_cluster, run_cluster_host
     from .simcore.time import MSEC, sec
+    from .telemetry.observe import observing
 
     host_count = 2 if args.mode == "clockskew" else args.hosts
     if host_count < 2:
@@ -621,348 +792,27 @@ def _cmd_cluster(args) -> int:
     offset_ns = (
         None if args.clock_offset_ms is None else int(args.clock_offset_ms * MSEC)
     )
-    holder = {}
-
-    def attach(cluster, host) -> None:
-        holder.setdefault("cluster", cluster)
-
-    parts = [
-        run_cluster_host(
-            args.mode,
-            args.scheduler,
-            host_count,
-            host_index,
-            duration_ns,
-            args.seed,
-            clock_offset_step_ns=offset_ns,
-            policy=args.policy,
-            attach=attach,
-        )
-        for host_index in range(host_count)
-    ]
+    clusters = []  # --log prints host 0's management-plane log
+    with observing([lambda system, context: clusters.append(context["cluster"])]):
+        parts = [
+            run_cluster_host(
+                args.mode,
+                args.scheduler,
+                host_count,
+                host_index,
+                duration_ns,
+                args.seed,
+                clock_offset_step_ns=offset_ns,
+                policy=args.policy,
+            )
+            for host_index in range(host_count)
+        ]
     print(assemble_cluster(parts).summary())
     if args.log:
         print("\nmanagement-plane log (host 0's run):")
-        for time_ns, kind, detail in holder["cluster"].log:
+        for time_ns, kind, detail in clusters[0].log:
             joined = ", ".join(str(d) for d in detail)
             print(f"  {time_ns / 1e6:10.3f}ms  {kind:<16s} {joined}")
-    return 0
-
-
-def _cmd_scenario(args) -> int:
-    outputs = (("--chrome-trace", args.chrome_trace), ("--profile", args.profile))
-    for flag, path in outputs:
-        if path is not None and not path.endswith(".json"):
-            print(f"{flag} writes a .json file, got {path!r}", file=sys.stderr)
-            return 2
-    return _reject_bad_input(_run_scenario, args)
-
-
-def _run_scenario(args) -> int:
-    from .scenario import run_scenario_file
-
-    holder = {}
-
-    def attach(system) -> None:
-        bus = system.machine.bus
-        if args.telemetry:
-            from .telemetry import StandardTelemetry
-
-            holder["telemetry"] = StandardTelemetry(bus)
-        if args.chrome_trace:
-            from .simcore.trace import Trace
-
-            holder["trace"] = Trace().attach(bus)
-        if args.blame:
-            from .telemetry.spans import SpanBuilder
-
-            holder["spans"] = SpanBuilder().attach(system.machine)
-        if args.profile:
-            from .telemetry.profile import SimProfiler
-
-            holder["profiler"] = SimProfiler().install(
-                engine=system.engine, bus=bus
-            )
-
-    wants_bus = args.telemetry or args.chrome_trace or args.blame or args.profile
-    result = run_scenario_file(args.path, attach=attach if wants_bus else None)
-    print(result.summary())
-    telemetry = holder.get("telemetry")
-    if telemetry is not None:
-        misses = telemetry.misses
-        print("telemetry (streamed):")
-        print(
-            f"  deadline miss ratio: {misses.miss_ratio() * 100:.3f}% "
-            f"({misses.decided()} decided)"
-        )
-        if telemetry.latency.stats.count:
-            tails = telemetry.latency.tail_usec()
-            tail_text = "  ".join(
-                f"p{p:g}={v:.1f}us" for p, v in sorted(tails.items())
-            )
-            print(
-                f"  job latency: mean={telemetry.latency.mean_usec():.1f}us  "
-                f"{tail_text}"
-            )
-        consumed_ns = telemetry.bandwidth.consumed_ns
-        print(
-            f"  cpu consumed: {sum(consumed_ns.values()) / 1e6:.1f}ms "
-            f"across {len(consumed_ns)} vcpus"
-        )
-    trace = holder.get("trace")
-    if trace is not None:
-        from .report.export import export_chrome_trace
-
-        count = export_chrome_trace(trace, args.chrome_trace)
-        print(f"chrome trace: {count} events -> {args.chrome_trace}")
-    spans = holder.get("spans")
-    if spans is not None:
-        from .report.ascii import render_blame_table
-        from .telemetry.blame import analyze_spans
-
-        spans.finalize(result.duration_ns)
-        report, _misses = analyze_spans(spans)
-        print(render_blame_table(report.snapshot()))
-    profiler = holder.get("profiler")
-    if profiler is not None:
-        profiler.uninstall()
-        from .report.export import export_profile
-
-        export_profile(profiler, args.profile)
-        print(profiler.summary())
-        print(f"profile: -> {args.profile}")
-    return 0
-
-
-def _parse_job(spec: str):
-    """``vm2.rta1#15`` -> (task, 15); ``vm2.rta1`` -> (task, None)."""
-    task, _, index = spec.partition("#")
-    return task, int(index) if index else None
-
-
-def _print_timelines(builder, job_spec: str, limit: int) -> int:
-    from .report.ascii import render_span_timeline
-    from .telemetry.blame import attribute_miss
-
-    task, index = _parse_job(job_spec)
-    spans = builder.spans_for(task)
-    if index is not None:
-        spans = [s for s in spans if s.job == index]
-    elif any(s.missed for s in spans):
-        spans = [s for s in spans if s.missed][:limit]
-    else:
-        spans = spans[:limit]
-    if not spans:
-        print(f"no spans for {job_spec!r}", file=sys.stderr)
-        return 2
-    for span in spans:
-        lost = attribute_miss(span, builder) if span.missed else None
-        print(render_span_timeline(span, lost))
-        print()
-    return 0
-
-
-def _explain_scenario(args) -> int:
-    from .report.ascii import render_blame_table
-    from .scenario import run_scenario_file
-    from .telemetry.blame import analyze_spans
-    from .telemetry.spans import SpanBuilder
-
-    holder = {}
-
-    def attach(system) -> None:
-        holder["spans"] = SpanBuilder().attach(system.machine)
-
-    result = run_scenario_file(args.target, attach=attach)
-    builder = holder["spans"].finalize(result.duration_ns)
-    report, misses = analyze_spans(builder)
-    print(result.summary())
-    print(render_blame_table(report.snapshot()))
-    if args.job:
-        print()
-        return _print_timelines(builder, args.job, args.misses)
-    worst = sorted(misses, key=lambda m: -m["lateness_ns"])[: args.misses]
-    if worst:
-        print("worst misses:")
-        for m in worst:
-            print(
-                f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
-                f"primary={m['primary']}"
-            )
-    return 0
-
-
-def _explain_feedback(args) -> int:
-    from .experiments.feedback_adaptive import explain_feedback
-    from .experiments.common import format_table
-    from .report.ascii import render_blame_table
-
-    duration_ns, seed = _run_parameters(args.target, args.duration_s, args.seed)
-    cells = explain_feedback(args.target, duration_ns, seed)
-    for cell in cells:
-        print(
-            f"=== {args.target} — policy {cell['policy']!r} "
-            f"({duration_ns / SEC:g}s, seed {seed})"
-        )
-        print(format_table(cell["rows"], title="result rows"))
-        print(render_blame_table(cell["blame"]))
-        print(format_table(cell["tenants"], title="per-tenant blame/credit"))
-        print()
-    return 0
-
-
-def _is_trace(path: str) -> bool:
-    """True when *path* is a flight-recorder trace (RTVT magic)."""
-    if not os.path.isfile(path):
-        return False
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(4) == b"RTVT"
-    except OSError:
-        return False
-
-
-def _explain_trace(args) -> int:
-    """Offline blame: rebuild causal spans from a recorded trace."""
-    from .report.ascii import render_blame_table
-    from .telemetry.blame import analyze_spans
-    from .telemetry.record import TraceReader
-    from .telemetry.replay import spans_from_trace
-
-    reader = TraceReader(args.target)
-    header = reader.header
-    label = header.get("fault") or header.get("name") or args.target
-    print(
-        f"trace {args.target}: {header.get('format', '?')} {label} under "
-        f"{header.get('scheduler', '?')}, {reader.event_count} events, "
-        f"hash {reader.trace_hash[:16]}\n"
-    )
-    builder = spans_from_trace(reader)
-    report, misses = analyze_spans(builder)
-    print(render_blame_table(report.snapshot()))
-    if args.job:
-        print()
-        return _print_timelines(builder, args.job, args.misses)
-    worst = sorted(misses, key=lambda m: -m["lateness_ns"])[: args.misses]
-    if worst:
-        print("worst misses:")
-        for m in worst:
-            print(
-                f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
-                f"primary={m['primary']}"
-            )
-    return 0
-
-
-def _cmd_explain(args) -> int:
-    if _is_trace(args.target):
-        return _reject_bad_input(_explain_trace, args)
-    if args.target.endswith(".json"):
-        return _reject_bad_input(_explain_scenario, args)
-    from .experiments.feedback_adaptive import FEEDBACK_CELLS
-
-    if args.target in FEEDBACK_CELLS:
-        return _explain_feedback(args)
-    from .experiments.robustness import ROBUSTNESS_FAULTS
-
-    fault = args.target
-    if fault.startswith("robustness_"):
-        fault = fault[len("robustness_"):]
-    if fault not in ROBUSTNESS_FAULTS:
-        known = ", ".join(
-            [f"robustness_{f}" for f in ROBUSTNESS_FAULTS]
-            + list(FEEDBACK_CELLS)
-        )
-        print(
-            f"unknown target {args.target!r}; pick a scenario .json or one "
-            f"of: {known}",
-            file=sys.stderr,
-        )
-        return 2
-    duration_ns, seed = _run_parameters(
-        f"robustness_{fault}", args.duration_s, args.seed
-    )
-    if args.job:
-        from .experiments.robustness import run_robustness_case
-        from .telemetry.spans import SpanBuilder
-
-        holder = {}
-
-        def attach(system) -> None:
-            holder["spans"] = SpanBuilder().attach(system.machine)
-
-        run_robustness_case(
-            fault,
-            args.scheduler,
-            duration_ns,
-            seed,
-            check_invariants=False,
-            attach=attach,
-        )
-        builder = holder["spans"].finalize()
-        print(
-            f"robustness_{fault} under {args.scheduler} "
-            f"({duration_ns / SEC:g}s, seed {seed}):\n"
-        )
-        return _print_timelines(builder, args.job, args.misses)
-    sweep = _blame_family(fault, args.jobs, duration_ns, seed)
-    print(sweep.summary())
-    for part in sweep.parts:
-        worst = sorted(part["misses"], key=lambda m: -m["lateness_ns"])
-        worst = worst[: args.misses]
-        if not worst:
-            continue
-        print(f"\nworst misses — {part['scheduler']}:")
-        for m in worst:
-            state = " (unfinished)" if m["incomplete"] else ""
-            print(
-                f"  {m['task']}#{m['job']} +{m['lateness_ns'] / 1e6:.3f}ms "
-                f"primary={m['primary']}{state}"
-            )
-    return 0
-
-
-def _trace_record(args) -> int:
-    from .experiments.common import format_table
-
-    if args.target.endswith(".json"):
-        from .telemetry.replay import record_scenario_file
-
-        output = args.output or args.target[: -len(".json")] + ".rtvt"
-        recorded = record_scenario_file(args.target, output)
-    else:
-        from .experiments.robustness import ROBUSTNESS_FAULTS
-        from .telemetry.replay import canonical_scheduler, record_robustness_case
-
-        fault = args.target
-        if fault.startswith("robustness_"):
-            fault = fault[len("robustness_"):]
-        if fault not in ROBUSTNESS_FAULTS:
-            known = ", ".join(f"robustness_{f}" for f in ROBUSTNESS_FAULTS)
-            print(
-                f"unknown target {args.target!r}; pick a scenario .json or "
-                f"one of: {known}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            scheduler = canonical_scheduler(args.scheduler)
-        except ValueError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        output = args.output or f"robustness_{fault}.rtvt"
-        duration_ns, seed = _run_parameters(
-            f"robustness_{fault}", args.duration_s, args.seed
-        )
-        recorded = record_robustness_case(
-            fault, scheduler, duration_ns, seed, path=output
-        )
-    reader = recorded.reader()
-    print(format_table(recorded.rows, title="recorded run"))
-    print(
-        f"trace: {reader.event_count} events, "
-        f"hash {reader.trace_hash[:16]} -> {output}"
-    )
     return 0
 
 
@@ -970,6 +820,7 @@ def _trace_inspect(args) -> int:
     from .experiments.common import format_table
     from .telemetry.record import TraceReader
 
+    _check_job(args.job)
     reader = TraceReader(args.path)
     print(f"trace: {args.path}")
     for key in sorted(reader.header):
@@ -992,7 +843,19 @@ def _trace_inspect(args) -> int:
         for kind in sorted(reader.counts)
     ]
     print(format_table(rows, title="event counts"))
-    return 0
+    if not (args.blame or args.job):
+        return 0
+    from .telemetry.observers import blame_output
+    from .telemetry.replay import spans_from_trace
+    from .report.ascii import render_blame_table
+
+    blame = blame_output(spans_from_trace(reader), args.job)
+    print()
+    print(render_blame_table(blame["blame"]))
+    _print_worst_misses(blame["misses"], "worst misses:")
+    if args.job is None:
+        return 0
+    return _print_timelines([(None, blame["timelines"])], args.job)
 
 
 def _trace_replay(args) -> int:
@@ -1037,48 +900,32 @@ def _trace_diff(args) -> int:
     return 0 if diff.identical else 1
 
 
-def _reject_bad_input(command, args) -> int:
-    """Run *command*; bad input — a malformed scenario spec, a corrupt
-    trace, an unreadable file — is one stderr line, exit 2."""
-    from .simcore.errors import ConfigurationError
-
-    try:
-        return command(args)
-    except (ConfigurationError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-
 def _cmd_trace(args) -> int:
-    if args.trace_command == "record" and not args.target.endswith(".json"):
-        return _trace_record(args)
-    commands = {
-        "record": _trace_record,
-        "inspect": _trace_inspect,
-        "replay": _trace_replay,
-        "diff": _trace_diff,
-    }
-    return _reject_bad_input(commands[args.trace_command], args)
+    commands = {"inspect": _trace_inspect, "replay": _trace_replay, "diff": _trace_diff}
+    return commands[args.trace_command](args)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Bad input — an unknown id, a malformed scenario spec, a corrupt
+    trace, an unreadable file, a flag that cannot apply — is one stderr
+    line and exit 2.
+    """
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run-all":
-        return _cmd_run_all(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    return _cmd_run(args.ids, blame=args.blame)
+    commands = {
+        "list": _cmd_list,
+        "run": _cmd_run,
+        "run-all": _cmd_run_all,
+        "cache": _cmd_cache,
+        "cluster": _cmd_cluster,
+        "trace": _cmd_trace,
+    }
+    try:
+        return commands[args.command](args)
+    except (ConfigurationError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

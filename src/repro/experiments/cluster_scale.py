@@ -31,12 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..faults import At, FaultContext, HostFail, HostRecover, Scenario
+from ..faults import At, HostFail, HostRecover, Scenario
 from ..placement.migration import MigrationParams, safe_migration_params
 from ..simcore.events import PRIORITY_FAULT
 from ..simcore.rng import RandomStreams
 from ..simcore.time import MSEC, USEC
 from ..telemetry.aggregate import StandardTelemetry
+from ..telemetry.observe import observe
 from ..cluster import Cluster, default_specs
 from .common import format_table
 
@@ -225,21 +226,19 @@ def run_cluster_host(
     seed: int,
     clock_offset_step_ns: Optional[int] = None,
     policy: Optional[str] = None,
-    attach=None,
 ) -> Dict[str, object]:
     """One per-host shard: full cluster sim, one host's telemetry.
 
-    *attach*, when given, is called with ``(cluster, host)`` after
-    construction — the hook observability consumers (span builders)
-    use to subscribe before the run.
+    The observed host's system reaches the observation hook after the
+    build, with the whole ``cluster`` in its context (``repro cluster
+    --log`` reads the management plane's log through it).
     """
     cluster = build_cluster(
         mode, scheduler, host_count, duration_ns, seed, clock_offset_step_ns, policy
     )
     host = cluster.hosts[host_index]
     telemetry = StandardTelemetry(host.machine.bus)
-    if attach is not None:
-        attach(cluster, host)
+    observe(host.system, cluster=cluster)
     cluster.run(duration_ns)
     cluster.finalize()
 

@@ -8,7 +8,7 @@ EXPERIMENTS.md generator consume both.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:

@@ -35,16 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..baselines.rtxen import RTXenSystem
 from ..cluster import Cluster, default_specs
-from ..control import (
-    CreditLedger,
-    FeedbackController,
-    TenantSLO,
-    default_task_owner,
-)
+from ..control import CreditLedger, FeedbackController, TenantSLO
 from ..core.system import RTVirtSystem
 from ..faults import InvariantChecker
 from ..guest.task import Task
@@ -53,6 +48,7 @@ from ..placement.migration import safe_migration_params
 from ..simcore.events import PRIORITY_FAULT, PRIORITY_RELEASE
 from ..simcore.time import MSEC
 from ..telemetry import events as T
+from ..telemetry.observe import observe
 from ..workloads.periodic import PeriodicDriver
 from .common import format_table
 
@@ -198,8 +194,25 @@ def _overrun_workload() -> List[Tuple[str, Tuple[Tuple[int, int], ...], bool]]:
     ]
 
 
+def _blame_tenants(scenario: str) -> Tuple[List[TenantSLO], Dict[str, str]]:
+    """The tenant grouping a cell hands the observation hook, so the
+    ``blame`` observer can attribute blame and credit per tenant.
+
+    The tenant scenario has a real tier mapping; the other scenarios get
+    one tenant per VM (equal weight), so their tables read as per-VM.
+    """
+    if scenario == "tenant":
+        return _tenant_slos(), {f"{name}0": name for name, _ in TENANT_TIERS}
+    if scenario == "overrun":
+        vms = [name for name, _, _ in _overrun_workload()]
+    else:  # migrate
+        vms = ["vm_a", "vm_b", "vm_c"]
+    slos = [TenantSLO(vm, TENANT_TARGET_P99_USEC) for vm in vms]
+    return slos, {vm: vm for vm in vms}
+
+
 def _run_overrun(
-    policy: str, duration_ns: int, seed: int, attach=None
+    policy: str, duration_ns: int, seed: int
 ) -> List[Dict[str, object]]:
     """One (overrun, policy) cell: 3 VMs × 2 RTAs, vm0.rta0 stealthy."""
     if policy == "csa":
@@ -213,8 +226,7 @@ def _run_overrun(
         controller = FeedbackController(
             system, period_ns=CONTROL_PERIOD_NS
         ).attach()
-    if attach is not None:
-        attach(system)
+    observe(system, tenants=_blame_tenants("overrun"))
     for name, specs, stealthy in _overrun_workload():
         if policy == "csa":
             vm = system.create_vm(name, interfaces=[_csa_interface(specs)])
@@ -255,7 +267,7 @@ def _run_overrun(
 
 
 def _run_migrate(
-    policy: str, duration_ns: int, seed: int, attach=None
+    policy: str, duration_ns: int, seed: int
 ) -> List[Dict[str, object]]:
     """One (migrate, policy) cell: PCPU loss on h0 displaces vm_b."""
     cluster = Cluster(
@@ -272,8 +284,7 @@ def _run_migrate(
             period_ns=CONTROL_PERIOD_NS,
             migration_hook=lambda name: cluster.migrate(name, "h1") is not None,
         ).attach()
-    if attach is not None:
-        attach(h0.system)
+    observe(h0.system, tenants=_blame_tenants("migrate"))
     # First-fit packs vm_a/vm_b onto h0 (0.625 each); the heavy vm_c
     # (0.825) no longer fits there and lands on h1.
     cluster.seed([("vm_a", MIGRATE_BIG_RTAS), ("vm_b", MIGRATE_BIG_RTAS)])
@@ -322,7 +333,7 @@ def _tenant_slos() -> List[TenantSLO]:
 
 
 def _run_tenant(
-    policy: str, duration_ns: int, seed: int, attach=None
+    policy: str, duration_ns: int, seed: int
 ) -> List[Dict[str, object]]:
     """One (tenant, policy) cell: a forced shed under either policy."""
     system = RTVirtSystem(pcpu_count=TENANT_PCPUS)
@@ -333,8 +344,7 @@ def _run_tenant(
     if policy == "credit":
         system.admission.set_shed_policy(ledger.shed_order)
     checker = InvariantChecker(system).attach()
-    if attach is not None:
-        attach(system)
+    observe(system, tenants=_blame_tenants("tenant"))
     for name, _ in TENANT_TIERS:  # creation order: bronze, silver, gold
         vm = system.create_vm(f"{name}0")
         task = Task(f"{name}0.rta0", *TENANT_RTA)
@@ -387,19 +397,19 @@ def run_feedback_case(
     policy: str,
     duration_ns: int,
     seed: int,
-    attach=None,
 ) -> List[Dict[str, object]]:
     """One (scenario, policy) cell — the parallel-runner shard.
 
-    *attach*, when given, is called with the observed host system right
-    after construction (before any VM exists), so subscribers see every
-    event from the initial reservations on.  Returns the cell's rows
-    (one per policy for overrun/migrate, one per tenant for tenant).
+    The observed host system reaches the observation hook right after
+    construction (before any VM exists), so observers see every event
+    from the initial reservations on; for the migrate scenario that is
+    h0, the host the controller watches.  Returns the cell's rows (one
+    per policy for overrun/migrate, one per tenant for tenant).
     """
     runner = _SCENARIO_RUNNERS.get(scenario)
     if runner is None:
         raise ValueError(f"unknown feedback scenario {scenario!r}")
-    return runner(policy, duration_ns, seed, attach)
+    return runner(policy, duration_ns, seed)
 
 
 def feedback_unit_specs(
@@ -434,90 +444,3 @@ def assemble_feedback(parts: Sequence[List[Dict[str, object]]]) -> FeedbackResul
     cases = [row for part in parts for row in part]
     scenario = cases[0]["scenario"] if cases else "?"
     return FeedbackResult(scenario, cases)
-
-
-# -- explain support (`python -m repro explain feedback_*`) -----------------------
-
-
-def _explain_slos(scenario: str) -> Tuple[List[TenantSLO], Dict[str, str]]:
-    """The tenant grouping `explain` attributes blame/credit against.
-
-    The tenant scenario has a real tier mapping; the other scenarios get
-    one tenant per VM (equal weight), so their tables read as per-VM.
-    """
-    if scenario == "tenant":
-        return _tenant_slos(), {f"{name}0": name for name, _ in TENANT_TIERS}
-    if scenario == "overrun":
-        vms = [name for name, _, _ in _overrun_workload()]
-    else:  # migrate
-        vms = ["vm_a", "vm_b", "vm_c"]
-    slos = [TenantSLO(vm, TENANT_TARGET_P99_USEC) for vm in vms]
-    return slos, {vm: vm for vm in vms}
-
-
-def explain_feedback(
-    experiment_id: str, duration_ns: int, seed: int
-) -> List[Dict[str, object]]:
-    """Re-run every policy cell with span + credit observers attached.
-
-    Returns one record per policy: the cell's result rows, the blame
-    report snapshot, and a per-tenant table joining credit scores with
-    the primary blame causes of that tenant's misses.  For the migrate
-    scenario the observers sit on h0's bus (the host the controller
-    watches), so its tables are that host's view.
-    """
-    from ..telemetry.blame import analyze_spans
-    from ..telemetry.spans import SpanBuilder
-
-    scenario, policies = FEEDBACK_CELLS[experiment_id]
-    slos, vm_tenant = _explain_slos(scenario)
-    cells: List[Dict[str, object]] = []
-    for policy in policies:
-        holder: Dict[str, object] = {}
-
-        def attach(system, holder=holder) -> None:
-            holder["ledger"] = CreditLedger(slos, vm_tenant).attach(
-                system.machine.bus
-            )
-            holder["spans"] = SpanBuilder().attach(system.machine)
-
-        rows = run_feedback_case(
-            scenario, policy, duration_ns, seed, attach=attach
-        )
-        builder = holder["spans"].finalize(duration_ns)
-        report, misses = analyze_spans(builder)
-        ledger = holder["ledger"]
-        causes: Dict[str, Dict[str, int]] = {name: {} for name in ledger.slos}
-        for miss in misses:
-            tenant = ledger.tenant_of_vm(default_task_owner(miss["task"]))
-            if tenant:
-                per = causes[tenant]
-                per[miss["primary"]] = per.get(miss["primary"], 0) + 1
-        tenants: List[Dict[str, object]] = []
-        for name in sorted(ledger.slos):
-            stats = ledger.stats(name)
-            blame = ", ".join(
-                f"{cause}:{count}"
-                for cause, count in sorted(
-                    causes[name].items(), key=lambda kv: (-kv[1], kv[0])
-                )
-            )
-            tenants.append(
-                {
-                    "tenant": name,
-                    "credit": round(ledger.credit(name), 4),
-                    "met": stats["met"],
-                    "missed": stats["missed"],
-                    "violations": stats["violations"],
-                    "blame": blame or "-",
-                }
-            )
-        cells.append(
-            {
-                "policy": policy,
-                "rows": rows,
-                "blame": report.snapshot(),
-                "tenants": tenants,
-            }
-        )
-    return cells

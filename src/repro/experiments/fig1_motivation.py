@@ -27,6 +27,7 @@ from ..host.costs import ZERO_COSTS
 from ..host.edf import EDFHostScheduler
 from ..simcore.engine import Engine
 from ..simcore.time import msec, sec
+from ..telemetry.observe import observe
 from ..workloads.periodic import PeriodicDriver
 from .common import format_table
 
@@ -117,6 +118,7 @@ def run_uncoordinated(duration_ns: int = sec(30)) -> Fig1Result:
     for vm in vms.values():
         vm.add_background_process()
 
+    observe(machine_system)
     machine_system.run(duration_ns)
     machine_system.finalize()
     return Fig1Result(
@@ -143,6 +145,7 @@ def run_rtvirt(duration_ns: int = sec(30)) -> Fig1Result:
         vm.register_task(task)
         tasks[f"{name}.rta"] = task
         PeriodicDriver(system.engine, vm, task).start()
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return Fig1Result(

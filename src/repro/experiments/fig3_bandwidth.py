@@ -14,7 +14,6 @@ percent of one CPU for the figure's y-axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence

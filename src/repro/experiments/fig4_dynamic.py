@@ -23,14 +23,14 @@ The paper's findings, which this harness reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.system import RTVirtSystem
 from ..simcore.rng import RandomStreams
 from ..simcore.time import SEC, sec
 from ..simcore.trace import Trace
+from ..telemetry.observe import observe
 from ..workloads.video import TABLE3_PROFILES, DynamicStreamingWorkload, SessionRecord
-from .common import format_table
 
 #: VM partitions of the Figure 4 host (the paper's four streaming VMs).
 #: The work-unit plan shards along this axis.
@@ -126,6 +126,7 @@ def run_fig4_vm(
         duration_ns=duration_ns,
         vm_start=vm_index,
     ).start()
+    observe(system)
     system.run(duration_ns)
     system.finalize()
 

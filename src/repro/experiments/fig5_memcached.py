@@ -40,7 +40,8 @@ from ..core.system import RTVirtSystem
 from ..guest.task import Task
 from ..metrics.latency import LatencyRecorder, merge_recorders
 from ..simcore.rng import RandomStreams
-from ..simcore.time import MSEC, USEC, sec
+from ..simcore.time import MSEC, sec
+from ..telemetry.observe import observe
 from ..workloads.background import add_background_vms
 from ..workloads.arrivals import ArrivalMux
 from ..workloads.memcached import MemcachedService
@@ -63,18 +64,20 @@ class SchedulerOutcome:
     video_misses: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def p999_usec(self) -> float:
-        return self.latency.p999_usec()
+    def p999_usec(self) -> Optional[float]:
+        """None when a starved server completed no request."""
+        return self.latency.p999_usec() if len(self.latency) else None
 
     @property
     def meets_slo(self) -> bool:
-        return self.p999_usec <= SLO_USEC
+        p999 = self.p999_usec
+        return p999 is not None and p999 <= SLO_USEC
 
     def row(self) -> Dict[str, object]:
         row: Dict[str, object] = {
             "scheduler": self.scheduler,
             "p99.9_us": self.p999_usec,
-            "mean_us": self.latency.mean_usec(),
+            "mean_us": self.latency.mean_usec() if len(self.latency) else None,
             "meets_SLO": self.meets_slo,
             "reserved_cpus": self.reserved_cpus,
         }
@@ -117,6 +120,7 @@ def _run_5a_rtvirt(duration_ns: int, seed: int) -> SchedulerOutcome:
         system.engine, vm, streams.stream("mc"), period_ns=period, slice_ns=budget
     ).start()
     add_background_vms(system, 19)
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return SchedulerOutcome("RTVirt", svc.latency, budget / period)
@@ -131,6 +135,7 @@ def _run_5a_rtxen(duration_ns: int, seed: int, variant: str) -> SchedulerOutcome
     system.register_rta(vm, svc.task)
     svc.start()
     add_background_vms(system, 19)
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return SchedulerOutcome(f"RT-Xen {variant}", svc.latency, iface.bandwidth)
@@ -148,6 +153,7 @@ def _run_5a_credit(duration_ns: int, seed: int) -> SchedulerOutcome:
     vm = system.create_vm("mc", weight=weight)
     svc = MemcachedService(system.engine, vm, streams.stream("mc")).start()
     add_background_vms(system, 19)
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return SchedulerOutcome("Credit", svc.latency, MEMCACHED_CREDIT_SHARE)
@@ -214,6 +220,7 @@ def _run_5b_rtvirt(duration_ns: int, seed: int) -> SchedulerOutcome:
         video.append(task)
         PeriodicDriver(system.engine, vm, task).start()
         reserved += vm.vcpus[0].bandwidth
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return SchedulerOutcome(
@@ -257,6 +264,7 @@ def _run_5b_rtxen(duration_ns: int, seed: int, variant: str) -> SchedulerOutcome
         video.append(task)
         PeriodicDriver(system.engine, vm, task).start()
         reserved += viface.bandwidth
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return SchedulerOutcome(
@@ -297,6 +305,7 @@ def _run_5b_credit(duration_ns: int, seed: int) -> SchedulerOutcome:
         vm.register_task(task)
         video.append(task)
         PeriodicDriver(system.engine, vm, task).start()
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return SchedulerOutcome(

@@ -41,6 +41,7 @@ from ..faults import (
 from ..guest.task import Task
 from ..simcore.rng import RandomStreams
 from ..simcore.time import MSEC
+from ..telemetry.observe import observe
 from ..workloads.periodic import PeriodicDriver
 from .common import format_table
 
@@ -192,19 +193,28 @@ def run_robustness_case(
     scheduler: str,
     duration_ns: int,
     seed: int,
-    check_invariants: bool = True,
-    attach=None,
 ) -> Dict[str, object]:
     """One (fault family, scheduler) cell — the parallel-runner shard.
 
-    *attach*, when given, is called with the built system before the
-    fault timeline is installed — the hook observability consumers
-    (span builders, extra aggregators) use to subscribe to the bus.
+    The built system reaches the observation hook after the invariant
+    checker attaches and before the fault timeline is installed; its
+    ``header`` is the robustness trace header that replay reads (replay
+    attaches the checker too when ``check_invariants`` is set).
     """
     system = build_system(scheduler)
-    checker = InvariantChecker(system).attach() if check_invariants else None
-    if attach is not None:
-        attach(system)
+    checker = InvariantChecker(system).attach()
+    observe(
+        system,
+        header={
+            "format": "robustness",
+            "fault": fault,
+            "scheduler": scheduler,
+            "duration_ns": duration_ns,
+            "seed": seed,
+            "check_invariants": True,
+            "base_tasks": [task.name for vm in system.vms for task in vm.rt_tasks],
+        },
+    )
     ctx = build_scenario(fault, duration_ns).install(
         system, RandomStreams(seed)
     )

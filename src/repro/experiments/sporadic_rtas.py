@@ -12,19 +12,18 @@ identical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..baselines.configs import rtxen_interfaces_for_group
 from ..core.system import RTVirtSystem
 from ..baselines.rtxen import RTXenSystem
 from ..guest.task import Task, TaskKind
 from ..simcore.rng import RandomStreams
-from ..simcore.time import MSEC, SEC, sec
+from ..simcore.time import MSEC, SEC
+from ..telemetry.observe import observe
 from ..workloads.arrivals import ArrivalMux
-from ..workloads.periodic import TABLE1_GROUPS, RTASpec
+from ..workloads.periodic import TABLE1_GROUPS
 from ..workloads.sporadic import SporadicDriver
-from .common import format_table
 from .table1_periodic import GroupRun, _pcpus_for
 
 
@@ -74,6 +73,7 @@ def run_group_sporadic_rtvirt(
                 mux=mux,
             ).start()
         )
+    observe(system)
     _run_requests(system, drivers, requests_per_rta)
     return GroupRun(
         framework="RTVirt",
@@ -121,6 +121,7 @@ def run_group_sporadic_rtxen(
                 mux=mux,
             ).start()
         )
+    observe(system)
     _run_requests(system, drivers, requests_per_rta)
     return GroupRun(
         framework="RT-Xen",

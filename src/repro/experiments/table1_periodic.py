@@ -17,7 +17,8 @@ from ..baselines.configs import rtxen_interfaces_for_group
 from ..baselines.rtxen import RTXenSystem
 from ..core.system import RTVirtSystem
 from ..guest.task import Task
-from ..simcore.time import MSEC, msec, sec
+from ..simcore.time import MSEC, sec
+from ..telemetry.observe import observe
 from ..workloads.periodic import TABLE1_GROUPS, PeriodicDriver, RTASpec
 from .common import format_table
 
@@ -87,6 +88,7 @@ def run_group_rtvirt(
         vm.register_task(task)
         tasks.append(task)
         PeriodicDriver(system.engine, vm, task).start()
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return GroupRun(
@@ -121,6 +123,7 @@ def run_group_rtxen(
         system.register_rta(vm, task)
         tasks.append(task)
         PeriodicDriver(system.engine, vm, task).start()
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return GroupRun(

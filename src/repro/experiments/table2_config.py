@@ -17,7 +17,7 @@ from ..baselines.configs import rtxen_interfaces_for_group
 from ..guest.params import derive_vcpu_params
 from ..guest.task import Task
 from ..simcore.time import MSEC
-from ..workloads.periodic import TABLE1_GROUPS, RTASpec
+from ..workloads.periodic import TABLE1_GROUPS
 from .common import format_table
 
 #: The paper's per-VCPU slack (500 µs).

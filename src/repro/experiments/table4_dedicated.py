@@ -29,6 +29,7 @@ from ..core.system import RTVirtSystem
 from ..metrics.latency import LatencyRecorder
 from ..simcore.rng import RandomStreams
 from ..simcore.time import USEC, sec, usec
+from ..telemetry.observe import observe
 from ..workloads.memcached import MemcachedService
 from .common import format_table
 
@@ -114,6 +115,7 @@ def run_table4_scheduler(
         ).start()
     else:
         raise KeyError(f"unknown Table 4 scheduler {scheduler!r}")
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     return svc.latency.tail_usec()

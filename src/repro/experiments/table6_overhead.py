@@ -24,15 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..analysis.csa import csa_best_interface, csa_interface
+from ..analysis.csa import csa_best_interface
 from ..analysis.dbf import AnalysisTask
 from ..analysis.dmpr import claim_for_group
 from ..analysis.sbf import PeriodicResource
 from ..core.system import RTVirtSystem
 from ..guest.task import Task
 from ..simcore.time import MSEC, SEC, sec
+from ..telemetry.observe import observe
 from ..workloads.periodic import TABLE5_GROUPS, PeriodicDriver, RTASpec
 from .common import format_table
 
@@ -124,6 +125,7 @@ def _run_rtvirt(scenario: str, duration_ns: int, pcpu_count: int) -> OverheadRun
         tasks = _build_multi_rta(system)
     else:
         tasks = _build_single_rta(system)
+    observe(system)
     system.run(duration_ns)
     system.finalize()
     overhead = system.machine.metrics.overhead

@@ -9,7 +9,7 @@ meeting >= 99% of deadlines; the worst case observed is 0.8%).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Terminal rendering of the ``repro explain`` views.
+"""Terminal rendering of the ``repro run --blame`` views.
 
 Pure-text renderers (no plotting dependencies): deadline-miss blame
 tables and per-job causal timelines.
@@ -42,7 +42,7 @@ def _ms(time_ns: int) -> str:
 
 
 def render_span_timeline(span, lost: Optional[Dict[str, int]] = None) -> str:
-    """Causal timeline of one finalized job span (``repro explain --job``).
+    """Causal timeline of one finalized job span (``repro run --job``).
 
     *span* is a :class:`repro.telemetry.spans.Span` (duck-typed: the
     report layer stays import-free of telemetry internals); *lost* is

@@ -80,11 +80,11 @@ class RunReport:
     cache_writes: int
 
 
-def _timed_execute(unit: WorkUnit) -> Tuple[Any, float]:
-    """Worker body: run one unit, returning its part and wall time."""
+def _timed_execute(unit: WorkUnit) -> Tuple[Any, Dict[str, Any], float]:
+    """Worker body: run one unit; its part, observer outputs and wall time."""
     started = time.perf_counter()
-    part = execute_unit(unit)
-    return part, time.perf_counter() - started
+    part, outputs = execute_unit(unit)
+    return part, outputs, time.perf_counter() - started
 
 
 def _pool_context():
@@ -108,16 +108,16 @@ def _execute_misses(
     jobs: int,
     echo: Optional[Callable[[str], None]],
     measured: Optional[Dict[str, float]] = None,
-) -> Dict[WorkUnit, Tuple[Any, float]]:
+) -> Dict[WorkUnit, Tuple[Any, Dict[str, Any], float]]:
     """Run the uncached units, in-process or across the pool."""
-    results: Dict[WorkUnit, Tuple[Any, float]] = {}
+    results: Dict[WorkUnit, Tuple[Any, Dict[str, Any], float]] = {}
     if not misses:
         return results
     if jobs <= 1 or _effective_workers(jobs, len(misses)) <= 1:
         for unit in misses:
             results[unit] = _timed_execute(unit)
             if echo:
-                echo(f"ran {unit.unit_id} ({results[unit][1]:.1f}s)")
+                echo(f"ran {unit.unit_id} ({results[unit][2]:.1f}s)")
         return results
     with ProcessPoolExecutor(
         max_workers=_effective_workers(jobs, len(misses)),
@@ -136,26 +136,29 @@ def _execute_misses(
                 unit = pending.pop(future)
                 results[unit] = future.result()
                 if echo:
-                    echo(f"ran {unit.unit_id} ({results[unit][1]:.1f}s)")
+                    echo(f"ran {unit.unit_id} ({results[unit][2]:.1f}s)")
     return results
 
 
-def execute_plan(
-    plan: ExperimentPlan,
-    jobs: int = 1,
-    echo: Optional[Callable[[str], None]] = None,
-) -> Any:
-    """Run one plan's units (uncached) and assemble its result.
-
-    The generic entry point for plans that live outside the experiment
-    registry (e.g. the telemetry probe): units fan out exactly like
-    registry experiments, and assembly consumes parts in canonical unit
-    order, so the result is independent of scheduling.
-    """
+def execute_units(
+    units: Sequence[WorkUnit], jobs: int = 1
+) -> List[Tuple[Any, Dict[str, Any]]]:
+    """Run *units* (uncached); each one's part and observer outputs,
+    in unit order whatever the completion order."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results = _execute_misses(list(plan.units), jobs, echo)
-    return plan.assemble([results[unit][0] for unit in plan.units])
+    results = _execute_misses(list(units), jobs, echo=None)
+    return [results[unit][:2] for unit in units]
+
+
+def execute_plan(plan: ExperimentPlan, jobs: int = 1) -> Any:
+    """Run one plan's units (uncached) and assemble its result.
+
+    Units fan out exactly like registry experiments, and assembly
+    consumes parts in canonical unit order, so the result is
+    independent of scheduling.
+    """
+    return plan.assemble([part for part, _ in execute_units(plan.units, jobs)])
 
 
 def run_experiments(
@@ -198,13 +201,13 @@ def run_experiments(
         echo(f"cache: {len(cached_units)}/{len(all_units)} units reused")
 
     executed = _execute_misses(misses, jobs, echo, measured=costs.costs)
-    for unit, (part, wall) in executed.items():
+    for unit, (part, _, wall) in executed.items():
         parts[unit] = part
         walls[unit] = wall
         cache.put(unit, part)
     # Refresh the persisted cost model with this run's measurements, so
     # the next run's LPT order schedules from this machine's real walls.
-    costs.record({unit.unit_id: wall for unit, (_, wall) in executed.items()})
+    costs.record({unit.unit_id: wall for unit, (_, _, wall) in executed.items()})
 
     reports: List[ExperimentReport] = []
     for plan in plans:

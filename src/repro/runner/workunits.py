@@ -15,6 +15,12 @@ full-length parameters and the smoke overrides; :func:`plan_for` and
 determinism and perf gates and the tier-1 smoke test all execute these
 plans through :mod:`repro.runner.executor`.
 
+A unit may name observers (``blame``, ``record``, …; see
+:mod:`repro.telemetry.observers`): :func:`execute_unit` installs them
+for that unit alone through the observation hook and returns their
+outputs beside the part, so ``repro run --blame`` watches any unit the
+way it watches a robustness cell, and no ``assemble`` function knows.
+
 Two shapes of plan exist:
 
 - **Whole-experiment** plans (fig1, fig3, table2) have a single unit
@@ -39,7 +45,8 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..experiments import registry
@@ -63,7 +70,10 @@ from ..experiments.robustness import (
 from ..experiments.table1_periodic import Table1Result
 from ..experiments.table4_dedicated import TABLE4_SCHEDULERS, Table4Result
 from ..experiments.table6_overhead import TABLE6_SCENARIOS, Table6Result
+from ..scenario import load_scenario_file
 from ..simcore.time import sec
+from ..telemetry.observe import observing
+from ..telemetry.observers import UnitObservers
 from ..workloads.periodic import TABLE1_GROUPS
 
 
@@ -78,13 +88,14 @@ class WorkUnit:
     #: strip the result to a ``{"rows", "summary"}`` payload in the worker
     #: (monolithic experiments whose rich result objects may not pickle).
     payload: bool = False
+    #: names of the observers installed for this unit alone
+    #: (:mod:`repro.telemetry.observers`), in install order.
+    observers: Tuple[str, ...] = ()
 
     def fingerprint(self, salt: str) -> str:
         """Content-addressed cache key: inputs + code-version salt."""
-        blob = "\0".join(
-            (self.experiment_id, self.unit_id, self.fn, repr(self.kwargs), salt)
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
+        fields = (self.experiment_id, self.unit_id, self.fn, repr(self.kwargs), salt)
+        return hashlib.sha256("\0".join(fields).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -121,12 +132,20 @@ def resolve(fn_path: str) -> Callable[..., Any]:
     return getattr(importlib.import_module(module_name), attr)
 
 
-def execute_unit(unit: WorkUnit) -> Any:
-    """Run one work unit (in whatever process this is) and return its part."""
-    part = resolve(unit.fn)(**dict(unit.kwargs))
+def execute_unit(unit: WorkUnit) -> Tuple[Any, Dict[str, List[Any]]]:
+    """Run one work unit (in whatever process this is).
+
+    Returns its part and its observers' outputs: per observer name, one
+    output per system the unit built (empty for an unobserved unit).
+    The observers are installed for this unit only.
+    """
+    observers = UnitObservers(unit)
+    with observing((observers,) if unit.observers else ()):
+        part = resolve(unit.fn)(**dict(unit.kwargs))
+    outputs = observers.finish(part)
     if unit.payload:
-        return {"rows": part.rows(), "summary": part.summary()}
-    return part
+        part = {"rows": part.rows(), "summary": part.summary()}
+    return part, outputs
 
 
 # -- assembly functions (run in the parent, must be module-level) ---------------------
@@ -488,6 +507,55 @@ def feedback_plan(experiment_id: str, duration_ns: int, seed: int) -> Experiment
         for label, kwargs in feedback_unit_specs(experiment_id)
     )
     return ExperimentPlan(experiment_id, units, _assemble_feedback)
+
+
+def scenario_unit(
+    spec: Dict[str, Any], name: str, observers: Tuple[str, ...] = ()
+) -> WorkUnit:
+    """One declarative scenario as a unit (the spec travels as JSON
+    text, so the unit stays hashable and picklable)."""
+    return WorkUnit(
+        experiment_id=name,
+        unit_id=name,
+        fn="repro.scenario:run_scenario_json",
+        kwargs=(("spec", json.dumps(spec)), ("name", name)),
+        payload=True,
+        observers=observers,
+    )
+
+
+def scenario_plan(path: str) -> ExperimentPlan:
+    """A scenario ``.json`` file as a one-unit plan; an unreadable or
+    non-JSON file raises :class:`~repro.simcore.errors.ConfigurationError`."""
+    unit = scenario_unit(load_scenario_file(path), name=path)
+    return ExperimentPlan(path, (unit,), _assemble_payload)
+
+
+def observed_plan(plan: ExperimentPlan, observers: Sequence[str]) -> ExperimentPlan:
+    """*plan* with every unit carrying *observers*."""
+    units = tuple(replace(u, observers=tuple(observers)) for u in plan.units)
+    return replace(plan, units=units)
+
+
+def observed_smoke_units(
+    ids: Sequence[str], observers: Sequence[str], seed: Optional[int] = None
+) -> List[WorkUnit]:
+    """The smoke-plan units of registry *ids*, each carrying *observers*
+    (``run-all --trace`` and the determinism gate observe the robustness
+    smoke cells this way)."""
+    plans = [plan_for(i, seed=seed, smoke=True) for i in ids]
+    return [unit for plan in plans for unit in observed_plan(plan, observers).units]
+
+
+#: Unit functions that compute without building a simulated system, so
+#: they never reach the observation hook.
+ANALYTIC_FNS = frozenset(
+    {
+        "repro.experiments.fig3_bandwidth:run_fig3",
+        "repro.experiments.table2_config:run_table2",
+        "repro.experiments.table6_overhead:rtxen_capacities",
+    }
+)
 
 
 # -- registry bindings ----------------------------------------------------------------

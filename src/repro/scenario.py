@@ -21,15 +21,16 @@ run from the CLI without writing Python:
 System types: ``rtvirt`` (default), ``credit``, ``rtxen`` (RT-Xen VMs
 need an ``interface_us: [budget, period]`` or get one from CSA).
 
-Run from the shell:  ``python -m repro scenario my_setup.json``
+Run from the shell:  ``python -m repro run my_setup.json`` (add
+``--blame``, ``--telemetry``, ``--record PATH``… to observe it).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from .analysis.csa import csa_best_interface
 from .analysis.dbf import AnalysisTask
@@ -40,10 +41,14 @@ from .guest.task import Task, TaskKind
 from .metrics.deadlines import MissReport, collect_miss_report
 from .simcore.errors import AdmissionError, ConfigurationError
 from .simcore.rng import RandomStreams
-from .simcore.time import MSEC, SEC, USEC, msec, sec, usec
+from .simcore.time import MSEC, SEC, msec, sec, usec
+from .telemetry.observe import observe
 from .workloads.periodic import PeriodicDriver
 from .workloads.arrivals import ArrivalMux
 from .workloads.sporadic import SporadicDriver
+
+#: Scenario system types -> the scheduler labels experiments and traces use.
+SCHEDULER_LABELS = {"rtvirt": "RTVirt", "rtxen": "RT-Xen", "credit": "Credit"}
 
 
 @dataclass
@@ -53,7 +58,6 @@ class ScenarioResult:
     name: str
     duration_ns: int
     report: MissReport
-    system: Any = field(repr=False, default=None)
 
     def rows(self) -> List[Dict[str, Any]]:
         """Per-task metric rows (plus a TOTAL row), stable order."""
@@ -251,26 +255,35 @@ class ScenarioBuild:
 def build_scenario_system(
     spec: Dict[str, Any],
     name: str = "scenario",
-    attach: Optional[Any] = None,
     start_drivers: bool = True,
 ) -> ScenarioBuild:
     """Build the system, VMs and tasks of *spec*; optionally start drivers.
 
-    *attach*, when given, is called with the freshly built system before
-    any VM is created — the hook observers use to subscribe telemetry
-    consumers (streaming aggregators, a :class:`~repro.simcore.trace.Trace`) to
-    ``system.machine.bus`` so they see every event of the run, including
-    registration-time admission decisions.  A malformed *spec* raises
+    The freshly built system reaches the observation hook
+    (:func:`~repro.telemetry.observe.observe`) before any VM is created,
+    so observers see every event of the run, including registration-time
+    admission decisions; the hook's ``header`` is the scenario trace
+    header that replay reads.  A malformed *spec* raises
     :class:`ConfigurationError` (see :func:`validate_spec`) before
     anything is built.
     """
     validate_spec(spec)
     duration_ns = sec(spec.get("duration_s", 10))
-    streams = RandomStreams(int(spec.get("seed", 0)))
+    seed = int(spec.get("seed", 0))
+    streams = RandomStreams(seed)
     system = _build_system(spec)
-    if attach is not None:
-        attach(system)
     system_kind = spec.get("system", {}).get("type", "rtvirt")
+    observe(
+        system,
+        header={
+            "format": "scenario",
+            "name": name,
+            "spec": spec,
+            "scheduler": SCHEDULER_LABELS[system_kind],
+            "duration_ns": duration_ns,
+            "seed": seed,
+        },
+    )
     mux = ArrivalMux(system.engine, name=name)
     all_tasks: List[Task] = []
     task_vms: Dict[str, Any] = {}
@@ -344,23 +357,15 @@ def build_scenario_system(
     )
 
 
-def run_scenario(
-    spec: Dict[str, Any],
-    name: str = "scenario",
-    attach: Optional[Any] = None,
-) -> ScenarioResult:
-    """Build and run the scenario described by *spec*.
-
-    *attach* is forwarded to :func:`build_scenario_system`.
-    """
-    build = build_scenario_system(spec, name=name, attach=attach)
+def run_scenario(spec: Dict[str, Any], name: str = "scenario") -> ScenarioResult:
+    """Build and run the scenario described by *spec*."""
+    build = build_scenario_system(spec, name=name)
     build.system.run(build.duration_ns)
     build.system.finalize()
     return ScenarioResult(
         name=name,
         duration_ns=build.duration_ns,
         report=collect_miss_report(build.all_tasks),
-        system=build.system,
     )
 
 
@@ -377,10 +382,6 @@ def load_scenario_file(path: str) -> Dict[str, Any]:
         raise ConfigurationError(f"scenario {path} is not JSON: {exc}") from exc
 
 
-def run_scenario_file(path: str, attach=None) -> ScenarioResult:
-    """Load a JSON scenario file and run it.
-
-    *attach* is forwarded to :func:`run_scenario` — the hook the CLI
-    uses to subscribe telemetry consumers before the run starts.
-    """
-    return run_scenario(load_scenario_file(path), name=path, attach=attach)
+def run_scenario_json(spec: str, name: str = "scenario") -> ScenarioResult:
+    """Run a scenario given as JSON text: the scenario work unit."""
+    return run_scenario(json.loads(spec), name=name)

@@ -6,9 +6,9 @@ recorder (durable traces + divergence diff; what-if replay lives in
 The package is intentionally leaf-like: :mod:`repro.simcore` and
 :mod:`repro.host` import it (every :class:`~repro.host.machine.Machine`
 owns a :class:`TelemetryBus`), so nothing here may import scheduler or
-experiment modules.  The probe and blame work units live in
-:mod:`repro.telemetry.probe` / :mod:`repro.telemetry.blame` — their
-plan halves pull in the scenario and runner layers lazily for exactly
+experiment modules.  The observation hook and the named observers the
+runner installs there (:mod:`repro.telemetry.observe`,
+:mod:`repro.telemetry.observers`) are not re-exported here for exactly
 that reason (the blame *analysis* classes re-exported here are pure).
 """
 

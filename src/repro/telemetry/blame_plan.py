@@ -1,62 +1,40 @@
-"""The sharded blame sweep — the *plan half* of miss-blame analysis.
+"""The sharded blame sweep — the *assembly half* of miss-blame analysis.
 
 :mod:`repro.telemetry.blame` is the pure analysis engine (span walk,
-cause taxonomy, mergeable reports).  This module wraps it into runner
-work units: one robustness cell per unit with spans attached, blamed in
-the worker, merged in the parent.
-
-Like :mod:`repro.telemetry.probe`, this module pulls in the
-scenario/runner layers and is therefore deliberately **not** exported
-from ``repro.telemetry.__init__`` — the core simulator imports the
-telemetry package, and dragging the runner/experiment layers into that
-import (even lazily) would make every experiment's cache salt depend on
-every other experiment's code.
+cause taxonomy, mergeable reports).  Robustness cells run with the
+``blame`` observer (:mod:`repro.telemetry.observers`) are blamed in the
+worker; :func:`blame_sweep` rebuilds their per-cell parts and merges
+them in the parent, for ``repro run robustness_* --blame`` and
+``tools/check_determinism.py --blame``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Sequence, Tuple
 
-from .blame import BlameReport, analyze_spans
-from .spans import SpanBuilder
-
-#: Blame sweeps reuse the robustness suite's defaults.
-BLAME_DURATION_NS = 2_000_000_000
-BLAME_SEED = 11
+from .blame import BlameReport
 
 
-def run_blame_shard(
-    fault: str,
-    scheduler: str,
-    duration_ns: int = BLAME_DURATION_NS,
-    seed: int = BLAME_SEED,
-) -> dict:
-    """Worker body: one robustness cell with spans attached and blamed."""
-    from ..experiments.robustness import run_robustness_case
-
-    holder: Dict[str, SpanBuilder] = {}
-
-    def attach(system) -> None:
-        holder["spans"] = SpanBuilder().attach(system.machine)
-
-    row = run_robustness_case(
-        fault,
-        scheduler,
-        duration_ns,
-        seed,
-        check_invariants=False,
-        attach=attach,
-    )
-    builder = holder["spans"].finalize()
-    report, misses = analyze_spans(builder)
-    return {
-        "fault": fault,
-        "scheduler": scheduler,
-        "released": row["released"],
-        "missed": row["missed"],
-        "blame": report.snapshot(),
-        "misses": misses,
-    }
+def blame_sweep(
+    units: Sequence[Any], results: Sequence[Tuple[Any, dict]]
+) -> "BlameSweep":
+    """The sweep of robustness cells run with the ``blame`` observer;
+    *results* are their ``(part, outputs)`` pairs in unit order."""
+    parts = []
+    for unit, (row, outputs) in zip(units, results):
+        kwargs = dict(unit.kwargs)
+        (blame,) = outputs["blame"]  # a robustness cell builds one system
+        parts.append(
+            {
+                "fault": kwargs["fault"],
+                "scheduler": kwargs["scheduler"],
+                "released": row["released"],
+                "missed": row["missed"],
+                "blame": blame["blame"],
+                "misses": blame["misses"],
+            }
+        )
+    return BlameSweep(parts)
 
 
 class BlameSweep:
@@ -108,43 +86,3 @@ class BlameSweep:
         lines.append("")
         lines.append(render_blame_table(self.merged.snapshot()))
         return "\n".join(lines)
-
-
-def assemble_blame(parts: Sequence[dict]) -> BlameSweep:
-    """Module-level assembly function (the executor requires one)."""
-    return BlameSweep(parts)
-
-
-def blame_plan(
-    faults: Optional[Sequence[str]] = None,
-    schedulers: Optional[Sequence[str]] = None,
-    duration_ns: int = BLAME_DURATION_NS,
-    seed: int = BLAME_SEED,
-):
-    """A blame sweep as an :class:`ExperimentPlan` (not registry-backed)."""
-    from ..experiments.robustness import (
-        ROBUSTNESS_FAULTS,
-        ROBUSTNESS_SCHEDULERS,
-    )
-    from ..runner.workunits import ExperimentPlan, WorkUnit
-
-    faults = tuple(faults) if faults is not None else ROBUSTNESS_FAULTS
-    schedulers = (
-        tuple(schedulers) if schedulers is not None else ROBUSTNESS_SCHEDULERS
-    )
-    units = tuple(
-        WorkUnit(
-            experiment_id="blame_sweep",
-            unit_id=f"blame_sweep/{fault}/{scheduler}",
-            fn="repro.telemetry.blame_plan:run_blame_shard",
-            kwargs=(
-                ("fault", fault),
-                ("scheduler", scheduler),
-                ("duration_ns", duration_ns),
-                ("seed", seed),
-            ),
-        )
-        for fault in faults
-        for scheduler in schedulers
-    )
-    return ExperimentPlan("blame_sweep", units, assemble_blame)

@@ -206,7 +206,7 @@ class AdmissionDecisionEvent(NamedTuple):
     """An admission-control verdict at either scheduling layer.
 
     ``vm``/``tenant`` carry the owning VM and tenant of the subject so
-    credit scoring and ``repro explain`` can attribute sheds/commits
+    credit scoring and ``repro run --blame`` can attribute sheds/commits
     without parsing names; both default empty for producers (guest
     emits, baseline CSAs) that have no owner bookkeeping.
     """

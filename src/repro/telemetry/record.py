@@ -7,7 +7,8 @@ trace (optionally filtered by kind or seeked by time) and reconstructs
 the exact event ``NamedTuple`` sequence.  Traces are the durable form of
 a run: they feed what-if replay (:mod:`repro.telemetry.replay`),
 divergence diffing (:mod:`repro.telemetry.diff`) and offline blame
-(``repro explain <trace>``).
+(``repro trace inspect <trace> --blame``); ``repro run TARGET --record
+PATH`` records one per work unit.
 
 Format ``RTVT`` version 1::
 

@@ -26,8 +26,11 @@ order differently than the original; no shipped timeline produces one.
 
 Like :mod:`repro.telemetry.blame_plan`, this module deliberately lives
 outside ``repro.telemetry``'s public namespace and imports the
-experiment layers lazily, so the telemetry package's import closure (and
-every cached unit salt hanging off it) stays small.
+robustness experiment lazily, so the telemetry package's import closure
+(and every cached unit salt hanging off it) stays small.  Recording is
+not done here: ``repro run TARGET --record PATH`` attaches the
+``record`` observer (:mod:`repro.telemetry.observers`), and the units
+hand it the replayable trace header.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..scenario import SCHEDULER_LABELS as _KIND_SCHEDULERS
 from . import events as T
 from .record import TraceReader, TraceRecorder
 
 #: Registry scheduler labels -> scenario-spec system kinds (both
 #: spellings are accepted anywhere a scheduler override is taken).
-SCHEDULER_SYSTEM_KINDS = {"RTVirt": "rtvirt", "RT-Xen": "rtxen", "Credit": "credit"}
-_KIND_SCHEDULERS = {kind: label for label, kind in SCHEDULER_SYSTEM_KINDS.items()}
+SCHEDULER_SYSTEM_KINDS = {label: kind for kind, label in _KIND_SCHEDULERS.items()}
 
 
 def canonical_scheduler(name: str) -> str:
@@ -56,18 +59,6 @@ def canonical_scheduler(name: str) -> str:
 
 
 @dataclass
-class RecordedRun:
-    """Outcome of recording one run."""
-
-    rows: List[Dict[str, object]]
-    path: Optional[str] = None
-    data: Optional[bytes] = field(default=None, repr=False)
-
-    def reader(self) -> TraceReader:
-        return TraceReader(self.path if self.path else self.data)
-
-
-@dataclass
 class ReplayResult:
     """Outcome of replaying a trace."""
 
@@ -77,7 +68,6 @@ class ReplayResult:
     recorded_rows: List[Dict[str, object]]
     trace_path: Optional[str] = None
     trace_data: Optional[bytes] = field(default=None, repr=False)
-    system: Any = field(default=None, repr=False)
 
     def rows_match(self) -> bool:
         """Replayed metric rows byte-identical to the recorded ones."""
@@ -269,85 +259,6 @@ def _fault_directives(reader: TraceReader) -> List[Any]:
     return directives
 
 
-# -- recording entry points -----------------------------------------------------------
-
-
-def _base_task_names(system) -> List[str]:
-    return [task.name for vm in system.vms for task in vm.rt_tasks]
-
-
-def record_robustness_case(
-    fault: str,
-    scheduler: str,
-    duration_ns: int,
-    seed: int,
-    path: Optional[str] = None,
-    check_invariants: bool = True,
-) -> RecordedRun:
-    """Run one robustness cell with a flight recorder attached."""
-    from ..experiments.robustness import run_robustness_case
-
-    holder: Dict[str, TraceRecorder] = {}
-
-    def hook(system) -> None:
-        header = {
-            "format": "robustness",
-            "fault": fault,
-            "scheduler": scheduler,
-            "duration_ns": duration_ns,
-            "seed": seed,
-            "check_invariants": check_invariants,
-            "base_tasks": _base_task_names(system),
-            "migration_ns": system.machine.costs.migration_ns,
-        }
-        holder["recorder"] = TraceRecorder(path, header).attach(system.machine.bus)
-
-    row = run_robustness_case(
-        fault,
-        scheduler,
-        duration_ns,
-        seed,
-        check_invariants=check_invariants,
-        attach=hook,
-    )
-    data = holder["recorder"].close(meta={"rows": [row]})
-    return RecordedRun(rows=[row], path=path, data=data)
-
-
-def record_scenario(
-    spec: Dict[str, Any], path: Optional[str] = None, name: str = "scenario"
-) -> RecordedRun:
-    """Run a declarative scenario with a flight recorder attached."""
-    from ..scenario import run_scenario
-    from ..simcore.time import sec
-
-    holder: Dict[str, TraceRecorder] = {}
-
-    def hook(system) -> None:  # runs after run_scenario validated *spec*
-        system_kind = spec.get("system", {}).get("type", "rtvirt")
-        header = {
-            "format": "scenario",
-            "name": name,
-            "spec": spec,
-            "scheduler": _KIND_SCHEDULERS[system_kind],
-            "duration_ns": sec(spec.get("duration_s", 10)),
-            "seed": int(spec.get("seed", 0)),
-            "migration_ns": system.machine.costs.migration_ns,
-        }
-        holder["recorder"] = TraceRecorder(path, header).attach(system.machine.bus)
-
-    result = run_scenario(spec, name=name, attach=hook)
-    rows = result.rows()
-    data = holder["recorder"].close(meta={"rows": rows})
-    return RecordedRun(rows=rows, path=path, data=data)
-
-
-def record_scenario_file(path_in: str, path_out: Optional[str] = None) -> RecordedRun:
-    from ..scenario import load_scenario_file
-
-    return record_scenario(load_scenario_file(path_in), path=path_out, name=path_in)
-
-
 # -- replay ---------------------------------------------------------------------------
 
 
@@ -356,25 +267,18 @@ def replay_trace(
     scheduler: Optional[str] = None,
     record_path: Optional[str] = None,
     record: bool = False,
-    attach=None,
-    check_invariants: Optional[bool] = None,
 ) -> ReplayResult:
     """Replay *source* (path, bytes or reader), optionally re-recording.
 
-    *scheduler* overrides the recorded scheduler for what-if replay;
-    *attach* is called with the rebuilt system before the run (the hook
-    for policy what-ifs, e.g. attaching a
-    :class:`~repro.control.controller.FeedbackController`).
+    *scheduler* overrides the recorded scheduler for what-if replay.
     """
     reader = source if isinstance(source, TraceReader) else TraceReader(source)
     header = reader.header
     fmt = header.get("format")
     if fmt == "robustness":
-        return _replay_robustness(
-            reader, scheduler, record_path, record, attach, check_invariants
-        )
+        return _replay_robustness(reader, scheduler, record_path, record)
     if fmt == "scenario":
-        return _replay_scenario(reader, scheduler, record_path, record, attach)
+        return _replay_scenario(reader, scheduler, record_path, record)
     raise ValueError(f"trace is not replayable (format={fmt!r})")
 
 
@@ -393,27 +297,20 @@ def _new_recorder(
     return TraceRecorder(record_path, replay_header)
 
 
-def _replay_robustness(
-    reader, scheduler, record_path, record, attach, check_invariants
-) -> ReplayResult:
+def _replay_robustness(reader, scheduler, record_path, record) -> ReplayResult:
     from ..experiments.robustness import build_system, case_row
     from ..faults import InvariantChecker, Scenario
     from ..simcore.rng import RandomStreams
 
     header = reader.header
     sched = canonical_scheduler(scheduler) if scheduler else header["scheduler"]
-    check = (
-        header.get("check_invariants", True)
-        if check_invariants is None
-        else check_invariants
-    )
     system = build_system(sched, start_drivers=False)
-    checker = InvariantChecker(system).attach() if check else None
+    checker = None
+    if header.get("check_invariants", True):
+        checker = InvariantChecker(system).attach()
     recorder = _new_recorder(header, sched, reader, record_path, record)
     if recorder is not None:
         recorder.attach(system.machine.bus)
-    if attach is not None:
-        attach(system)
     task_map = {
         task.name: (vm, task) for vm in system.vms for task in vm.rt_tasks
     }
@@ -433,14 +330,14 @@ def _replay_robustness(
         recorded_rows=reader.meta.get("rows", []),
         trace_path=record_path,
         trace_data=trace_data,
-        system=system,
     )
 
 
-def _replay_scenario(reader, scheduler, record_path, record, attach) -> ReplayResult:
+def _replay_scenario(reader, scheduler, record_path, record) -> ReplayResult:
     from ..guest.task import TaskKind
     from ..metrics.deadlines import collect_miss_report
     from ..scenario import ScenarioResult, build_scenario_system
+    from .observe import observing
 
     header = reader.header
     spec = copy.deepcopy(header["spec"])
@@ -450,17 +347,14 @@ def _replay_scenario(reader, scheduler, record_path, record, attach) -> ReplayRe
     else:
         sched = header["scheduler"]
     recorder = _new_recorder(header, sched, reader, record_path, record)
-
-    def hook(system) -> None:
-        if recorder is not None:
-            recorder.attach(system.machine.bus)
-        if attach is not None:
-            attach(system)
-
+    # The scenario builder hands its system to the observation hook
+    # before any VM exists; the replay's own recorder listens there.
+    hooks = []
+    if recorder is not None:
+        hooks.append(lambda system, context: recorder.attach(system.machine.bus))
     name = header.get("name", "scenario")
-    build = build_scenario_system(
-        spec, name=name, attach=hook, start_drivers=False
-    )
+    with observing(hooks):
+        build = build_scenario_system(spec, name=name, start_drivers=False)
     sporadic = [
         task_name
         for task_name, (_vm, task) in build.task_vms.items()
@@ -485,7 +379,6 @@ def _replay_scenario(reader, scheduler, record_path, record, attach) -> ReplayRe
         name=name,
         duration_ns=build.duration_ns,
         report=collect_miss_report(build.all_tasks),
-        system=build.system,
     )
     rows = result.rows()
     trace_data = recorder.close(meta={"rows": rows}) if recorder else None
@@ -496,7 +389,6 @@ def _replay_scenario(reader, scheduler, record_path, record, attach) -> ReplayRe
         recorded_rows=reader.meta.get("rows", []),
         trace_path=record_path,
         trace_data=trace_data,
-        system=build.system,
     )
 
 
@@ -507,7 +399,7 @@ def spans_from_trace(reader: TraceReader):
     """Pump a recorded trace through a private bus into a SpanBuilder.
 
     Returns the finalized builder — the offline backend of
-    ``repro explain <trace>``.
+    ``repro trace inspect <trace> --blame``.
     """
     from .bus import TelemetryBus
     from .spans import SpanBuilder

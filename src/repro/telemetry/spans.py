@@ -253,9 +253,9 @@ class SpanBuilder:
     ) -> "SpanBuilder":
         """Subscribe to a bare bus (no machine).
 
-        The offline path: ``repro explain <trace>`` pumps a recorded
-        trace through a private bus and needs span assembly without a
-        live machine.  *migration_ns* substitutes for the machine's cost
+        The offline path: ``repro trace inspect <trace> --blame`` pumps
+        a recorded trace through a private bus and needs span assembly
+        without a live machine.  *migration_ns* substitutes for the machine's cost
         model when the builder was constructed without one.
         """
         if self._migration_ns is None:

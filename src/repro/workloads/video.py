@@ -13,17 +13,17 @@ exercising RTVirt's dynamic register/adjust/unregister path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..guest.task import Task, TaskKind
+from ..guest.task import Task
 from ..guest.vm import VM
 from ..metrics.deadlines import DeadlineStats
 from ..simcore.engine import Engine
 from ..simcore.errors import AdmissionError
 from ..simcore.events import PRIORITY_DEFAULT
 from ..simcore.rng import RandomSource
-from ..simcore.time import MSEC, SEC
+from ..simcore.time import SEC
 from .periodic import PeriodicDriver, RTASpec
 
 

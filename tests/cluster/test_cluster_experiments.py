@@ -6,9 +6,15 @@ from repro.experiments import cluster_scale, registry
 from repro.runner.executor import execute_plan
 from repro.runner.workunits import cluster_plan, plan_for
 from repro.simcore.time import MSEC, sec
+from repro.telemetry.observe import observing
 
 DURATION = sec(1)
 SEED = 29
+
+
+def _keep_cluster(state):
+    """An observer that keeps the cluster the hook hands it."""
+    return lambda system, context: state.update(cluster=context["cluster"])
 
 
 class TestUnitSpecs:
@@ -66,19 +72,15 @@ class TestClusterScenarios:
         whose downtime lands in the result rows."""
 
         state = {}
-
-        def attach(cluster, host):
-            state["cluster"] = cluster
-
-        part = cluster_scale.run_cluster_host(
-            mode="hostfail",
-            scheduler="RTVirt",
-            host_count=3,
-            host_index=0,
-            duration_ns=DURATION,
-            seed=SEED,
-            attach=attach,
-        )
+        with observing([_keep_cluster(state)]):
+            part = cluster_scale.run_cluster_host(
+                mode="hostfail",
+                scheduler="RTVirt",
+                host_count=3,
+                host_index=0,
+                duration_ns=DURATION,
+                seed=SEED,
+            )
         cluster = state["cluster"]
         assert len(cluster.hosts) == 3
         done = [m for m in cluster.migrations if m.done]
@@ -91,15 +93,15 @@ class TestClusterScenarios:
     def test_rebalance_migrates_but_consolidate_does_not(self):
         def migrations(mode):
             state = {}
-            cluster_scale.run_cluster_host(
-                mode=mode,
-                scheduler="RTVirt",
-                host_count=2,
-                host_index=0,
-                duration_ns=DURATION,
-                seed=SEED,
-                attach=lambda cluster, host: state.update(cluster=cluster),
-            )
+            with observing([_keep_cluster(state)]):
+                cluster_scale.run_cluster_host(
+                    mode=mode,
+                    scheduler="RTVirt",
+                    host_count=2,
+                    host_index=0,
+                    duration_ns=DURATION,
+                    seed=SEED,
+                )
             return len(state["cluster"].migrations)
 
         assert migrations("consolidate") == 0
@@ -112,16 +114,16 @@ class TestClusterScenarios:
 
         def audit_and_row(offset_ns):
             state = {}
-            part = cluster_scale.run_cluster_host(
-                mode="clockskew",
-                scheduler="RTVirt",
-                host_count=2,
-                host_index=1,
-                duration_ns=sec(2),
-                seed=SEED,
-                clock_offset_step_ns=offset_ns,
-                attach=lambda cluster, host: state.update(cluster=cluster),
-            )
+            with observing([_keep_cluster(state)]):
+                part = cluster_scale.run_cluster_host(
+                    mode="clockskew",
+                    scheduler="RTVirt",
+                    host_count=2,
+                    host_index=1,
+                    duration_ns=sec(2),
+                    seed=SEED,
+                    clock_offset_step_ns=offset_ns,
+                )
             return state["cluster"].audit, part["row"]
 
         sync_audit, sync_row = audit_and_row(0)

@@ -132,6 +132,20 @@ class TestFig5a:
         assert credit.p999_usec > 2 * SLO_USEC
 
 
+    def test_starved_server_still_reports(self):
+        # A scheduler that completes no request (RT-Xen B at high costs)
+        # has no tail: its row says so instead of raising.
+        from repro.experiments.fig5_memcached import Fig5Result, SchedulerOutcome
+        from repro.metrics.latency import LatencyRecorder
+
+        starved = SchedulerOutcome("RT-Xen B", LatencyRecorder("mc"), 0.19)
+        assert starved.p999_usec is None and not starved.meets_slo
+        row = starved.row()
+        assert row["p99.9_us"] is None and row["mean_us"] is None
+        assert row["meets_SLO"] is False
+        assert "RT-Xen B" in Fig5Result("a", [starved]).summary()
+
+
 class TestTable6:
     def test_overhead_under_one_percent(self):
         from repro.runner.workunits import table6_plan
@@ -195,12 +209,11 @@ class TestFeedbackControlPlane:
 
     def test_tardy_wakes_do_not_storm_the_partitioner(self):
         from repro.experiments.feedback_adaptive import run_feedback_case
+        from repro.telemetry.observe import observing
 
         captured = {}
-        run_feedback_case(
-            "overrun", "adaptive", duration_ns=sec(1), seed=31,
-            attach=lambda system: captured.update(system=system),
-        )
+        with observing([lambda system, context: captured.update(system=system)]):
+            run_feedback_case("overrun", "adaptive", duration_ns=sec(1), seed=31)
         overhead = captured["system"].machine.metrics.overhead
         # Regression guard for the future-boundary test in
         # DPWrapScheduler.on_vcpu_wake: a backlogged VCPU publishing a

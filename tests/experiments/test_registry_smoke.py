@@ -5,18 +5,48 @@ executed and must produce non-empty ``rows()`` and a string
 ``summary()`` — a new experiment that is registered but broken (or
 returns the wrong result shape) fails here rather than silently
 corrupting EXPERIMENTS.md or the benchmarks.
+
+The same run checks the observation hook's coverage: every unit carries
+a counting observer, and each unit that simulates must hand the hook
+every system it builds, once, before that system runs — so a new unit
+that forgets the hook cannot be observed by ``repro run --blame`` and
+fails here.
 """
 
 import pytest
 
 from repro.experiments import registry
-from repro.runner.executor import execute_plan
-from repro.runner.workunits import plan_for
+from repro.runner.executor import execute_units
+from repro.runner.workunits import ANALYTIC_FNS, observed_plan, plan_for
+from repro.telemetry.observers import OBSERVERS
+
+
+class _CountingObserver:
+    """Watches one system a unit hands the hook (it must not have run)."""
+
+    def __init__(self, system, context, unit_id, arg) -> None:
+        assert system.engine.now == 0, "hook reached after the run started"
+        self._system = system  # kept alive until finish, so ids stay distinct
+
+    def finish(self, part) -> int:
+        return id(self._system)
+
+
+def _systems_built(unit) -> int:
+    if unit.fn in ANALYTIC_FNS:  # fig3, table2, the RT-Xen capacity analysis
+        return 0
+    return 2 if unit.unit_id == "fig1/whole" else 1  # fig1 compares two hosts
 
 
 @pytest.mark.parametrize("experiment_id", registry.all_ids())
-def test_registry_entry_smoke(experiment_id):
-    result = execute_plan(plan_for(experiment_id, smoke=True))
+def test_registry_entry_smoke(experiment_id, monkeypatch):
+    monkeypatch.setitem(OBSERVERS, "count", _CountingObserver)
+    plan = observed_plan(plan_for(experiment_id, smoke=True), ("count",))
+    results = execute_units(plan.units)
+    for unit, (_, observed) in zip(plan.units, results):
+        systems = observed["count"]  # one output per system handed to the hook
+        assert len(set(systems)) == len(systems) == _systems_built(unit), unit.unit_id
+    result = plan.assemble([part for part, _ in results])
     rows = result.rows()
     assert isinstance(rows, list) and rows, f"{experiment_id} returned no rows"
     for row in rows:

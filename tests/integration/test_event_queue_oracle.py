@@ -11,9 +11,9 @@ import pytest
 
 from repro.runner.executor import execute_plan
 from repro.runner.ledger import rows_hash
-from repro.runner.workunits import plan_for
+from repro.runner.workunits import execute_unit, observed_smoke_units, plan_for
 from repro.simcore.engine import Engine
-from repro.telemetry.trace_plan import record_trace_shard
+from repro.telemetry.record import TraceReader
 from tests.simcore.heap_queue import HeapEventQueue
 
 #: Smoke variants spanning periodic and sporadic renegotiation, every
@@ -53,7 +53,15 @@ def test_smoke_rows_identical_on_heap(monkeypatch, experiment_id):
 @pytest.mark.parametrize("scheduler", ["RTVirt", "RT-Xen", "Credit"])
 @pytest.mark.parametrize("fault", ["pcpu_fail", "vm_churn"])
 def test_trace_hash_identical_on_heap(monkeypatch, fault, scheduler):
+    (unit,) = [
+        u
+        for u in observed_smoke_units([f"robustness_{fault}"], ("record",))
+        if u.unit_id.endswith(f"/{scheduler}")
+    ]
+
     def trace_hash():
-        return record_trace_shard(fault, scheduler)["hash"]
+        _, outputs = execute_unit(unit)
+        (recorded,) = outputs["record"]
+        return TraceReader(recorded["data"]).trace_hash
 
     assert _on_heap(monkeypatch, trace_hash) == trace_hash()

@@ -161,34 +161,29 @@ class TestFullSystemRuns:
     @pytest.mark.parametrize("system", ["rtvirt", "rtxen", "credit"])
     def test_invariants_hold_for_every_system_type(self, system):
         from repro.scenario import run_scenario
-        from repro.telemetry.probe import _probe_spec
+        from repro.telemetry.observe import observing
+        from repro.telemetry.probe import probe_spec
 
         holder = {}
 
-        def attach(sim):
+        def attach(sim, context):
             holder["spans"] = SpanBuilder().attach(sim.machine)
 
-        result = run_scenario(
-            _probe_spec(system, seed=7, duration_s=0.5), attach=attach
-        )
+        with observing([attach]):
+            result = run_scenario(probe_spec(system, seed=7, duration_s=0.5))
         _assert_exact(holder["spans"].finalize(result.duration_ns))
 
     @pytest.mark.parametrize("fault", ["pcpu_fail", "hypercall", "surge"])
     def test_invariants_survive_fault_scenarios(self, fault):
         from repro.experiments.robustness import run_robustness_case
         from repro.simcore.time import sec
+        from repro.telemetry.observe import observing
 
         holder = {}
 
-        def attach(sim):
+        def attach(sim, context):
             holder["spans"] = SpanBuilder().attach(sim.machine)
 
-        run_robustness_case(
-            fault,
-            "RTVirt",
-            sec(1),
-            seed=11,
-            check_invariants=False,
-            attach=attach,
-        )
+        with observing([attach]):
+            run_robustness_case(fault, "RTVirt", sec(1), seed=11)
         _assert_exact(holder["spans"].finalize(sec(1)))

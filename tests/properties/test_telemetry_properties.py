@@ -183,13 +183,15 @@ def _scenario_spec():
 
 def test_streamed_metrics_match_post_hoc_on_a_real_run():
     from repro.scenario import run_scenario
+    from repro.telemetry.observe import observing
 
     holder = {}
 
-    def attach(system):
+    def attach(system, context):
         holder["telemetry"] = StandardTelemetry(system.machine.bus)
 
-    result = run_scenario(_scenario_spec(), attach=attach)
+    with observing([attach]):
+        result = run_scenario(_scenario_spec())
     telemetry = holder["telemetry"]
 
     # Deadline outcomes: the streamed counters must equal the per-task

@@ -1,5 +1,7 @@
 """Tests for the work-unit decomposition of the experiment registry."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import registry
@@ -116,9 +118,19 @@ class TestWholePlans:
 class TestExecuteUnit:
     def test_whole_unit_returns_payload(self):
         unit = plan_for("table2").units[0]
-        payload = execute_unit(unit)
+        payload, observed = execute_unit(unit)
+        assert observed == {}  # an unobserved unit has no observer outputs
         assert payload["rows"]
         assert isinstance(payload["summary"], str)
+
+    def test_observers_are_installed_for_their_unit_only(self):
+        from repro.telemetry import observe
+
+        unit = plan_for("robustness_surge", smoke=True).units[0]
+        _, observed = execute_unit(replace(unit, observers=("telemetry",)))
+        (snapshot,) = observed["telemetry"]  # one per system the unit built
+        assert snapshot["misses"]["per_task"]
+        assert observe._installed == ()  # nothing leaks into the next unit
 
     def test_resolve_rejects_bad_path(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from repro.telemetry.blame import (
     attribute_miss,
     primary_cause,
 )
-from repro.telemetry.blame_plan import blame_plan
+from repro.runner.workunits import observed_smoke_units
+from repro.telemetry.blame_plan import blame_sweep
 
 
 def canonical(snapshot) -> str:
@@ -162,28 +163,26 @@ class TestBlameReport:
 
 class TestBlamePlan:
     def test_plan_units_are_canonical(self):
-        plan = blame_plan(faults=("pcpu_fail",), duration_ns=1, seed=3)
-        assert plan.experiment_id == "blame_sweep"
-        assert [u.unit_id for u in plan.units] == [
-            "blame_sweep/pcpu_fail/RTVirt",
-            "blame_sweep/pcpu_fail/RT-Xen",
-            "blame_sweep/pcpu_fail/Credit",
+        units = observed_smoke_units(["robustness_pcpu_fail"], ("blame",), seed=3)
+        assert [u.unit_id for u in units] == [
+            "robustness_pcpu_fail/RTVirt",
+            "robustness_pcpu_fail/RT-Xen",
+            "robustness_pcpu_fail/Credit",
         ]
-        for unit in plan.units:
-            assert unit.fn == "repro.telemetry.blame_plan:run_blame_shard"
+        for unit in units:
+            assert unit.fn == "repro.experiments.robustness:run_robustness_case"
+            assert unit.observers == ("blame",)
             assert dict(unit.kwargs)["seed"] == 3
 
     def test_sharded_sweep_runs_and_explains(self):
-        from repro.runner.executor import execute_plan
-        from repro.simcore.time import sec
+        from repro.runner.executor import execute_units
 
-        plan = blame_plan(
-            faults=("pcpu_fail",),
-            schedulers=("RT-Xen",),
-            duration_ns=sec(1),
-            seed=11,
-        )
-        sweep = execute_plan(plan, jobs=1)
+        units = [
+            u
+            for u in observed_smoke_units(["robustness_pcpu_fail"], ("blame",))
+            if u.unit_id.endswith("/RT-Xen")
+        ]
+        sweep = blame_sweep(units, execute_units(units, jobs=1))
         (part,) = sweep.parts
         blame = part["blame"]
         assert blame["observed"] > 0, "pcpu_fail under RT-Xen must miss"

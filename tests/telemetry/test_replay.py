@@ -9,17 +9,30 @@ where and how the schedulers part ways.
 
 import pytest
 
-from repro.simcore.time import sec
+from repro.runner.workunits import execute_unit, observed_smoke_units, scenario_unit
 from repro.telemetry.diff import diff_traces
 from repro.telemetry.record import TraceReader
-from repro.telemetry.replay import (
-    canonical_scheduler,
-    record_robustness_case,
-    record_scenario,
-    replay_trace,
-)
+from repro.telemetry.replay import canonical_scheduler, replay_trace
 
-SEED = 11
+
+def record_robustness_case(fault, scheduler):
+    """One robustness smoke cell (1 simulated second, seed 11) run with
+    the ``record`` observer: its ``{"data", "rows"}`` output."""
+    (unit,) = [
+        u
+        for u in observed_smoke_units([f"robustness_{fault}"], ("record",))
+        if u.unit_id.endswith(f"/{scheduler}")
+    ]
+    _, outputs = execute_unit(unit)
+    (recorded,) = outputs["record"]
+    return recorded
+
+
+def record_scenario(spec, name):
+    """*spec* run as a scenario unit with the ``record`` observer."""
+    _, outputs = execute_unit(scenario_unit(spec, name, observers=("record",)))
+    (recorded,) = outputs["record"]
+    return recorded
 
 
 def overloadable_spec():
@@ -77,34 +90,34 @@ class TestSameSchedulerRoundTrip:
         ],
     )
     def test_robustness_cell_replays_exactly(self, fault, scheduler):
-        recorded = record_robustness_case(fault, scheduler, sec(1), SEED)
-        result = replay_trace(recorded.data, record=True)
+        recorded = record_robustness_case(fault, scheduler)
+        result = replay_trace(recorded["data"], record=True)
         assert result.scheduler == scheduler
         assert result.rows_match()
-        assert result.rows == recorded.rows
+        assert result.rows == recorded["rows"]
         replay_reader = result.reader()
         assert (
-            replay_reader.trace_hash == TraceReader(recorded.data).trace_hash
+            replay_reader.trace_hash == TraceReader(recorded["data"]).trace_hash
         )
 
     def test_scenario_replays_exactly(self):
         recorded = record_scenario(overloadable_spec(), name="xsched")
-        result = replay_trace(recorded.data, record=True)
+        result = replay_trace(recorded["data"], record=True)
         assert result.rows_match()
         assert (
-            result.reader().trace_hash == TraceReader(recorded.data).trace_hash
+            result.reader().trace_hash == TraceReader(recorded["data"]).trace_hash
         )
 
 
 class TestWhatIfReplay:
     @pytest.fixture(scope="class")
     def recorded(self):
-        return record_scenario(overloadable_spec(), name="xsched")
+        return record_scenario(overloadable_spec(), name="xsched")["data"]
 
     def test_credit_replay_diverges_with_miss_deltas(self, recorded):
         """Credit starves the RTAs the RTVirt recording kept feasible."""
-        result = replay_trace(recorded.data, scheduler="Credit", record=True)
-        diff = diff_traces(TraceReader(recorded.data), result.reader())
+        result = replay_trace(recorded, scheduler="Credit", record=True)
+        diff = diff_traces(TraceReader(recorded), result.reader())
         assert not diff.identical
         assert diff.divergence_index is not None
         assert diff.event_a is not None and diff.event_b is not None
@@ -121,17 +134,17 @@ class TestWhatIfReplay:
 
     def test_rtxen_replay_diverges_but_keeps_deadlines(self, recorded):
         """RT-Xen schedules differently yet misses nothing extra."""
-        result = replay_trace(recorded.data, scheduler="RT-Xen", record=True)
-        diff = diff_traces(TraceReader(recorded.data), result.reader())
+        result = replay_trace(recorded, scheduler="RT-Xen", record=True)
+        diff = diff_traces(TraceReader(recorded), result.reader())
         assert not diff.identical
         assert diff.divergence_index is not None
         for row in diff.task_deltas:
             assert row["miss_delta"] == 0
 
     def test_robustness_what_if_under_credit(self):
-        recorded = record_robustness_case("pcpu_fail", "RTVirt", sec(1), SEED)
-        result = replay_trace(recorded.data, scheduler="Credit", record=True)
-        diff = diff_traces(TraceReader(recorded.data), result.reader())
+        recorded = record_robustness_case("pcpu_fail", "RTVirt")["data"]
+        result = replay_trace(recorded, scheduler="Credit", record=True)
+        diff = diff_traces(TraceReader(recorded), result.reader())
         assert diff.divergence_index is not None
         worst = max(diff.task_deltas, key=lambda row: row["miss_delta"])
         assert worst["miss_delta"] > 0
@@ -143,6 +156,6 @@ class TestReplayErrors:
             canonical_scheduler("bogus")
 
     def test_replay_rejects_unknown_scheduler(self):
-        recorded = record_robustness_case("pcpu_fail", "RTVirt", sec(1), SEED)
+        recorded = record_robustness_case("pcpu_fail", "RTVirt")["data"]
         with pytest.raises(ValueError):
-            replay_trace(recorded.data, scheduler="bogus")
+            replay_trace(recorded, scheduler="bogus")

@@ -209,16 +209,16 @@ class TestSpanBuilder:
 class TestSystemIntegration:
     def test_real_run_produces_exact_spans(self):
         from repro.scenario import run_scenario
-        from repro.telemetry.probe import _probe_spec
+        from repro.telemetry.observe import observing
+        from repro.telemetry.probe import probe_spec
 
         holder = {}
 
-        def attach(system):
+        def attach(system, context):
             holder["spans"] = SpanBuilder().attach(system.machine)
 
-        result = run_scenario(
-            _probe_spec("rtvirt", seed=1, duration_s=0.5), attach=attach
-        )
+        with observing([attach]):
+            result = run_scenario(probe_spec("rtvirt", seed=1, duration_s=0.5))
         builder = holder["spans"].finalize(result.duration_ns)
         assert builder.spans, "deadline-bearing jobs must produce spans"
         for span in builder.spans:

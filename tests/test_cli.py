@@ -1,8 +1,20 @@
 """Tests for the command-line experiment runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import main
+from repro.experiments import registry
+from repro.runner import workunits
+from repro.simcore.time import msec, sec
+
+
+def _shorten(monkeypatch, experiment_id, duration_ns=sec(1)):
+    """Run *experiment_id* for *duration_ns* instead of its registry length."""
+    binding = workunits.BINDINGS[experiment_id]
+    short = replace(binding, full=dict(binding.full, duration_ns=duration_ns))
+    monkeypatch.setitem(workunits.BINDINGS, experiment_id, short)
 
 
 class TestList:
@@ -76,10 +88,43 @@ class TestRun:
         assert "Figure 3" in out and "Table 2" in out
 
     def test_blame_rejects_ids_it_cannot_blame(self, capsys):
-        assert main(["run", "table1", "--blame"]) == 2
+        # fig3 is analytical: it builds no system for spans to watch.
+        assert main(["run", "fig3", "--blame"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # rejected before anything ran
-        assert captured.err.count("\n") == 1 and "table1" in captured.err
+        assert captured.err.count("\n") == 1 and "fig3" in captured.err
+        assert "--blame" in captured.err
+
+    def test_seed_rejected_on_an_unseeded_id(self, capsys):
+        assert main(["run", "fig3", "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--seed" in captured.err
+
+    def test_blame_on_a_paper_table(self, capsys, monkeypatch):
+        assert main(["run", "table2", "table1", "--blame"]) == 2
+        capsys.readouterr()
+        _shorten(monkeypatch, "fig1")
+        assert main(["run", "fig1", "--blame"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 1" in out and "deadline-miss blame" in out
+        assert "worst misses:" in out  # the uncoordinated half misses
+
+    def test_globs_run_what_simulates_nothing_unobserved(self, capsys):
+        # Named, fig3 is rejected; reached through a glob or `all`, it and
+        # table2 run unobserved beside the ids the observers can watch.
+        from repro.cli import _build_parser, _observer_flags, _run_targets
+
+        assert main(["run", "table[2]", "fig[3]", "--blame"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 2" in out and "Figure 3" in out
+        assert "deadline-miss blame" not in out
+        argv = ["run", "all", "--telemetry", "--record", "r.rtvt", "--blame"]
+        args = _build_parser().parse_args(argv)
+        plans = [plan for _, plan in _run_targets(args, _observer_flags(args))]
+        assert [plan.experiment_id for plan in plans] == registry.all_ids()
+        for unit in (unit for plan in plans for unit in plan.units):
+            assert unit.observers == ("telemetry", "record", "blame")
 
     def test_unknown_id_fails(self, capsys):
         assert main(["run", "nope"]) == 2
@@ -230,75 +275,73 @@ class TestCacheCommand:
 
 
 class TestExplain:
+    """`run --blame` / `--job`: the forms that replaced `repro explain`."""
+
     def test_unknown_target_lists_known_faults(self, capsys):
-        assert main(["explain", "robustness_nope"]) == 2
+        assert main(["run", "robustness_nope", "--blame"]) == 2
         err = capsys.readouterr().err
-        assert "unknown target" in err
+        assert err.count("\n") == 1 and "robustness_nope" in err
         assert "robustness_pcpu_fail" in err
 
-    def test_sweep_prints_blame_table_and_worst_misses(self, capsys):
-        rc = main(
-            ["explain", "robustness_pcpu_fail", "--duration-s", "1"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "deadline-miss blame" in out
-        assert "worst misses" in out
-        assert "primary=" in out
+    def test_sweep_prints_blame_table_and_worst_misses(self, capsys, monkeypatch):
+        from repro.experiments import robustness
 
-    def test_job_flag_renders_causal_timeline(self, capsys):
-        rc = main(
-            [
-                "explain",
-                "robustness_pcpu_fail",
-                "--job",
-                "vm2.rta1",
-                "--scheduler",
-                "RT-Xen",
-                "--duration-s",
-                "1",
-            ]
-        )
+        _shorten(monkeypatch, "robustness_pcpu_fail")
+        calls = []
+        cell = robustness.run_robustness_case
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(robustness, "run_robustness_case", counting)
+        assert main(["run", "robustness_pcpu_fail", "--blame"]) == 0
+        out = capsys.readouterr().out
+        assert "blame sweep" in out and "deadline-miss blame" in out
+        assert "worst misses — RT-Xen:" in out
+        assert "primary=" in out
+        # The registry's own cells carry the spans: one run per cell.
+        assert len(calls) == 3
+
+    def test_job_flag_renders_causal_timeline(self, capsys, monkeypatch):
+        _shorten(monkeypatch, "robustness_pcpu_fail")
+        rc = main(["run", "robustness_pcpu_fail", "--job", "vm2.rta1"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "vm2.rta1" in out
+        assert "robustness_pcpu_fail under RT-Xen (1s, seed 11):" in out
+        assert "vm2.rta1#" in out
         assert "release" in out and "run " in out
 
-    def test_feedback_explains_the_registry_run(self, capsys, monkeypatch):
-        # Without flags, explain re-runs the registry's cells: its
-        # per-policy result rows are the rows `repro run` reports.
-        from repro.experiments import feedback_adaptive, registry
+    def test_feedback_explains_the_registry_run(self, capsys):
+        # One run: the per-policy result rows printed beside each blame
+        # table are the rows the registry reports.
+        from repro.experiments.common import format_table
         from repro.runner import run_experiments
 
-        explained = []
-        explain_feedback = feedback_adaptive.explain_feedback
-
-        def recording(*args):
-            cells = explain_feedback(*args)
-            explained.extend(row for cell in cells for row in cell["rows"])
-            return cells
-
-        monkeypatch.setattr(feedback_adaptive, "explain_feedback", recording)
-        assert main(["explain", "feedback_migrate"]) == 0
+        assert main(["run", "feedback_migrate", "--blame"]) == 0
+        out = capsys.readouterr().out
         length_s = registry.FEEDBACK_DURATION_NS / 1e9
-        header = f"({length_s:g}s, seed {registry.FEEDBACK_SEED})"
-        assert header in capsys.readouterr().out
         (report,) = run_experiments(["feedback_migrate"]).reports
-        assert explained == report.rows
+        for policy in ("static", "adaptive"):
+            header = (
+                f"=== feedback_migrate — policy {policy!r} "
+                f"({length_s:g}s, seed {registry.FEEDBACK_SEED})"
+            )
+            rows = [row for row in report.rows if row["policy"] == policy]
+            assert header in out
+            assert format_table(rows, title="result rows") in out
+        assert "per-tenant blame/credit" in out
 
-    def test_job_without_spans_fails(self, capsys):
-        rc = main(
-            [
-                "explain",
-                "robustness_pcpu_fail",
-                "--job",
-                "vm9.none",
-                "--duration-s",
-                "0.5",
-            ]
-        )
+    def test_job_without_spans_fails(self, capsys, monkeypatch):
+        _shorten(monkeypatch, "robustness_pcpu_fail", msec(500))
+        rc = main(["run", "robustness_pcpu_fail", "--job", "vm9.none"])
         assert rc == 2
         assert "no spans" in capsys.readouterr().err
+
+    def test_malformed_job_rejected(self, capsys):
+        assert main(["run", "robustness_pcpu_fail", "--job", "vm2.rta1#x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--job" in captured.err
 
 
 class TestCluster:
@@ -390,21 +433,18 @@ class TestRunAllLedger:
 
 class TestTraceCommand:
     def _record(self, tmp_path, capsys):
-        path = str(tmp_path / "fail.rtvt")
-        rc = main(
-            [
-                "trace",
-                "record",
-                "robustness_pcpu_fail",
-                "--duration-s",
-                "1",
-                "-o",
-                path,
-            ]
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            _shorten(patch, "robustness_pcpu_fail")
+            rc = main(
+                ["run", "robustness_pcpu_fail", "--record", str(tmp_path / "fail.rtvt")]
+            )
         assert rc == 0
-        capsys.readouterr()
-        return path
+        out = capsys.readouterr().out
+        # One file per cell, named from PATH and the unit id.
+        for scheduler in ("RTVirt", "RT-Xen", "Credit"):
+            cell = tmp_path / f"fail.robustness_pcpu_fail-{scheduler}.rtvt"
+            assert f"-> {cell}" in out
+        return str(tmp_path / "fail.robustness_pcpu_fail-RTVirt.rtvt")
 
     def test_record_and_inspect(self, capsys, tmp_path):
         path = self._record(tmp_path, capsys)
@@ -416,9 +456,40 @@ class TestTraceCommand:
         assert "job_release" in out
 
     def test_record_rejects_unknown_fault(self, capsys, tmp_path):
-        rc = main(["trace", "record", "robustness_nope"])
+        rc = main(["run", "robustness_nope", "--record", str(tmp_path / "x.rtvt")])
         assert rc == 2
-        assert "unknown target" in capsys.readouterr().err
+        assert "robustness_nope" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_record_any_simulating_id(self, capsys, tmp_path, monkeypatch):
+        # A paper figure records too: one trace per unit, inspectable.
+        _shorten(monkeypatch, "fig5a")
+        assert main(["run", "fig5a", "--record", str(tmp_path / "f5a.rtvt")]) == 0
+        capsys.readouterr()
+        traces = sorted(tmp_path.iterdir())
+        assert len(traces) == 4
+        assert main(["trace", "inspect", str(traces[0])]) == 0
+        out = capsys.readouterr().out
+        assert "format: unit" in out and "unit: fig5a/" in out
+
+    def test_offline_blame_is_each_systems_live_blame(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # fig1 builds two systems that both start at time 0 and share task
+        # names: each gets its own trace, whose offline blame is the live
+        # blame of that system.
+        _shorten(monkeypatch, "fig1")
+        argv = ["run", "fig1", "--blame", "--record", str(tmp_path / "f.rtvt")]
+        assert main(argv) == 0
+        live = capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.0.rtvt", "f.1.rtvt"]
+        for system in (0, 1):
+            path = str(tmp_path / f"f.{system}.rtvt")
+            assert main(["trace", "inspect", path, "--blame"]) == 0
+            offline = capsys.readouterr().out
+            blame = offline[offline.index("deadline-miss blame") :]
+            assert f"blame — fig1/whole system {system}:\n{blame}" in live
+        assert "rta2#1 +4.000ms primary=host_preemption" in live
 
     def test_replay_round_trip_matches(self, capsys, tmp_path):
         path = self._record(tmp_path, capsys)
@@ -443,11 +514,15 @@ class TestTraceCommand:
         assert "traces identical" in capsys.readouterr().out
 
     def test_explain_accepts_trace_file(self, capsys, tmp_path):
+        # Offline blame: `trace inspect --blame` rebuilds spans from the
+        # trace without simulating.
         path = self._record(tmp_path, capsys)
-        assert main(["explain", path]) == 0
+        assert main(["trace", "inspect", path, "--blame"]) == 0
         out = capsys.readouterr().out
         assert "deadline-miss blame" in out
-        assert "pcpu_fail under RTVirt" in out
+        assert "fault: pcpu_fail" in out and "scheduler: RTVirt" in out
+        assert main(["trace", "inspect", path, "--job", "vm2.rta1#3"]) == 0
+        assert "vm2.rta1#3 — released" in capsys.readouterr().out
 
 
 class TestCorruptTrace:
@@ -456,11 +531,13 @@ class TestCorruptTrace:
     @pytest.fixture(scope="class")
     def traces(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("traces")
-        good = str(root / "good.rtvt")
-        rc = main(
-            ["trace", "record", "robustness_pcpu_fail", "--duration-s", "1", "-o", good]
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            _shorten(patch, "robustness_pcpu_fail")
+            rc = main(
+                ["run", "robustness_pcpu_fail", "--record", str(root / "good.rtvt")]
+            )
         assert rc == 0
+        good = str(root / "good.robustness_pcpu_fail-RTVirt.rtvt")
         with open(good, "rb") as handle:
             data = handle.read()
         flipped = bytearray(data)
@@ -490,4 +567,4 @@ class TestCorruptTrace:
 
     def test_explain(self, capsys, traces):
         _, _, cut = traces
-        self.assert_rejected(capsys, ["explain", cut], cut)
+        self.assert_rejected(capsys, ["trace", "inspect", cut, "--blame"], cut)

@@ -110,22 +110,17 @@ class TestStreamingExporter:
     @pytest.fixture(scope="class")
     def faulted_run(self):
         from repro.experiments.robustness import run_robustness_case
+        from repro.telemetry.observe import observing
         from repro.telemetry.spans import SpanBuilder
 
         holder = {}
 
-        def attach(system):
+        def attach(system, context):
             holder["trace"] = Trace().attach(system.machine.bus)
             holder["spans"] = SpanBuilder().attach(system.machine)
 
-        run_robustness_case(
-            "pcpu_fail",
-            "RT-Xen",
-            sec(1),
-            seed=11,
-            check_invariants=False,
-            attach=attach,
-        )
+        with observing([attach]):
+            run_robustness_case("pcpu_fail", "RT-Xen", sec(1), seed=11)
         return holder
 
     def test_written_json_parses(self, faulted_run, tmp_path):

@@ -172,6 +172,36 @@ class TestPackageSurface:
                     unnamed.append(f"{relative}:{node.lineno} {node.name}")
         assert not unnamed, "named only by tests: " + ", ".join(unnamed)
 
+    def test_every_import_is_read(self):
+        # Every name a module under src/repro imports must be read by
+        # that module.  Package __init__ files only re-export, and
+        # ``from __future__`` imports are directives, not names.
+        import repro
+
+        package_root = Path(repro.__file__).parent
+        unread = []
+        for path in sorted(package_root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported[name] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = node.lineno
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            relative = path.relative_to(package_root)
+            unread += [
+                f"{relative}:{line} {name}"
+                for name, line in sorted(imported.items())
+                if name not in read
+            ]
+        assert not unread, "imported but never read: " + ", ".join(unread)
+
     def test_only_the_engine_touches_its_queue(self):
         # Per-layer work counts (events armed and cancelled) are taken by
         # wrapping Engine.at and Engine.cancel; a module that reached the

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scenario import run_scenario, run_scenario_file
+from repro.scenario import load_scenario_file, run_scenario
 from repro.simcore.errors import ConfigurationError
 
 
@@ -121,7 +121,7 @@ class TestFileLoading:
     def test_run_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(basic_spec()))
-        result = run_scenario_file(str(path))
+        result = run_scenario(load_scenario_file(str(path)), name=str(path))
         assert result.report.total_missed == 0
 
     def test_cli_scenario_command(self, tmp_path, capsys):
@@ -129,7 +129,7 @@ class TestFileLoading:
 
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(basic_spec()))
-        assert main(["scenario", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
         assert "deadlines met" in capsys.readouterr().out
 
 
@@ -139,7 +139,7 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "scenarios"
 def run_cli(capsys, *argv):
     from repro.cli import main
 
-    code = main(["scenario", *argv])
+    code = main(["run", *argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -258,10 +258,12 @@ class TestCliBadInput:
         _, stderr = self.assert_one_line_error(capsys, str(path))
         assert "70000" in stderr
 
+    #: Keyed by the verb each `run` form replaced (`scenario F.json`,
+    #: `explain F.json`, `trace record F.json -o P`).
     VERBS = {
-        "scenario": lambda path: ["scenario", path],
-        "explain": lambda path: ["explain", path],
-        "trace record": lambda path: ["trace", "record", path, "-o", path + ".rtvt"],
+        "scenario": lambda path: ["run", path],
+        "explain": lambda path: ["run", path, "--blame"],
+        "trace record": lambda path: ["run", path, "--record", path + ".rtvt"],
     }
 
     def run_verb(self, capsys, verb, path):
@@ -288,6 +290,11 @@ class TestCliBadInput:
     def test_missing_file(self, capsys, tmp_path, verb):
         path = str(tmp_path / "absent.json")
         assert path in self.run_verb(capsys, verb, path)
+        assert not (tmp_path / "absent.json.rtvt").exists()
+
+    def test_seed_does_not_apply_to_a_scenario(self, capsys, scenario):
+        stdout, stderr = self.assert_one_line_error(capsys, scenario, "--seed", "5")
+        assert stdout == "" and "--seed" in stderr
 
 
 def _field_paths(node, prefix=()):

@@ -19,27 +19,28 @@ equivalence gate:
     python tools/check_determinism.py --parallel 4
     python tools/check_determinism.py --check baseline.json --parallel 4
 
-With ``--streams N`` the telemetry probe (``repro.telemetry.probe``)
-runs its sharded plan twice — serially and across N workers — and each
-system's *merged streaming-aggregate snapshot* must hash identically:
-the gate that sharded telemetry streams merge byte-identically to a
-single stream.  ``--streams`` stands alone; it does not rerun the
-experiment registry:
+With ``--streams N`` the telemetry probe's scenario cells
+(``repro.telemetry.probe``) run twice with the ``telemetry`` observer —
+serially and across N workers — and each system's *merged
+streaming-aggregate snapshot* must hash identically: the gate that
+sharded telemetry streams merge byte-identically to a single stream.
+``--streams`` stands alone; it does not rerun the experiment registry:
 
     python tools/check_determinism.py --streams 4
 
-With ``--blame N`` the span/blame sweep (``repro.telemetry.blame_plan``)
-runs a fixed two-family robustness sharding twice — serially and across
-N workers — and the merged blame report plus every per-cell snapshot
-must hash identically: the gate that miss attribution is independent of
-how the work units were scheduled.  Like ``--streams`` it stands alone:
+With ``--blame N`` the robustness smoke cells of two fault families run
+twice with the ``blame`` observer — serially and across N workers — and
+the merged blame report (``repro.telemetry.blame_plan``) plus every
+per-cell snapshot must hash identically: the gate that miss attribution
+is independent of how the work units were scheduled.  Like
+``--streams`` it stands alone:
 
     python tools/check_determinism.py --blame 4
 
-With ``--trace N`` the flight-recorder sweep (``repro.telemetry
-.trace_plan``) records a fixed two-family robustness sharding twice —
-serially and across N workers — and the merged trace's *canonical hash*
-(a digest of every telemetry event the runs emitted, not just the end
+With ``--trace N`` the robustness smoke cells of two fault families run
+twice with the ``record`` observer — serially and across N workers —
+and the merged trace's *canonical hash* (``repro.telemetry.trace_plan``;
+a digest of every telemetry event the runs emitted, not just the end
 metrics) must be identical in both: the gate that the simulated event
 stream itself is byte-stable under work-unit re-scheduling.  Like
 ``--streams`` it stands alone:
@@ -93,9 +94,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import registry  # noqa: E402
 from repro.runner import run_experiments  # noqa: E402
-from repro.runner.executor import execute_plan  # noqa: E402
+from repro.runner.executor import execute_units  # noqa: E402
 from repro.runner.ledger import rows_hash  # noqa: E402
-from repro.simcore.time import sec  # noqa: E402
+from repro.runner.workunits import observed_smoke_units  # noqa: E402
 
 
 def experiment_digest(experiment_id: str, seed=None) -> dict:
@@ -116,24 +117,45 @@ def registry_hashes(ids, jobs: int, seed=None) -> dict:
 
 
 def stream_hashes(ids, jobs: int, seed=None) -> dict:
-    """Telemetry probe: each system's merged streaming-aggregate snapshot."""
-    from repro.telemetry.probe import probe_plan
+    """Telemetry probe: its scenario cells run with the ``telemetry``
+    observer; each system's merged streaming-aggregate snapshot."""
+    from repro.runner.workunits import scenario_unit
+    from repro.telemetry.probe import (
+        PROBE_SEEDS,
+        PROBE_SYSTEMS,
+        ProbeResult,
+        probe_spec,
+    )
 
-    merged = execute_plan(probe_plan(), jobs=jobs).merged
+    cells = [(system, n) for system in PROBE_SYSTEMS for n in PROBE_SEEDS]
+    units = [
+        scenario_unit(
+            probe_spec(system, n), f"probe:{system}:{n}", observers=("telemetry",)
+        )
+        for system, n in cells
+    ]
+    parts = [
+        {"system": system, "snapshot": outputs["telemetry"][0]}
+        for (system, _), (_, outputs) in zip(cells, execute_units(units, jobs))
+    ]
+    merged = ProbeResult(parts).merged
     return {f"streams/{system}": rows_hash(merged[system]) for system in sorted(merged)}
+
+
+def _observed_cells(faults, observer: str, jobs: int, seed):
+    """Robustness smoke cells (1 simulated second) of *faults*, every
+    scheduler, run with *observer*: the units and their results."""
+    ids = [f"robustness_{fault}" for fault in faults]
+    units = observed_smoke_units(ids, (observer,), seed=seed)
+    return units, execute_units(units, jobs)
 
 
 def blame_hashes(ids, jobs: int, seed=None) -> dict:
     """Blame sweep (two fault families, every scheduler, 1 simulated
     second): the merged report and every cell's own snapshot."""
-    from repro.telemetry.blame_plan import blame_plan
+    from repro.telemetry.blame_plan import blame_sweep
 
-    plan = blame_plan(
-        faults=("pcpu_fail", "hypercall"),
-        duration_ns=sec(1),
-        seed=seed if seed is not None else 11,
-    )
-    sweep = execute_plan(plan, jobs=jobs)
+    sweep = blame_sweep(*_observed_cells(("pcpu_fail", "hypercall"), "blame", jobs, seed))
     hashes = {"blame/merged": rows_hash(sweep.merged.snapshot())}
     for part in sweep.parts:
         hashes[f"blame/{part['fault']}/{part['scheduler']}"] = rows_hash(part)
@@ -144,16 +166,11 @@ def trace_hashes(ids, jobs: int, seed=None) -> dict:
     """Flight-recorder sweep (two fault families, every scheduler, 1
     simulated second): the merged trace's canonical hash — a digest of
     every telemetry event, not just the end metrics — and each cell's."""
-    from repro.telemetry.trace_plan import trace_plan
+    from repro.telemetry.trace_plan import trace_bundle
 
-    plan = trace_plan(
-        faults=("pcpu_fail", "vm_churn"),
-        duration_ns=sec(1),
-        seed=seed if seed is not None else 11,
-    )
-    sweep = execute_plan(plan, jobs=jobs)
-    hashes = {"trace/merged": sweep.merged_hash}
-    for part in sweep.parts:
+    bundle = trace_bundle(*_observed_cells(("pcpu_fail", "vm_churn"), "record", jobs, seed))
+    hashes = {"trace/merged": bundle.merged_hash}
+    for part in bundle.parts:
         hashes[f"trace/{part['fault']}/{part['scheduler']}"] = part["hash"]
     return hashes
 
