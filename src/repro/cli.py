@@ -3,9 +3,8 @@
     python -m repro list                 # show the experiment catalogue
     python -m repro run fig3             # regenerate Figure 3
     python -m repro run table2 fig1      # several at once
-    python -m repro run all              # the whole evaluation, serially
-    python -m repro run-all --jobs 4     # the whole evaluation, in parallel
-    python -m repro run-all --only fig3,table1 --no-cache
+    python -m repro run all --jobs 4     # the whole evaluation, in parallel
+    python -m repro run fig3 'table*' --no-cache --no-ledger
     python -m repro cache stats          # entry count, bytes, last-run hits
     python -m repro cache prune --max-bytes 50000000    # LRU eviction
     python -m repro run robustness_pcpu_fail --blame    # why did jobs miss?
@@ -17,15 +16,19 @@
         --scheduler Credit                              # what-if replay
     python -m repro trace diff a.rtvt b.rtvt            # first divergence
     python -m repro trace inspect a.rtvt --blame        # blame from a trace
+
+Every ``run`` reads and writes the result cache (``./.repro_cache``) and
+writes one run-ledger manifest (``./runs/<stamp>/manifest.json``);
+``--no-cache`` and ``--no-ledger`` turn either off.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
-import time
 from typing import List, Optional, Tuple
 
 from .experiments import registry
@@ -42,13 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list the reproducible tables and figures")
     run = sub.add_parser(
         "run",
-        help="run experiments or scenario files, optionally observed",
-        description="Run each TARGET's work-unit plan in-process and print "
-        "its summary.  The observer flags attach the same named observers "
-        "to every system each unit of every target builds; `all` and globs "
-        "run the ids that simulate nothing unobserved.  A file flag writes "
-        "one file per system: PATH itself for a one-unit run of one "
-        "system, else PATH's stem, the unit id when the run has several "
+        help="run experiments or scenario files, cached, optionally observed",
+        description="Run the work units of every TARGET in one cached, pooled "
+        "pass; print each target's summary, a per-experiment timing table "
+        "and the run-ledger manifest it wrote.  The observer flags attach "
+        "the same named observers to every system each unit of every target "
+        "builds (an observed unit always runs and bypasses the cache); `all` "
+        "and globs run the ids that simulate nothing unobserved.  A file "
+        "flag writes one file per system: PATH itself for a one-unit run of "
+        "one system, else PATH's stem, the unit id when the run has several "
         "units (each run of characters outside [A-Za-z0-9_.-] becomes "
         "'-'), the system's index when its unit builds several, and PATH's "
         "suffix, e.g. r.robustness_pcpu_fail-RT-Xen.rtvt, r.0.rtvt.",
@@ -101,14 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         metavar="N",
-        help="RNG seed of the seeded ids (robustness_*, cluster_*, "
-        "feedback_*, tenant_*); any other target exits 2",
+        help="RNG seed of the ids whose simulation draws from it "
+        "(robustness_jitter, cluster_*); ids reached through `all` or a glob "
+        "that take no seed run at their registry seed, a named one exits 2",
     )
-    run_all = sub.add_parser(
-        "run-all",
-        help="run experiments through the parallel runner with result caching",
-    )
-    run_all.add_argument(
+    run.add_argument(
         "--jobs",
         "-j",
         type=int,
@@ -116,59 +118,35 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes (default 1: in-process, same work units)",
     )
-    run_all.add_argument(
-        "--only",
-        metavar="IDS",
-        help="comma-separated experiment ids or globs like 'robustness_*' "
-        "(default: the whole registry)",
-    )
-    run_all.add_argument(
-        "--seed",
-        type=int,
-        metavar="N",
-        help="override the RNG seed of seed-taking experiments "
-        "(robustness family); cache entries are keyed per seed",
-    )
-    run_all.add_argument(
+    run.add_argument(
         "--no-cache",
         action="store_true",
         help="neither read nor write the result cache",
     )
-    run_all.add_argument(
+    run.add_argument(
         "--refresh",
         action="store_true",
         help="ignore cached results but store fresh ones",
     )
-    run_all.add_argument(
+    run.add_argument(
         "--cache-dir",
         metavar="PATH",
         help="result cache location (default ./.repro_cache)",
     )
-    run_all.add_argument(
-        "--summaries",
-        action="store_true",
-        help="print each experiment's summary after the timing table",
-    )
-    run_all.add_argument(
+    run.add_argument(
         "--runs-dir",
         default="runs",
         metavar="PATH",
-        help="run-ledger root; every run-all writes "
+        help="run-ledger root; every run writes "
         "<runs-dir>/<stamp>/manifest.json (default ./runs)",
     )
-    run_all.add_argument(
+    run.add_argument(
         "--no-ledger",
         action="store_true",
         help="do not write a run-ledger manifest",
     )
-    run_all.add_argument(
-        "--trace",
-        action="store_true",
-        help="also record the robustness sweep's flight-recorder traces "
-        "and store the merged trace next to the manifest",
-    )
     cache = sub.add_parser(
-        "cache", help="inspect and manage the run-all result cache"
+        "cache", help="inspect and manage the result cache and run ledger"
     )
     cache.add_argument(
         "action",
@@ -343,9 +321,10 @@ def _run_targets(args, flags: List[Tuple[str, str]]) -> List[Tuple[str, object]]
     """``(header, plan)`` per target, each unit carrying the observers.
 
     Raises :class:`ConfigurationError` for an unknown id, an unreadable
-    scenario, or a flag that cannot apply to a target.  An observer
-    flag rejects an id that simulates nothing only when it is named:
-    ``all`` and globs run such ids unobserved.
+    scenario, or a flag that cannot apply to a target.  A flag rejects
+    an id only when it is named: ``all`` and globs run the ids that
+    simulate nothing unobserved, and the ids that take no seed at their
+    registry seed.
     """
     from .runner.workunits import (
         ANALYTIC_FNS,
@@ -354,6 +333,8 @@ def _run_targets(args, flags: List[Tuple[str, str]]) -> List[Tuple[str, object]]
         plan_for,
         scenario_plan,
     )
+    from .scenario import load_scenario_file
+
     targets = {}  # in command-line order, each id once
     for name in args.targets:
         if name.endswith(".json"):
@@ -361,7 +342,8 @@ def _run_targets(args, flags: List[Tuple[str, str]]) -> List[Tuple[str, object]]
                 raise ConfigurationError(
                     f"--seed does not apply to {name}: a scenario sets its own seed"
                 )
-            targets[name] = (f"scenario {name}", scenario_plan(name))
+            plan = scenario_plan(load_scenario_file(name), name)
+            targets[name] = (f"scenario {name}", plan)
             continue
         try:
             ids = registry.expand_ids(["*" if name == "all" else name])
@@ -370,15 +352,16 @@ def _run_targets(args, flags: List[Tuple[str, str]]) -> List[Tuple[str, object]]
                 f"{exc.args[0]}; known ids: {', '.join(registry.all_ids())}"
             ) from None
         for experiment_id in ids:
-            if args.seed is not None and not BINDINGS[experiment_id].seeded:
+            named = experiment_id == name  # not reached through `all` or a glob
+            seeded = BINDINGS[experiment_id].seeded
+            if named and args.seed is not None and not seeded:
                 raise ConfigurationError(
-                    f"--seed does not apply to {experiment_id}: it takes no "
-                    "seed override"
+                    f"--seed does not apply to {experiment_id}: its simulation "
+                    "draws nothing from a seed"
                 )
             entry = registry.REGISTRY[experiment_id]
             header = f"{entry.paper_ref}: {entry.description}"
             plan = plan_for(experiment_id, args.seed)
-            named = experiment_id == name  # not reached through `all` or a glob
             if flags and named and all(u.fn in ANALYTIC_FNS for u in plan.units):
                 raise ConfigurationError(
                     f"{', '.join(flag for flag, _ in flags)} cannot observe "
@@ -404,23 +387,63 @@ def _output_path(path: str, unit, system: Optional[int], many: bool) -> str:
 
 
 def _cmd_run(args) -> int:
-    from .runner.executor import execute_units
+    from .experiments.common import format_table
+    from .runner import ledger
+    from .runner.cache import ResultCache
+    from .runner.executor import run_plans
 
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs takes at least 1 worker, got {args.jobs}")
     _check_job(args.job)
     json_flags = ("--chrome-trace", args.chrome_trace), ("--profile", args.profile)
     for flag, path in json_flags:
         if path is not None and not path.endswith(".json"):
             raise ConfigurationError(f"{flag} writes a .json file, got {path!r}")
-    targets = _run_targets(args, _observer_flags(args))
-    many = sum(len(plan.units) for _, plan in targets) > 1  # name files by unit
+    flags = _observer_flags(args)
+    targets = _run_targets(args, flags)
+    cache = None if args.no_cache else ResultCache(args.cache_dir, refresh=args.refresh)
+    report = run_plans(
+        [plan for _, plan in targets],
+        jobs=args.jobs,
+        cache=cache,
+        echo=lambda m: print(f"[run] {m}"),
+    )
+    many = sum(r.units for r in report.reports) > 1  # name files by unit
     status = 0
-    for header, plan in targets:
+    files: List[dict] = []
+    for (header, _), experiment in zip(targets, report.reports):
         print(f"=== {header}")
-        started = time.time()
-        results = execute_units(plan.units)
-        print(plan.assemble([part for part, _ in results]).summary())
-        status = max(status, _print_observed(plan, results, args, many))
-        print(f"--- ({time.time() - started:.1f}s wall)\n")
+        print(experiment.summary)
+        status = max(status, _print_observed(experiment, args, many, files))
+        print()
+    timing_rows = [
+        {
+            "experiment": r.experiment_id,
+            "units": r.units,
+            "cached": r.cached_units,
+            "unit_wall_s": round(r.unit_wall_s, 2),
+            "rows": len(r.rows),
+        }
+        for r in report.reports
+    ]
+    print(format_table(timing_rows, title="per-experiment timing"))
+    cache_note = (
+        f"cache: {report.cache_hits} hits, {report.cache_misses} misses, "
+        f"{report.cache_writes} writes"
+        if report.cache_enabled
+        else "cache disabled"
+    )
+    print(f"total: {report.wall_s:.1f}s wall with {report.jobs} job(s); {cache_note}")
+    if not args.no_ledger:
+        stamp, run_dir = ledger.new_run_dir(args.runs_dir)
+        manifest = ledger.run_manifest(
+            report,
+            stamp=stamp,
+            seed=args.seed,
+            observers=[name for _, name in flags],
+            files=files,
+        )
+        print(f"ledger: {ledger.write_manifest(run_dir, manifest)}")
     return status
 
 
@@ -442,53 +465,63 @@ def _unit_title(unit, system: Optional[int] = None) -> str:
     return f"{label} ({kwargs['duration_ns'] / SEC:g}s, seed {kwargs['seed']})"
 
 
-def _watched(plan, results, name: str) -> List[tuple]:
+def _watched(experiment, name: str) -> List[tuple]:
     """``(unit, part, output, system)`` for every system observer *name*
     watched, in unit order; *system* is the system's index in a unit
     that built several, else ``None``."""
     watched = []
-    for unit, (part, observed) in zip(plan.units, results):
+    for unit, part, observed in experiment.results:
         outputs = observed.get(name, [])
         for index, output in enumerate(outputs):
             watched.append((unit, part, output, index if len(outputs) > 1 else None))
     return watched
 
 
-def _print_observed(plan, results, args, many: bool) -> int:
+def _print_observed(experiment, args, many: bool, files: List[dict]) -> int:
     """Print (and write) every observer output of one target's units,
-    one per system each unit built."""
+    one per system each unit built; each file written joins *files*."""
     from .experiments.common import format_table
     from .report.export import export_chrome_trace, export_profile
     from .telemetry.record import TraceReader
 
-    several = len(plan.units) > 1
-    for unit, _, snapshot, system in _watched(plan, results, "telemetry"):
+    several = experiment.units > 1
+    for unit, _, snapshot, system in _watched(experiment, "telemetry"):
         titled = several or system is not None
         heading = f" — {_unit_label(unit, system)}" if titled else ""
         print(f"telemetry (streamed){heading}:")
         _print_telemetry(snapshot)
-    for unit, _, trace, system in _watched(plan, results, "chrome_trace"):
+    for unit, _, trace, system in _watched(experiment, "chrome_trace"):
         path = _output_path(args.chrome_trace, unit, system, many)
         count = export_chrome_trace(trace, path)
+        files.append({"path": path, "unit": unit.unit_id, "observer": "chrome_trace"})
         print(f"chrome trace: {count} events -> {path}")
-    for unit, _, recorded, system in _watched(plan, results, "record"):
+    for unit, _, recorded, system in _watched(experiment, "record"):
         path = _output_path(args.record, unit, system, many)
         with open(path, "wb") as handle:
             handle.write(recorded["data"])
         if recorded["rows"] is not None:
             print(format_table(recorded["rows"], title="recorded run"))
         reader = TraceReader(recorded["data"])
+        files.append(
+            {
+                "path": path,
+                "unit": unit.unit_id,
+                "observer": "record",
+                "trace_sha256": reader.trace_hash,
+            }
+        )
         print(
             f"trace: {reader.event_count} events, "
             f"hash {reader.trace_hash[:16]} -> {path}"
         )
     status = 0
-    cells = _watched(plan, results, "blame")
+    cells = _watched(experiment, "blame")
     if cells:
-        status = _print_blame(plan, results, cells, args.job)
-    for unit, _, profiler, system in _watched(plan, results, "profile"):
+        status = _print_blame(experiment, cells, args.job)
+    for unit, _, profiler, system in _watched(experiment, "profile"):
         path = _output_path(args.profile, unit, system, many)
         export_profile(profiler, path)
+        files.append({"path": path, "unit": unit.unit_id, "observer": "profile"})
         print(profiler.summary())
         print(f"profile: -> {path}")
     return status
@@ -514,7 +547,7 @@ def _print_telemetry(snapshot: dict) -> None:
     )
 
 
-def _print_blame(plan, results, cells, job: Optional[str]) -> int:
+def _print_blame(experiment, cells, job: Optional[str]) -> int:
     """A robustness family prints the blame sweep and each cell's worst
     misses; a feedback cell its rows, blame and per-tenant table; any
     other unit its blame table and worst misses."""
@@ -522,10 +555,10 @@ def _print_blame(plan, results, cells, job: Optional[str]) -> int:
     from .report.ascii import render_blame_table
     from .telemetry.blame_plan import blame_sweep
 
-    several = len(plan.units) > 1
+    several = experiment.units > 1
     titled = several or any(system is not None for *_, system in cells)
-    if plan.experiment_id.startswith("robustness_"):
-        sweep = blame_sweep(plan.units, results)
+    if experiment.experiment_id.startswith("robustness_"):
+        sweep = blame_sweep(experiment.results)
         print(sweep.summary())
         for part in sweep.parts:
             _print_worst_misses(
@@ -586,123 +619,6 @@ def _print_timelines(titled, job: str) -> int:
             print(text)
             print()
     return 0
-
-
-def _cmd_run_all(args) -> int:
-    from .experiments.common import format_table
-    from .runner import ResultCache, run_experiments
-    from .runner.cache import disabled_cache
-
-    ids: Optional[List[str]] = None
-    if args.only:
-        patterns = [i.strip() for i in args.only.split(",") if i.strip()]
-        try:
-            ids = registry.expand_ids(patterns)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            print(f"known ids: {', '.join(registry.all_ids())}", file=sys.stderr)
-            return 2
-    if args.no_cache:
-        cache = disabled_cache()
-    else:
-        cache = ResultCache(path=args.cache_dir, refresh=args.refresh)
-
-    report = run_experiments(
-        ids,
-        jobs=args.jobs,
-        cache=cache,
-        echo=lambda m: print(f"[run-all] {m}"),
-        seed=args.seed,
-    )
-
-    timing_rows = [
-        {
-            "experiment": r.experiment_id,
-            "units": r.units,
-            "cached": r.cached_units,
-            "unit_wall_s": round(r.unit_wall_s, 2),
-            "rows": len(r.rows),
-        }
-        for r in report.reports
-    ]
-    print(format_table(timing_rows, title="run-all — per-experiment timing"))
-    cache_note = (
-        "cache disabled"
-        if args.no_cache
-        else f"cache: {report.cache_hits} hits, {report.cache_misses} misses, "
-        f"{report.cache_writes} writes"
-    )
-    print(
-        f"total: {report.wall_s:.1f}s wall with {report.jobs} job(s); {cache_note}"
-    )
-    if not args.no_ledger:
-        _write_run_ledger(args, report)
-    if args.summaries:
-        for r in report.reports:
-            print(f"\n=== {r.experiment_id}")
-            print(r.summary)
-    return 0
-
-
-def _write_run_ledger(args, report) -> None:
-    """Persist this run-all as a ledger entry under ``<runs-dir>/<stamp>``."""
-    from .runner import ledger
-
-    stamp, run_dir = ledger.new_run_dir(args.runs_dir)
-    manifest = {
-        "stamp": stamp,
-        "git_sha": ledger.git_sha(),
-        "seed": args.seed,
-        "jobs": report.jobs,
-        "wall_s": round(report.wall_s, 2),
-        "cache": {
-            "enabled": not args.no_cache,
-            "hits": report.cache_hits,
-            "misses": report.cache_misses,
-            "writes": report.cache_writes,
-        },
-        "experiments": {
-            r.experiment_id: {
-                "rows": len(r.rows),
-                "rows_sha256": ledger.rows_hash(r.rows),
-                "units": r.units,
-                "cached_units": r.cached_units,
-                "unit_wall_s": round(r.unit_wall_s, 3),
-                "unit_walls": {u: round(w, 3) for u, w in r.unit_walls.items()},
-            }
-            for r in report.reports
-        },
-    }
-    if args.trace:
-        from .experiments.robustness import ROBUSTNESS_FAULTS
-        from .runner.executor import execute_units
-        from .runner.workunits import observed_smoke_units
-        from .telemetry.trace_plan import trace_bundle
-
-        units = observed_smoke_units(
-            [f"robustness_{fault}" for fault in ROBUSTNESS_FAULTS], ("record",)
-        )
-        bundle = trace_bundle(units, execute_units(units, jobs=report.jobs))
-        trace_path = bundle.write(os.path.join(run_dir, "robustness.rtvt"))
-        manifest["trace"] = {
-            "path": os.path.basename(trace_path),
-            "sha256": bundle.merged_hash,
-            "events": sum(p["events"] for p in bundle.parts),
-            "parts": [
-                {
-                    "fault": p["fault"],
-                    "scheduler": p["scheduler"],
-                    "sha256": p["hash"],
-                }
-                for p in bundle.parts
-            ],
-        }
-        print(
-            f"[run-all] recorded {manifest['trace']['events']} trace events "
-            f"-> {trace_path} (hash {bundle.merged_hash[:16]})"
-        )
-    path = ledger.write_manifest(run_dir, manifest)
-    print(f"[run-all] ledger: {path}")
 
 
 def _format_bytes(count: int) -> str:
@@ -788,10 +704,17 @@ def _cmd_cluster(args) -> int:
     if host_count < 2:
         print("a cluster needs at least 2 hosts", file=sys.stderr)
         return 2
-    duration_ns = sec(args.duration_s)
-    offset_ns = (
-        None if args.clock_offset_ms is None else int(args.clock_offset_ms * MSEC)
-    )
+    duration_ns = sec(args.duration_s) if math.isfinite(args.duration_s) else 0
+    if duration_ns <= 0:
+        raise ConfigurationError(
+            f"--duration-s takes a finite time of at least 1 ns, got {args.duration_s}"
+        )
+    offset = args.clock_offset_ms
+    if offset is not None and not math.isfinite(offset):
+        raise ConfigurationError(
+            f"--clock-offset-ms takes a finite number of milliseconds, got {offset}"
+        )
+    offset_ns = None if offset is None else int(offset * MSEC)
     clusters = []  # --log prints host 0's management-plane log
     with observing([lambda system, context: clusters.append(context["cluster"])]):
         parts = [
@@ -916,7 +839,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {
         "list": _cmd_list,
         "run": _cmd_run,
-        "run-all": _cmd_run_all,
         "cache": _cmd_cache,
         "cluster": _cmd_cluster,
         "trace": _cmd_trace,

@@ -22,6 +22,22 @@ from ..telemetry import events as T
 from ..telemetry.bus import TelemetryBus
 
 
+class _Grants(dict):
+    """VCPU uid -> granted bandwidth; ``total``, their exact sum, is kept
+    on every write, so reading it never re-sums the table."""
+
+    total = Fraction(0)
+
+    def __setitem__(self, uid: int, bandwidth: Fraction) -> None:
+        self.total += bandwidth - self.get(uid, 0)
+        super().__setitem__(uid, bandwidth)
+
+    def pop(self, uid: int, default=None):
+        if uid in self:
+            self.total -= self[uid]
+        return super().pop(uid, default)
+
+
 class UtilizationAdmission:
     """Exact utilization-based admission over VCPU bandwidth requests."""
 
@@ -34,7 +50,7 @@ class UtilizationAdmission:
             )
         self.pcpu_count = pcpu_count
         self.background_reserve = Fraction(background_reserve)
-        self._granted: Dict[int, Fraction] = {}  # vcpu uid -> bandwidth
+        self._granted = _Grants()  # vcpu uid -> bandwidth
         self._names: Dict[int, str] = {}  # vcpu uid -> last-known name
         self._owners: Dict[int, str] = {}  # vcpu uid -> owning VM name
         self._bus: Optional[TelemetryBus] = None
@@ -105,7 +121,7 @@ class UtilizationAdmission:
     @property
     def total_granted(self) -> Fraction:
         """Currently admitted RT bandwidth, in CPUs."""
-        return sum(self._granted.values(), Fraction(0))
+        return self._granted.total
 
     @property
     def remaining(self) -> Fraction:
@@ -154,7 +170,8 @@ class UtilizationAdmission:
             total += bw - self._granted.get(uid, Fraction(0))
         if total > self.capacity:
             return False, "over-capacity"
-        self._granted.update(new_grants)
+        for uid, bw in new_grants.items():
+            self._granted[uid] = bw
         return True, ""
 
     def commit_decrease(self, updates: Iterable[Tuple[VCPU, int, int]]) -> None:

@@ -5,7 +5,7 @@ description, plus the full-length run parameters.  Each id runs through
 its work-unit plan (``repro.runner.workunits.BINDINGS``):
 
     python -m repro run fig3
-    python -m repro run-all --jobs 4
+    python -m repro run all --jobs 4
 """
 
 from __future__ import annotations

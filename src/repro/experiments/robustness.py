@@ -12,9 +12,12 @@ fault to the last deadline miss it can explain).
 Runs are deterministic for a given seed: every random draw goes through
 a named :class:`~repro.simcore.rng.RandomStreams` stream, so the
 per-scheduler shards reproduce their rows byte-for-byte whatever the
-worker count.  The online :class:`~repro.faults.InvariantChecker` is
-attached for every case, so each robustness run doubles as a soak test
-of the scheduling invariants under faults.
+worker count.  The baseline workload has fixed phases, so the seed
+reaches a run only through a fault that draws (:func:`fault_draws`;
+today only clock jitter).  The online
+:class:`~repro.faults.InvariantChecker` is attached for every case, so
+each robustness run doubles as a soak test of the scheduling invariants
+under faults.
 """
 
 from __future__ import annotations
@@ -186,6 +189,12 @@ def build_scenario(fault: str, duration_ns: int) -> Scenario:
     if fault == "jitter":
         return Scenario([At(d // 10, ClockJitter(max_ns=3 * MSEC))])
     raise ValueError(f"unknown fault family {fault!r}")
+
+
+def fault_draws(fault: str) -> bool:
+    """Whether *fault*'s timeline draws from the seeded streams; a family
+    that does not replays identically at every seed."""
+    return any(d.fault.draws for d in build_scenario(fault, MSEC).directives)
 
 
 def run_robustness_case(

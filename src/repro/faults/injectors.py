@@ -111,6 +111,8 @@ class Fault(abc.ABC):
     """One injectable fault.  Subclasses are frozen dataclasses."""
 
     kind = "abstract"
+    #: whether applying it draws from the context's random streams
+    draws = False
 
     @abc.abstractmethod
     def apply(self, ctx: FaultContext) -> None:
@@ -417,6 +419,7 @@ class ClockJitter(Fault):
     duration_ns: Optional[int] = None
 
     kind = "clock_jitter"
+    draws = True
 
     def apply(self, ctx: FaultContext) -> None:
         scheduler = ctx.machine.host_scheduler

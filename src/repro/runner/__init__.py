@@ -6,7 +6,8 @@ executes the units in-process or across a process pool, caches unit
 results under a content-addressed key, and reassembles per-experiment
 output that is byte-identical whatever the worker count.  From the
 shell: ``python -m repro run fig3`` (one experiment, in-process) or
-``python -m repro run-all --jobs 4``.
+``python -m repro run all --jobs 4``; every run writes a run-ledger
+manifest (:mod:`repro.runner.ledger`).
 
     from repro.runner import run_experiments, ResultCache
 

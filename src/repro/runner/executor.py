@@ -1,14 +1,14 @@
 """Process-pool execution of experiment work units.
 
-The executor builds the work-unit plans for the selected experiments,
-resolves cache hits, fans the remaining units out over ``jobs`` worker
-processes, and reassembles each experiment's result **in canonical
-registry order** in the parent.  Scheduling order therefore never
-affects output: every unit is a pure function of its arguments (the
-simulation engine is deterministic and each shard seeds its own RNG
-streams), and assembly consumes parts by unit position, not completion
-order.  ``jobs=1`` runs the identical plans in-process — the parallel
-path differs only in *where* units execute.
+:func:`run_plans`, the one way units run, resolves the cache hits of a
+whole run's plans, fans the remaining units out over ``jobs`` worker
+processes, and reassembles each plan's result **in unit order** in the
+parent.  Scheduling order therefore never affects output: every unit
+is a pure function of its arguments (the simulation engine is
+deterministic and each shard seeds its own RNG streams), and assembly
+consumes parts by unit position, not completion order.  ``jobs=1``
+runs the identical units in-process — the parallel path differs only
+in *where* units execute.
 
 Workers are forked (POSIX) so they inherit ``sys.path`` and the warmed
 import state; on platforms without fork the default start method is
@@ -66,11 +66,17 @@ class ExperimentReport:
     unit_wall_s: float
     #: Per-unit wall seconds in plan order (cache hits report 0.0).
     unit_walls: Dict[str, float]
+    #: ``(unit, part, outputs)`` in plan order; *outputs* maps each
+    #: observer name to one output per system the unit built (empty for
+    #: an unobserved unit).
+    results: List[Tuple[WorkUnit, Any, Dict[str, List[Any]]]]
+    #: The assembled result object ``rows`` and ``summary`` came from.
+    result: Any
 
 
 @dataclass
 class RunReport:
-    """The full run: per-experiment reports in canonical registry order."""
+    """The full run: per-experiment reports in the order of the plans."""
 
     reports: List[ExperimentReport]
     wall_s: float
@@ -78,6 +84,7 @@ class RunReport:
     cache_hits: int
     cache_misses: int
     cache_writes: int
+    cache_enabled: bool
 
 
 def _timed_execute(unit: WorkUnit) -> Tuple[Any, Dict[str, Any], float]:
@@ -140,41 +147,18 @@ def _execute_misses(
     return results
 
 
-def execute_units(
-    units: Sequence[WorkUnit], jobs: int = 1
-) -> List[Tuple[Any, Dict[str, Any]]]:
-    """Run *units* (uncached); each one's part and observer outputs,
-    in unit order whatever the completion order."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results = _execute_misses(list(units), jobs, echo=None)
-    return [results[unit][:2] for unit in units]
-
-
-def execute_plan(plan: ExperimentPlan, jobs: int = 1) -> Any:
-    """Run one plan's units (uncached) and assemble its result.
-
-    Units fan out exactly like registry experiments, and assembly
-    consumes parts in canonical unit order, so the result is
-    independent of scheduling.
-    """
-    return plan.assemble([part for part, _ in execute_units(plan.units, jobs)])
-
-
-def run_experiments(
-    ids: Optional[Sequence[str]] = None,
+def run_plans(
+    plans: Sequence[ExperimentPlan],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     echo: Optional[Callable[[str], None]] = None,
-    seed: Optional[int] = None,
 ) -> RunReport:
-    """Run experiments (default: the whole registry) and merge their output.
+    """Run every unit of *plans* in one pass; one report per plan, in order.
 
-    ``cache=None`` disables caching; pass a :class:`ResultCache` to skip
-    unchanged work units on re-runs.  *seed* overrides the RNG seed of
-    seed-taking experiments (the robustness family); it feeds the unit
-    kwargs and hence the cache key, so differently-seeded runs never
-    collide in the cache.
+    The misses of all plans share one pool, longest first.
+    ``cache=None`` disables caching.  A unit that carries observers
+    always runs and never reads or writes the cache (the fingerprint
+    leaves observers out).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -182,18 +166,14 @@ def run_experiments(
     costs = CostModel.for_cache(cache)
     started = time.perf_counter()
 
-    plans = build_plans(ids, seed=seed)
     all_units = [unit for plan in plans for unit in plan.units]
-
-    parts: Dict[WorkUnit, Any] = {}
-    walls: Dict[WorkUnit, float] = {}
+    done: Dict[WorkUnit, Tuple[Any, Dict[str, Any], float]] = {}
     cached_units: set = set()
     misses: List[WorkUnit] = []
     for unit in all_units:
-        hit, part = cache.get(unit)
+        hit, part = (False, None) if unit.observers else cache.get(unit)
         if hit:
-            parts[unit] = part
-            walls[unit] = 0.0
+            done[unit] = (part, {}, 0.0)
             cached_units.add(unit)
         else:
             misses.append(unit)
@@ -201,17 +181,17 @@ def run_experiments(
         echo(f"cache: {len(cached_units)}/{len(all_units)} units reused")
 
     executed = _execute_misses(misses, jobs, echo, measured=costs.costs)
-    for unit, (part, _, wall) in executed.items():
-        parts[unit] = part
-        walls[unit] = wall
-        cache.put(unit, part)
+    for unit, (part, _, _) in executed.items():
+        if not unit.observers:
+            cache.put(unit, part)
+    done.update(executed)
     # Refresh the persisted cost model with this run's measurements, so
     # the next run's LPT order schedules from this machine's real walls.
     costs.record({unit.unit_id: wall for unit, (_, _, wall) in executed.items()})
 
     reports: List[ExperimentReport] = []
     for plan in plans:
-        result = plan.assemble([parts[unit] for unit in plan.units])
+        result = plan.assemble([done[unit][0] for unit in plan.units])
         reports.append(
             ExperimentReport(
                 experiment_id=plan.experiment_id,
@@ -219,8 +199,10 @@ def run_experiments(
                 summary=result.summary(),
                 units=len(plan.units),
                 cached_units=sum(1 for u in plan.units if u in cached_units),
-                unit_wall_s=sum(walls[u] for u in plan.units),
-                unit_walls={u.unit_id: walls[u] for u in plan.units},
+                unit_wall_s=sum(done[u][2] for u in plan.units),
+                unit_walls={u.unit_id: done[u][2] for u in plan.units},
+                results=[(u, *done[u][:2]) for u in plan.units],
+                result=result,
             )
         )
 
@@ -231,6 +213,7 @@ def run_experiments(
         cache_hits=cache.hits,
         cache_misses=cache.misses,
         cache_writes=cache.writes,
+        cache_enabled=cache.enabled,
     )
     cache.record_last_run(
         {
@@ -243,3 +226,24 @@ def run_experiments(
         }
     )
     return report
+
+
+def execute_plan(plan: ExperimentPlan, jobs: int = 1) -> Any:
+    """Run one plan's units (uncached) and return its assembled result."""
+    return run_plans([plan], jobs).reports[0].result
+
+
+def run_experiments(
+    ids: Optional[Sequence[str]] = None,
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    echo: Optional[Callable[[str], None]] = None,
+    seed: Optional[int] = None,
+) -> RunReport:
+    """Run registry experiments (default: all) in canonical registry order.
+
+    *seed* overrides the RNG seed of the ids whose binding is seeded; it
+    feeds the unit kwargs and hence the cache key, so differently-seeded
+    runs never collide in the cache.
+    """
+    return run_plans(build_plans(ids, seed=seed), jobs, cache, echo)

@@ -1,8 +1,8 @@
 """Persistent run ledger — ``runs/<stamp>/manifest.json``.
 
-Every ``repro run-all`` writes one ledger entry: a timestamped directory
-holding a manifest (git sha, seed, cache counters, per-unit walls,
-metric row hashes) plus any recorded trace artifacts.  The ledger is
+Every ``repro run`` writes one ledger entry: a timestamped directory
+holding the manifest :func:`run_manifest` builds, which
+``tools/check_determinism.py`` also records and checks.  The ledger is
 what makes performance and correctness *trajectories* durable across
 PRs — ``BENCH_*.json`` files capture only the latest accepted state.
 
@@ -18,7 +18,7 @@ import os
 import shutil
 import subprocess
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default ledger root, relative to the working directory.
 RUNS_DIR_NAME = "runs"
@@ -57,6 +57,49 @@ def rows_hash(rows) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _stamp() -> str:
+    """The current UTC time as ``YYYYmmdd-HHMMSS``."""
+    return time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+
+
+def run_manifest(
+    report,
+    stamp: Optional[str] = None,
+    seed: Optional[int] = None,
+    observers: Sequence[str] = (),
+    files: Sequence[Dict[str, object]] = (),
+) -> Dict[str, object]:
+    """The manifest of a run's :class:`~repro.runner.executor.RunReport`;
+    *files* lists what the *observers* wrote (path, unit id, observer,
+    and ``trace_sha256`` for a recorded trace)."""
+    return {
+        "stamp": stamp or _stamp(),
+        "git_sha": git_sha(),
+        "seed": seed,
+        "jobs": report.jobs,
+        "wall_s": round(report.wall_s, 2),
+        "cache": {
+            "enabled": report.cache_enabled,
+            "hits": report.cache_hits,
+            "misses": report.cache_misses,
+            "writes": report.cache_writes,
+        },
+        "observers": list(observers),
+        "files": list(files),
+        "experiments": {
+            r.experiment_id: {
+                "rows": len(r.rows),
+                "rows_sha256": rows_hash(r.rows),
+                "units": r.units,
+                "cached_units": r.cached_units,
+                "unit_wall_s": round(r.unit_wall_s, 3),
+                "unit_walls": {u: round(w, 3) for u, w in r.unit_walls.items()},
+            }
+            for r in report.reports
+        },
+    }
+
+
 def new_run_dir(root: str = RUNS_DIR_NAME) -> Tuple[str, str]:
     """Create ``<root>/<stamp>`` and return ``(stamp, path)``.
 
@@ -64,7 +107,7 @@ def new_run_dir(root: str = RUNS_DIR_NAME) -> Tuple[str, str]:
     second) appends a counter suffix.
     """
     os.makedirs(root, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
+    stamp = _stamp()
     candidate = stamp
     n = 1
     while os.path.exists(os.path.join(root, candidate)):

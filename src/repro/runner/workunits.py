@@ -11,9 +11,9 @@ Plan builders take their run parameters as arguments
 (``table1_plan(duration_ns)``, ``fig5_plan("b", duration_ns, seed)``,
 …).  :data:`BINDINGS` binds every registry id to its builder with the
 full-length parameters and the smoke overrides; :func:`plan_for` and
-:func:`build_plans` read it.  ``repro run``, ``run-all``, the
-determinism and perf gates and the tier-1 smoke test all execute these
-plans through :mod:`repro.runner.executor`.
+:func:`build_plans` read it.  ``repro run``, the determinism and perf
+gates and the tier-1 smoke test all execute these plans through
+:func:`repro.runner.executor.run_plans`.
 
 A unit may name observers (``blame``, ``record``, …; see
 :mod:`repro.telemetry.observers`): :func:`execute_unit` installs them
@@ -66,11 +66,11 @@ from ..experiments.robustness import (
     ROBUSTNESS_FAULTS,
     ROBUSTNESS_SCHEDULERS,
     RobustnessResult,
+    fault_draws,
 )
 from ..experiments.table1_periodic import Table1Result
 from ..experiments.table4_dedicated import TABLE4_SCHEDULERS, Table4Result
 from ..experiments.table6_overhead import TABLE6_SCENARIOS, Table6Result
-from ..scenario import load_scenario_file
 from ..simcore.time import sec
 from ..telemetry.observe import observing
 from ..telemetry.observers import UnitObservers
@@ -509,26 +509,18 @@ def feedback_plan(experiment_id: str, duration_ns: int, seed: int) -> Experiment
     return ExperimentPlan(experiment_id, units, _assemble_feedback)
 
 
-def scenario_unit(
-    spec: Dict[str, Any], name: str, observers: Tuple[str, ...] = ()
-) -> WorkUnit:
-    """One declarative scenario as a unit (the spec travels as JSON
-    text, so the unit stays hashable and picklable)."""
-    return WorkUnit(
+def scenario_plan(spec: Dict[str, Any], name: str) -> ExperimentPlan:
+    """One declarative scenario as a one-unit plan named *name* (the
+    spec travels as JSON text, so the unit stays hashable and
+    picklable)."""
+    unit = WorkUnit(
         experiment_id=name,
         unit_id=name,
         fn="repro.scenario:run_scenario_json",
         kwargs=(("spec", json.dumps(spec)), ("name", name)),
         payload=True,
-        observers=observers,
     )
-
-
-def scenario_plan(path: str) -> ExperimentPlan:
-    """A scenario ``.json`` file as a one-unit plan; an unreadable or
-    non-JSON file raises :class:`~repro.simcore.errors.ConfigurationError`."""
-    unit = scenario_unit(load_scenario_file(path), name=path)
-    return ExperimentPlan(path, (unit,), _assemble_payload)
+    return ExperimentPlan(name, (unit,), _assemble_payload)
 
 
 def observed_plan(plan: ExperimentPlan, observers: Sequence[str]) -> ExperimentPlan:
@@ -537,14 +529,13 @@ def observed_plan(plan: ExperimentPlan, observers: Sequence[str]) -> ExperimentP
     return replace(plan, units=units)
 
 
-def observed_smoke_units(
+def observed_smoke_plans(
     ids: Sequence[str], observers: Sequence[str], seed: Optional[int] = None
-) -> List[WorkUnit]:
-    """The smoke-plan units of registry *ids*, each carrying *observers*
-    (``run-all --trace`` and the determinism gate observe the robustness
-    smoke cells this way)."""
-    plans = [plan_for(i, seed=seed, smoke=True) for i in ids]
-    return [unit for plan in plans for unit in observed_plan(plan, observers).units]
+) -> List[ExperimentPlan]:
+    """The smoke plans of registry *ids*, every unit carrying *observers*
+    (the determinism gate observes the robustness smoke cells this
+    way)."""
+    return [observed_plan(plan_for(i, seed=seed, smoke=True), observers) for i in ids]
 
 
 #: Unit functions that compute without building a simulated system, so
@@ -570,7 +561,8 @@ class Binding:
     full: Dict[str, Any]
     #: overrides of *full* for the seconds-long smoke variant
     smoke: Dict[str, Any] = field(default_factory=dict)
-    #: whether a ``seed=`` override of plan_for/build_plans reaches it
+    #: whether a ``seed=`` override of plan_for/build_plans reaches it:
+    #: only where the seed reaches a random draw
     seeded: bool = False
 
 
@@ -642,7 +634,7 @@ for _fault in ROBUSTNESS_FAULTS:
             "seed": registry.ROBUSTNESS_SEED,
         },
         {"duration_ns": registry.ROBUSTNESS_SMOKE_DURATION_NS},
-        seeded=True,
+        seeded=fault_draws(_fault),
     )
 for _mode in CLUSTER_MODES:
     BINDINGS[f"cluster_{_mode}"] = Binding(
@@ -664,8 +656,7 @@ for _fid in FEEDBACK_CELLS:
             "seed": registry.FEEDBACK_SEED,
         },
         {"duration_ns": registry.FEEDBACK_SMOKE_DURATION_NS},
-        seeded=True,
-    )
+    )  # unseeded: every feedback timeline is fixed and draws nothing
 del _fault, _mode, _fid
 
 
@@ -676,9 +667,10 @@ def plan_for(
 
     *smoke* applies the binding's smoke overrides: the seconds-long
     variant the tier-1 suite runs.  *seed* overrides the RNG seed of the
-    seeded families (``robustness_*``, ``cluster_*``, ``feedback_*`` and
-    ``tenant_*``); the seed lands in the unit kwargs, so it participates
-    in the cache fingerprint automatically.
+    seeded ids — ``cluster_*`` and the robustness families whose fault
+    draws (``robustness_jitter``) — and is ignored elsewhere; the seed
+    lands in the unit kwargs, so it participates in the cache
+    fingerprint automatically.
     """
     binding = BINDINGS.get(experiment_id)
     if binding is None:

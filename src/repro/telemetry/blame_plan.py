@@ -15,13 +15,11 @@ from typing import Any, List, Sequence, Tuple
 from .blame import BlameReport
 
 
-def blame_sweep(
-    units: Sequence[Any], results: Sequence[Tuple[Any, dict]]
-) -> "BlameSweep":
-    """The sweep of robustness cells run with the ``blame`` observer;
-    *results* are their ``(part, outputs)`` pairs in unit order."""
+def blame_sweep(cells: Sequence[Tuple[Any, Any, dict]]) -> "BlameSweep":
+    """The sweep of robustness cells run with the ``blame`` observer,
+    given as ``(unit, part, outputs)`` in unit order."""
     parts = []
-    for unit, (row, outputs) in zip(units, results):
+    for unit, row, outputs in cells:
         kwargs = dict(unit.kwargs)
         (blame,) = outputs["blame"]  # a robustness cell builds one system
         parts.append(

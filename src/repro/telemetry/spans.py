@@ -156,7 +156,8 @@ class Span:
         self.segments: List[Tuple[int, int, int, str]] = []
         #: (time, source vcpu index, target vcpu index) gEDF claims.
         self.guest_migrations: List[Tuple[int, int, int]] = []
-        # Filled by SpanBuilder.finalize():
+        # Filled by SpanBuilder.finalize() (``end`` already at the
+        # shutdown instant for a job its churned VM abandoned):
         self.end: Optional[int] = None
         self.incomplete = False
         #: (start, end, bucket, vcpu, pcpu) tiling of [release, end].
@@ -273,6 +274,7 @@ class SpanBuilder:
             bus.subscribe(T.BUDGET_REPLENISH, self._on_replenish),
             bus.subscribe(T.ADMISSION_DECISION, self._on_admission),
             bus.subscribe(T.FAULT_INJECTED, self._on_fault),
+            bus.subscribe(T.FAULT_RECOVERED, self._on_recovered),
         ]
         previous = self._unsubscribe
 
@@ -408,6 +410,15 @@ class SpanBuilder:
             duration = int(event.detail[1])
             self._hypercall_faults.append((event.time, event.time + duration))
 
+    def _on_recovered(self, event: T.FaultRecoveredEvent) -> None:
+        # A churned VM shut down: its open jobs end now, not at the run's
+        # end, and miss only if already late (as ``Task.task_abandon``).
+        if event.fault == "vm_churn" and event.detail[-1:] == ("shutdown",):
+            vm = event.detail[0]
+            for task in [t for t, spans in self._open.items() if spans[0].vm == vm]:
+                for span in self._open.pop(task):
+                    span.end = event.time
+
     # -- finalisation -------------------------------------------------------------------
 
     def finalize(self, end_time: Optional[int] = None) -> "SpanBuilder":
@@ -461,13 +472,14 @@ class SpanBuilder:
         if span.completed_at is not None:
             span.end = span.completed_at
         else:
-            span.end = horizon
+            if span.end is None:  # else abandoned when its VM shut down
+                span.end = horizon
             span.incomplete = True
-            if span.deadline < horizon:
+            if span.deadline < span.end:
                 # Abandoned past its deadline: a miss the completion-side
                 # events never report (no JOB_COMPLETE was published).
                 span.missed = True
-                span.tardiness = horizon - span.deadline
+                span.tardiness = span.end - span.deadline
         window_lo, window_hi = span.release, span.end
         intervals: List[Tuple[int, int, str, Optional[str], Optional[int]]] = []
         pos = window_lo

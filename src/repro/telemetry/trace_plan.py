@@ -5,9 +5,10 @@ Robustness cells run with the ``record`` observer
 beside their row; :func:`trace_bundle` turns them into sweep parts and
 merges them (in canonical unit order) into one sectioned trace whose
 bytes — and hence canonical hash — are identical however the units were
-executed.  ``repro run-all --trace`` stores that merge next to its
-manifest, and ``tools/check_determinism.py --trace`` gates exactly that
+executed.  ``tools/check_determinism.py --trace`` gates exactly that
 property: serial and parallel executions must merge to the same hash.
+(``repro run 'robustness_*' --record PATH`` writes each cell's trace and
+lists its hash in the run's manifest instead of a merge.)
 """
 
 from __future__ import annotations
@@ -17,24 +18,19 @@ from typing import Any, Sequence, Tuple
 from .record import TraceReader, merge_traces
 
 
-def trace_bundle(
-    units: Sequence[Any], results: Sequence[Tuple[Any, dict]]
-) -> "TraceBundle":
-    """The bundle of robustness cells run with the ``record`` observer;
-    *results* are their ``(part, outputs)`` pairs in unit order."""
+def trace_bundle(cells: Sequence[Tuple[Any, Any, dict]]) -> "TraceBundle":
+    """The bundle of robustness cells run with the ``record`` observer,
+    given as ``(unit, part, outputs)`` in unit order."""
     parts = []
-    for unit, (row, outputs) in zip(units, results):
+    for unit, _, outputs in cells:
         kwargs = dict(unit.kwargs)
         (recorded,) = outputs["record"]  # a robustness cell builds one system
         data = recorded["data"]
-        reader = TraceReader(data)
         parts.append(
             {
                 "fault": kwargs["fault"],
                 "scheduler": kwargs["scheduler"],
-                "row": row,
-                "events": reader.event_count,
-                "hash": reader.trace_hash,
+                "hash": TraceReader(data).trace_hash,
                 "data": data,
             }
         )
@@ -51,8 +47,3 @@ class TraceBundle:
             header={"format": "merged", "parts": [p["hash"] for p in self.parts]},
         )
         self.merged_hash = TraceReader(self.merged_data).trace_hash
-
-    def write(self, path: str) -> str:
-        with open(path, "wb") as handle:
-            handle.write(self.merged_data)
-        return path

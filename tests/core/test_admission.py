@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.admission import UtilizationAdmission
 from repro.guest.vcpu import VCPU
@@ -96,3 +98,55 @@ class TestBackgroundReserve:
     def test_zero_pcpus_rejected(self):
         with pytest.raises(ConfigurationError):
             UtilizationAdmission(0)
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["commit", "decrease", "release", "shed"]),
+        st.integers(0, 5),  # vcpu index
+        st.integers(0, 12),  # budget, ms
+        st.integers(1, 10),  # period, ms (or online PCPUs for a shed)
+    ),
+    max_size=40,
+)
+
+
+class _CountedFraction(Fraction):
+    """A grant that counts the sums it is added into."""
+
+    additions = 0
+
+    def __radd__(self, other):
+        type(self).additions += 1
+        return Fraction.__radd__(self, other)
+
+
+class TestRunningTotal:
+    def test_reading_the_total_adds_no_grant(self, vcpus):
+        adm = UtilizationAdmission(4)
+        for vcpu in vcpus:
+            adm._granted[vcpu.uid] = _CountedFraction(1, 5)
+        before = _CountedFraction.additions
+        assert adm.total_granted == Fraction(4, 5)
+        assert adm.remaining == Fraction(16, 5)
+        assert _CountedFraction.additions == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS)
+    def test_total_is_the_sum_of_the_grants(self, ops):
+        vcpus = VM("vm", vcpu_count=6).vcpus
+        adm = UtilizationAdmission(4)
+        for kind, index, budget, period in ops:
+            vcpu = vcpus[index]
+            if kind == "commit":
+                batch = [(vcpu, msec(budget), msec(period))]
+                batch.append((vcpus[(index + 1) % 6], msec(budget // 2), msec(period)))
+                adm.try_commit(batch)
+            elif kind == "decrease":
+                adm.commit_decrease([(vcpu, msec(min(budget, period)), msec(period))])
+            elif kind == "release":
+                adm.release(vcpu)
+            else:
+                adm.set_pcpu_count(period % 5)
+                adm.shed_to_capacity()
+            assert adm.total_granted == sum(adm._granted.values(), Fraction(0))

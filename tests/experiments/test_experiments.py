@@ -262,6 +262,7 @@ class TestRegistry:
         assert main(["run", "table2"]) == 0
         out = capsys.readouterr().out
         (report,) = run_experiments(["table2"]).reports
-        header, _, rest = out.partition("\n")
-        assert header.startswith("=== Table 2: ")
-        assert rest.startswith(report.summary + "\n--- (")
+        progress, _, section = out.partition("=== Table 2: ")
+        assert progress.startswith("[run] ran table2/whole (")
+        _, _, rest = section.partition("\n")
+        assert rest.startswith(report.summary + "\n\nper-experiment timing")

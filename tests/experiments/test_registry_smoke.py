@@ -16,7 +16,7 @@ fails here.
 import pytest
 
 from repro.experiments import registry
-from repro.runner.executor import execute_units
+from repro.runner.executor import run_plans
 from repro.runner.workunits import ANALYTIC_FNS, observed_plan, plan_for
 from repro.telemetry.observers import OBSERVERS
 
@@ -42,21 +42,19 @@ def _systems_built(unit) -> int:
 def test_registry_entry_smoke(experiment_id, monkeypatch):
     monkeypatch.setitem(OBSERVERS, "count", _CountingObserver)
     plan = observed_plan(plan_for(experiment_id, smoke=True), ("count",))
-    results = execute_units(plan.units)
-    for unit, (_, observed) in zip(plan.units, results):
+    (report,) = run_plans([plan]).reports
+    for unit, _, observed in report.results:
         systems = observed["count"]  # one output per system handed to the hook
         assert len(set(systems)) == len(systems) == _systems_built(unit), unit.unit_id
-    result = plan.assemble([part for part, _ in results])
-    rows = result.rows()
+    rows = report.rows
     assert isinstance(rows, list) and rows, f"{experiment_id} returned no rows"
     for row in rows:
         assert isinstance(row, dict) and row
-    summary = result.summary()
-    assert isinstance(summary, str) and summary.strip()
+    assert isinstance(report.summary, str) and report.summary.strip()
 
 
 class TestExpandIds:
-    """Glob expansion backing ``run-all --only`` and the tool gates."""
+    """Glob expansion backing ``repro run`` targets and the tool gates."""
 
     def test_plain_ids_pass_through(self):
         assert registry.expand_ids(["fig3", "table2"]) == ["fig3", "table2"]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.runner.executor import execute_plan
 from repro.runner.ledger import rows_hash
-from repro.runner.workunits import execute_unit, observed_smoke_units, plan_for
+from repro.runner.workunits import execute_unit, observed_smoke_plans, plan_for
 from repro.simcore.engine import Engine
 from repro.telemetry.record import TraceReader
 from tests.simcore.heap_queue import HeapEventQueue
@@ -53,11 +53,8 @@ def test_smoke_rows_identical_on_heap(monkeypatch, experiment_id):
 @pytest.mark.parametrize("scheduler", ["RTVirt", "RT-Xen", "Credit"])
 @pytest.mark.parametrize("fault", ["pcpu_fail", "vm_churn"])
 def test_trace_hash_identical_on_heap(monkeypatch, fault, scheduler):
-    (unit,) = [
-        u
-        for u in observed_smoke_units([f"robustness_{fault}"], ("record",))
-        if u.unit_id.endswith(f"/{scheduler}")
-    ]
+    (plan,) = observed_smoke_plans([f"robustness_{fault}"], ("record",))
+    (unit,) = [u for u in plan.units if u.unit_id.endswith(f"/{scheduler}")]
 
     def trace_hash():
         _, outputs = execute_unit(unit)

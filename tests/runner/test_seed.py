@@ -1,10 +1,15 @@
-"""Seed plumbing: CLI/runner seed overrides reach the robustness units
-and participate in the result-cache key."""
+"""Seed plumbing: CLI/runner seed overrides reach the seeded units,
+participate in the result-cache key, and change what those units
+simulate."""
+
+import pytest
 
 from repro.experiments import registry
 from repro.runner import run_experiments
 from repro.runner.cache import ResultCache
-from repro.runner.workunits import build_plans, plan_for
+from repro.runner.executor import execute_plan
+from repro.runner.ledger import rows_hash
+from repro.runner.workunits import BINDINGS, build_plans, plan_for
 
 ROBUSTNESS_IDS = [i for i in registry.all_ids() if i.startswith("robustness_")]
 
@@ -19,15 +24,15 @@ class TestPlanSeeds:
             assert dict(unit.kwargs)["seed"] == registry.ROBUSTNESS_SEED
 
     def test_seed_override_lands_in_every_unit(self):
-        plan = plan_for("robustness_vm_churn", seed=424242)
+        plan = plan_for("robustness_jitter", seed=424242)
         for unit in plan.units:
             assert dict(unit.kwargs)["seed"] == 424242
 
     def test_seed_changes_cache_fingerprint(self):
-        base = plan_for("robustness_surge").units[0]
-        seeded = plan_for("robustness_surge", seed=424242).units[0]
+        base = plan_for("robustness_jitter").units[0]
+        seeded = plan_for("robustness_jitter", seed=424242).units[0]
         assert base.fingerprint("salt") != seeded.fingerprint("salt")
-        assert base.fingerprint("salt") == plan_for("robustness_surge").units[
+        assert base.fingerprint("salt") == plan_for("robustness_jitter").units[
             0
         ].fingerprint("salt")
 
@@ -62,20 +67,26 @@ class TestSeededRuns:
         assert cache3.hits == len(report.reports[0].rows) == 3  # same seed: all hits
 
 
+class TestSeedReach:
+    """A seed is bound only where it reaches a random draw."""
+
+    @pytest.mark.parametrize(
+        "experiment_id", [i for i in registry.all_ids() if BINDINGS[i].seeded]
+    )
+    def test_two_seeds_simulate_differently(self, experiment_id):
+        hashes = {
+            rows_hash(execute_plan(plan_for(experiment_id, seed, smoke=True)).rows())
+            for seed in (5, 6)
+        }
+        assert len(hashes) == 2, f"{experiment_id}: its seed reaches no draw"
+
+
 class TestCliSeed:
     def test_run_all_seed_flag(self, capsys):
         from repro.cli import main
 
         rc = main(
-            [
-                "run-all",
-                "--only",
-                "robustness_jitter",
-                "--no-cache",
-                "--no-ledger",
-                "--seed",
-                "7",
-            ]
+            ["run", "robustness_jitter", "--no-cache", "--no-ledger", "--seed", "7"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -84,7 +95,7 @@ class TestCliSeed:
     def test_run_all_glob_expansion(self, capsys):
         from repro.cli import main
 
-        rc = main(["run-all", "--only", "robustness_*", "--no-cache", "--no-ledger"])
+        rc = main(["run", "robustness_*", "--no-cache", "--no-ledger"])
         out = capsys.readouterr().out
         assert rc == 0
         for experiment_id in ROBUSTNESS_IDS:
@@ -93,4 +104,4 @@ class TestCliSeed:
     def test_run_all_bad_glob(self, capsys):
         from repro.cli import main
 
-        assert main(["run-all", "--only", "nothing_*"]) == 2
+        assert main(["run", "nothing_*"]) == 2

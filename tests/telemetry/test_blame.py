@@ -10,7 +10,7 @@ from repro.telemetry.blame import (
     attribute_miss,
     primary_cause,
 )
-from repro.runner.workunits import observed_smoke_units
+from repro.runner.workunits import observed_smoke_plans
 from repro.telemetry.blame_plan import blame_sweep
 
 
@@ -163,32 +163,36 @@ class TestBlameReport:
 
 class TestBlamePlan:
     def test_plan_units_are_canonical(self):
-        units = observed_smoke_units(["robustness_pcpu_fail"], ("blame",), seed=3)
-        assert [u.unit_id for u in units] == [
-            "robustness_pcpu_fail/RTVirt",
-            "robustness_pcpu_fail/RT-Xen",
-            "robustness_pcpu_fail/Credit",
+        (plan,) = observed_smoke_plans(["robustness_jitter"], ("blame",), seed=3)
+        assert [u.unit_id for u in plan.units] == [
+            "robustness_jitter/RTVirt",
+            "robustness_jitter/RT-Xen",
+            "robustness_jitter/Credit",
         ]
-        for unit in units:
+        for unit in plan.units:
             assert unit.fn == "repro.experiments.robustness:run_robustness_case"
             assert unit.observers == ("blame",)
             assert dict(unit.kwargs)["seed"] == 3
 
     def test_sharded_sweep_runs_and_explains(self):
-        from repro.runner.executor import execute_units
+        # Every robustness smoke cell: blame observes exactly the misses
+        # its row counts (a churned VM's abandoned jobs included).
+        from repro.experiments.robustness import ROBUSTNESS_FAULTS
+        from repro.runner.executor import run_plans
 
-        units = [
-            u
-            for u in observed_smoke_units(["robustness_pcpu_fail"], ("blame",))
-            if u.unit_id.endswith("/RT-Xen")
-        ]
-        sweep = blame_sweep(units, execute_units(units, jobs=1))
-        (part,) = sweep.parts
-        blame = part["blame"]
-        assert blame["observed"] > 0, "pcpu_fail under RT-Xen must miss"
-        assert blame["explained"] == blame["observed"]
-        for miss in part["misses"]:
-            assert miss["primary"] in CAUSES
-            assert sum(miss["lost_ns"].values()) == miss["lateness_ns"]
-        (row,) = sweep.rows()
-        assert row["top_cause"] in CAUSES
+        ids = [f"robustness_{fault}" for fault in ROBUSTNESS_FAULTS]
+        reports = run_plans(observed_smoke_plans(ids, ("blame",))).reports
+        sweep = blame_sweep([cell for report in reports for cell in report.results])
+        assert len(sweep.parts) == 3 * len(ids)
+        for part in sweep.parts:
+            blame = part["blame"]
+            cell = f"{part['fault']}/{part['scheduler']}"
+            assert blame["observed"] == part["missed"], cell
+            assert blame["explained"] == blame["observed"], cell
+            for miss in part["misses"]:
+                assert miss["primary"] in CAUSES
+                assert sum(miss["lost_ns"].values()) == miss["lateness_ns"]
+        pcpu_fail_rtxen = sweep.parts[1]
+        assert pcpu_fail_rtxen["blame"]["observed"] > 0, "pcpu_fail under RT-Xen must miss"
+        for row in sweep.rows():
+            assert row["top_cause"] in CAUSES or row["observed"] == 0

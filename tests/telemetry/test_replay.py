@@ -9,7 +9,12 @@ where and how the schedulers part ways.
 
 import pytest
 
-from repro.runner.workunits import execute_unit, observed_smoke_units, scenario_unit
+from repro.runner.workunits import (
+    execute_unit,
+    observed_plan,
+    observed_smoke_plans,
+    scenario_plan,
+)
 from repro.telemetry.diff import diff_traces
 from repro.telemetry.record import TraceReader
 from repro.telemetry.replay import canonical_scheduler, replay_trace
@@ -18,11 +23,8 @@ from repro.telemetry.replay import canonical_scheduler, replay_trace
 def record_robustness_case(fault, scheduler):
     """One robustness smoke cell (1 simulated second, seed 11) run with
     the ``record`` observer: its ``{"data", "rows"}`` output."""
-    (unit,) = [
-        u
-        for u in observed_smoke_units([f"robustness_{fault}"], ("record",))
-        if u.unit_id.endswith(f"/{scheduler}")
-    ]
+    (plan,) = observed_smoke_plans([f"robustness_{fault}"], ("record",))
+    (unit,) = [u for u in plan.units if u.unit_id.endswith(f"/{scheduler}")]
     _, outputs = execute_unit(unit)
     (recorded,) = outputs["record"]
     return recorded
@@ -30,7 +32,8 @@ def record_robustness_case(fault, scheduler):
 
 def record_scenario(spec, name):
     """*spec* run as a scenario unit with the ``record`` observer."""
-    _, outputs = execute_unit(scenario_unit(spec, name, observers=("record",)))
+    (unit,) = observed_plan(scenario_plan(spec, name), ("record",)).units
+    _, outputs = execute_unit(unit)
     (recorded,) = outputs["record"]
     return recorded
 

@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -31,48 +33,95 @@ class TestList:
 
 
 class TestRunAll:
+    """`run` with the runner flags: one cached, pooled pass over every
+    target (`run all` runs the whole registry)."""
+
     def test_run_all_only_cheap_ids(self, capsys, tmp_path):
         rc = main(
-            [
-                "run-all",
-                "--only",
-                "table2,fig3",
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--no-ledger",
-            ]
+            ["run", "table2", "fig3", "--cache-dir", str(tmp_path / "cache"), "--no-ledger"]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "per-experiment timing" in out
         assert "table2" in out and "fig3" in out
-        assert "1 job(s)" in out
+        assert "1 job(s)" in out and "cache: 0 hits, 2 misses, 2 writes" in out
 
     def test_run_all_warm_cache_reuses_units(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        args = ["run-all", "--only", "table2", "--cache-dir", cache_dir,
+        args = ["run", "table2", "fig3", "--cache-dir", str(tmp_path / "cache"),
                 "--no-ledger"]
         main(args)
-        capsys.readouterr()
+        cold = capsys.readouterr().out
         assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "cache: 1 hits, 0 misses" in out
+        warm = capsys.readouterr().out
+        assert "cache: 2 hits, 0 misses" in warm
+        assert "[run] ran" not in warm
 
-    def test_run_all_no_cache(self, capsys, tmp_path):
-        rc = main(["run-all", "--only", "fig3", "--no-cache", "--no-ledger"])
+        def summaries(out):
+            return out[out.index("=== ") : out.index("per-experiment timing")]
+
+        assert summaries(warm) == summaries(cold)
+
+    def test_run_all_no_cache(self, capsys):
+        rc = main(["run", "fig3", "--no-cache", "--no-ledger"])
         assert rc == 0
         assert "cache disabled" in capsys.readouterr().out
 
     def test_run_all_summaries(self, capsys, tmp_path):
-        rc = main(["run-all", "--only", "table2", "--no-cache",
-                   "--no-ledger", "--summaries"])
+        # Per target its header and summary, then the timing table and
+        # the total line, then the ledger line.
+        rc = main(["run", "table2", "fig3", "--runs-dir", str(tmp_path / "runs")])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "Table 2" in out and "(4,5)" in out
+        order = ["=== Table 2", "(4,5)", "=== Figure 3", "per-experiment timing",
+                 "total: ", "ledger: "]
+        positions = [out.index(marker) for marker in order]
+        assert positions == sorted(positions)
 
     def test_run_all_unknown_id(self, capsys):
-        assert main(["run-all", "--only", "nope"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert main(["run", "table2", "nope_*"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything ran
+        assert "nope_*" in captured.err and captured.err.count("\n") == 1
+
+    def test_defaults_write_cache_and_ledger_in_the_working_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "table2"]) == 0
+        out = capsys.readouterr().out
+        assert (tmp_path / ".repro_cache").is_dir()
+        (stamp,) = (tmp_path / "runs").iterdir()
+        assert f"ledger: {os.path.join('runs', stamp.name, 'manifest.json')}" in out
+
+    def test_observed_units_bypass_the_cache(self, capsys, tmp_path, monkeypatch):
+        _shorten(monkeypatch, "robustness_pcpu_fail")
+        args = ["run", "robustness_pcpu_fail", "--blame", "--no-ledger",
+                "--cache-dir", str(tmp_path / "cache")]
+        for _ in range(2):
+            assert main(args) == 0
+            out = capsys.readouterr().out
+            assert "deadline-miss blame" in out
+            assert "cache: 0 hits, 0 misses, 0 writes" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table2", "--jobs", "0"],
+            ["run", "table2", "--jobs", "-3"],
+            ["cluster", "--duration-s", "-1"],
+            ["cluster", "--duration-s", "0"],
+            ["cluster", "--duration-s", "1e-12"],
+            ["cluster", "--duration-s", "nan"],
+            ["cluster", "--duration-s", "inf"],
+            ["cluster", "--clock-offset-ms", "nan"],
+            ["cluster", "--clock-offset-ms", "inf"],
+        ],
+    )
+    def test_bad_numbers_are_bad_input(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything ran
+        assert captured.err.count("\n") == 1 and argv[-2] in captured.err
 
 
 class TestRun:
@@ -96,10 +145,27 @@ class TestRun:
         assert "--blame" in captured.err
 
     def test_seed_rejected_on_an_unseeded_id(self, capsys):
-        assert main(["run", "fig3", "--seed", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "--seed" in captured.err
+        for name in ("fig3", "robustness_pcpu_fail", "feedback_migrate"):
+            assert main(["run", name, "--seed", "5"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "--seed" in captured.err
+
+    def test_seed_reaches_the_seeded_ids_of_all(self):
+        # Through `all` or a glob, an id that takes no seed runs at its
+        # registry seed instead of failing the run.
+        from repro.cli import _build_parser, _run_targets
+
+        args = _build_parser().parse_args(["run", "all", "--seed", "5"])
+        plans = {plan.experiment_id: plan for _, plan in _run_targets(args, [])}
+        assert list(plans) == registry.all_ids()
+        for experiment_id, plan in plans.items():
+            seeded = workunits.BINDINGS[experiment_id].seeded
+            assert plan == workunits.plan_for(experiment_id, 5 if seeded else None)
+        assert dict(plans["robustness_jitter"].units[0].kwargs)["seed"] == 5
+        assert dict(plans["robustness_surge"].units[0].kwargs)["seed"] == (
+            registry.ROBUSTNESS_SEED
+        )
 
     def test_blame_on_a_paper_table(self, capsys, monkeypatch):
         assert main(["run", "table2", "table1", "--blame"]) == 2
@@ -157,17 +223,7 @@ class TestCacheCommand:
     def test_stats_after_a_run(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         runs_dir = str(tmp_path / "runs")
-        main(
-            [
-                "run-all",
-                "--only",
-                "table2",
-                "--cache-dir",
-                cache_dir,
-                "--runs-dir",
-                runs_dir,
-            ]
-        )
+        main(["run", "table2", "--cache-dir", cache_dir, "--runs-dir", runs_dir])
         capsys.readouterr()
         rc = main(
             ["cache", "stats", "--cache-dir", cache_dir, "--runs-dir", runs_dir]
@@ -180,8 +236,7 @@ class TestCacheCommand:
 
     def test_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        main(["run-all", "--only", "table2", "--cache-dir", cache_dir,
-              "--no-ledger"])
+        main(["run", "table2", "--cache-dir", cache_dir, "--no-ledger"])
         capsys.readouterr()
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "cleared 1 entries" in capsys.readouterr().out
@@ -210,8 +265,7 @@ class TestCacheCommand:
     def test_prune_evicts_down_to_budget(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         runs_dir = str(tmp_path / "runs")
-        main(["run-all", "--only", "table2,fig3", "--cache-dir", cache_dir,
-              "--no-ledger"])
+        main(["run", "table2", "fig3", "--cache-dir", cache_dir, "--no-ledger"])
         capsys.readouterr()
         rc = main(
             [
@@ -237,17 +291,7 @@ class TestCacheCommand:
 
         cache_dir = str(tmp_path / "cache")
         runs_dir = str(tmp_path / "runs")
-        main(
-            [
-                "run-all",
-                "--only",
-                "table2",
-                "--cache-dir",
-                cache_dir,
-                "--runs-dir",
-                runs_dir,
-            ]
-        )
+        main(["run", "table2", "--cache-dir", cache_dir, "--runs-dir", runs_dir])
         capsys.readouterr()
         # Age the ledger run far behind the cache entry.
         run_dir = os.path.join(runs_dir, os.listdir(runs_dir)[0])
@@ -387,47 +431,77 @@ class TestCluster:
         assert "at least 2 hosts" in capsys.readouterr().err
 
 class TestRunAllLedger:
+    def _manifest(self, runs_dir):
+        (stamp,) = runs_dir.iterdir()
+        manifest = json.loads((stamp / "manifest.json").read_text())
+        assert manifest["stamp"] == stamp.name
+        return manifest
+
     def test_run_all_writes_manifest(self, capsys, tmp_path):
         runs_dir = tmp_path / "runs"
-        rc = main(
-            [
-                "run-all",
-                "--only",
-                "table2",
-                "--no-cache",
-                "--runs-dir",
-                str(runs_dir),
-            ]
-        )
+        rc = main(["run", "table2", "--no-cache", "--runs-dir", str(runs_dir)])
         assert rc == 0
-        assert "ledger:" in capsys.readouterr().out
-        import json
-
-        stamps = list(runs_dir.iterdir())
-        assert len(stamps) == 1
-        manifest = json.loads((stamps[0] / "manifest.json").read_text())
-        assert manifest["stamp"] == stamps[0].name
+        out = capsys.readouterr().out
+        assert out.rstrip().splitlines()[-1].startswith("ledger: ")
+        manifest = self._manifest(runs_dir)
         assert manifest["jobs"] == 1
+        assert manifest["seed"] is None
+        assert manifest["cache"]["enabled"] is False
+        assert manifest["observers"] == [] and manifest["files"] == []
         assert "event_queue" not in manifest
         entry = manifest["experiments"]["table2"]
         assert entry["rows"] > 0
         assert len(entry["rows_sha256"]) == 64
         assert entry["units"] == len(entry["unit_walls"])
 
+    def test_manifest_lists_observers_and_the_files_they_wrote(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.telemetry.record import TraceReader
+
+        _shorten(monkeypatch, "robustness_pcpu_fail")
+        runs_dir = tmp_path / "runs"
+        argv = ["run", "robustness_pcpu_fail", "--blame", "--record",
+                str(tmp_path / "f.rtvt"), "--runs-dir", str(runs_dir)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        manifest = self._manifest(runs_dir)
+        assert manifest["observers"] == ["record", "blame"]
+        assert [f["unit"] for f in manifest["files"]] == [
+            f"robustness_pcpu_fail/{s}" for s in ("RTVirt", "RT-Xen", "Credit")
+        ]
+        for entry in manifest["files"]:
+            assert entry["observer"] == "record"
+            assert TraceReader(entry["path"]).trace_hash == entry["trace_sha256"]
+
+    def test_scenario_target_is_keyed_by_its_path(self, capsys, tmp_path):
+        spec = tmp_path / "s.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "system": {"type": "rtvirt", "pcpus": 1},
+                    "duration_s": 0.1,
+                    "vms": [
+                        {
+                            "name": "vm1",
+                            "tasks": [{"name": "rta1", "slice_ms": 2, "period_ms": 10}],
+                        }
+                    ],
+                }
+            )
+        )
+        runs_dir = tmp_path / "runs"
+        assert main(["run", str(spec), "--runs-dir", str(runs_dir)]) == 0
+        capsys.readouterr()
+        assert list(self._manifest(runs_dir)["experiments"]) == [str(spec)]
+
     def test_no_ledger_skips_manifest(self, capsys, tmp_path):
         runs_dir = tmp_path / "runs"
         rc = main(
-            [
-                "run-all",
-                "--only",
-                "table2",
-                "--no-cache",
-                "--no-ledger",
-                "--runs-dir",
-                str(runs_dir),
-            ]
+            ["run", "table2", "--no-cache", "--no-ledger", "--runs-dir", str(runs_dir)]
         )
         assert rc == 0
+        assert "ledger:" not in capsys.readouterr().out
         assert not runs_dir.exists()
 
 
@@ -532,6 +606,7 @@ class TestCorruptTrace:
     def traces(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("traces")
         with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(root)  # set up before the per-test working directory
             _shorten(patch, "robustness_pcpu_fail")
             rc = main(
                 ["run", "robustness_pcpu_fail", "--record", str(root / "good.rtvt")]

@@ -1,19 +1,25 @@
 #!/usr/bin/env python
 """Determinism harness over the experiment registry.
 
-Runs every experiment in :mod:`repro.experiments.registry` in-process
-(its work-unit plan at ``jobs=1``), serialises each result's ``rows()``
-to canonical JSON and hashes it.  Recording a baseline before an
-optimisation and checking against it afterwards proves the change
-preserved byte-identical metrics:
+Runs the selected experiments once, serially and uncached (their
+work-unit plans at ``jobs=1``), and hashes each one's ``rows()`` with
+:func:`repro.runner.ledger.rows_hash`.  The record of that run is a
+run-ledger manifest (:func:`repro.runner.ledger.run_manifest`), the
+same record every ``repro run`` writes: ``--record`` writes it, and
+``--check`` compares this run with the ``experiments[id].rows_sha256``
+of any manifest — a ``--record`` file, or the
+``runs/<stamp>/manifest.json`` of ``repro run … --no-cache``.
+Recording before an optimisation and checking afterwards proves the
+change preserved byte-identical metrics:
 
-    python tools/check_determinism.py --record baseline_metrics.json
+    python tools/check_determinism.py --record baseline.json
     ... hack on the scheduler hot path ...
-    python tools/check_determinism.py --check baseline_metrics.json
+    python tools/check_determinism.py --check baseline.json
+    python tools/check_determinism.py --check runs/<stamp>/manifest.json
 
 With ``--parallel N`` the same plans are additionally executed across
 N worker processes (cache disabled) and each experiment's merged
-``rows()`` hash must equal the ``jobs=1`` hash — the serial-vs-parallel
+``rows()`` hash must equal the serial hash — the serial-vs-parallel
 equivalence gate:
 
     python tools/check_determinism.py --parallel 4
@@ -49,8 +55,9 @@ stream itself is byte-stable under work-unit re-scheduling.  Like
 
 ``--parallel``, ``--streams``, ``--blame`` and ``--trace`` are rows of
 one table (:data:`RERUNS`): what to run, and a digest mapping labels to
-hashes.  Each row runs at ``jobs=1`` and at ``jobs=N`` and every label
-prints ``<label>: parallel X vs serial Y: ok|DIVERGED``.
+hashes.  Each row runs at ``jobs=1`` and at ``jobs=N``.  Every check —
+these rows, ``--cache`` and the baseline — compares labels to hashes
+the same way and prints ``<label>: <side> X vs <side> Y: ok|DIVERGED``.
 
 ``--only`` narrows any registry mode to one family.  The multi-host
 ``cluster_*`` experiments shard per observed host, and the
@@ -68,18 +75,21 @@ every work unit, then a warm rerun that must execute *nothing* (every
 unit a cache hit, zero misses) while its merged ``rows()`` still hash
 identically to the cold run's: the gate that the dependency-aware
 incremental cache returns the same bytes it stored.  It composes with
-``--parallel`` (the warm pair then runs with that worker count, and
-the cold hashes are also checked against the serial digests):
+``--parallel`` (the cold and warm runs then use that worker count, and
+the cold hashes are also checked against the serial ones):
 
     python tools/check_determinism.py --cache
     python tools/check_determinism.py --parallel 4 --cache
 
-Exit status is 1 when any experiment's hash differs from the recorded
-baseline (or, with ``--check``, when an experiment appeared or
-disappeared), or when the parallel runner's merged output diverges from
-the serial path; 2 on bad arguments, including a ``--check`` baseline
-that is missing or not in the format ``--record`` writes — the baseline
-is validated before anything runs.
+``--seed N`` reaches only the ids whose simulation draws from a seed
+(``robustness_jitter`` and ``cluster_*``); every other id, and the
+``--blame``/``--trace`` cells (pcpu_fail, hypercall, vm_churn), run at
+their registry seed.
+
+Exit status is 1 when any experiment's hash differs from the baseline
+(or is missing from it), or when a rerun diverges from the serial path;
+2 on bad arguments, including a ``--check`` manifest that is missing or
+malformed — the manifest is read before anything runs.
 """
 
 from __future__ import annotations
@@ -94,32 +104,25 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import registry  # noqa: E402
 from repro.runner import run_experiments  # noqa: E402
-from repro.runner.executor import execute_units  # noqa: E402
-from repro.runner.ledger import rows_hash  # noqa: E402
-from repro.runner.workunits import observed_smoke_units  # noqa: E402
+from repro.runner.executor import run_plans  # noqa: E402
+from repro.runner.ledger import rows_hash, run_manifest  # noqa: E402
+from repro.runner.workunits import observed_smoke_plans  # noqa: E402
 
 
-def experiment_digest(experiment_id: str, seed=None) -> dict:
-    """Run one experiment in-process and return its row count and hash."""
-    started = time.perf_counter()
-    (report,) = run_experiments([experiment_id], jobs=1, seed=seed).reports
-    return {
-        "rows": len(report.rows),
-        "sha256": rows_hash(report.rows),
-        "wall_s": round(time.perf_counter() - started, 2),
-    }
+def report_hashes(report) -> dict:
+    """Experiment id -> merged ``rows()`` hash of one run's report."""
+    return {r.experiment_id: rows_hash(r.rows) for r in report.reports}
 
 
 def registry_hashes(ids, jobs: int, seed=None) -> dict:
     """Experiment id -> merged ``rows()`` hash of one run over *ids*."""
-    report = run_experiments(ids, jobs=jobs, seed=seed)
-    return {r.experiment_id: rows_hash(r.rows) for r in report.reports}
+    return report_hashes(run_experiments(ids, jobs=jobs, seed=seed))
 
 
 def stream_hashes(ids, jobs: int, seed=None) -> dict:
     """Telemetry probe: its scenario cells run with the ``telemetry``
     observer; each system's merged streaming-aggregate snapshot."""
-    from repro.runner.workunits import scenario_unit
+    from repro.runner.workunits import observed_plan, scenario_plan
     from repro.telemetry.probe import (
         PROBE_SEEDS,
         PROBE_SYSTEMS,
@@ -128,26 +131,26 @@ def stream_hashes(ids, jobs: int, seed=None) -> dict:
     )
 
     cells = [(system, n) for system in PROBE_SYSTEMS for n in PROBE_SEEDS]
-    units = [
-        scenario_unit(
-            probe_spec(system, n), f"probe:{system}:{n}", observers=("telemetry",)
+    plans = [
+        observed_plan(
+            scenario_plan(probe_spec(system, n), f"probe:{system}:{n}"), ("telemetry",)
         )
         for system, n in cells
     ]
     parts = [
-        {"system": system, "snapshot": outputs["telemetry"][0]}
-        for (system, _), (_, outputs) in zip(cells, execute_units(units, jobs))
+        {"system": system, "snapshot": report.results[0][2]["telemetry"][0]}
+        for (system, _), report in zip(cells, run_plans(plans, jobs).reports)
     ]
     merged = ProbeResult(parts).merged
     return {f"streams/{system}": rows_hash(merged[system]) for system in sorted(merged)}
 
 
-def _observed_cells(faults, observer: str, jobs: int, seed):
+def _observed_cells(faults, observer: str, jobs: int, seed) -> list:
     """Robustness smoke cells (1 simulated second) of *faults*, every
-    scheduler, run with *observer*: the units and their results."""
+    scheduler, run with *observer*: ``(unit, part, outputs)`` each."""
     ids = [f"robustness_{fault}" for fault in faults]
-    units = observed_smoke_units(ids, (observer,), seed=seed)
-    return units, execute_units(units, jobs)
+    reports = run_plans(observed_smoke_plans(ids, (observer,), seed=seed), jobs).reports
+    return [cell for report in reports for cell in report.results]
 
 
 def blame_hashes(ids, jobs: int, seed=None) -> dict:
@@ -155,7 +158,7 @@ def blame_hashes(ids, jobs: int, seed=None) -> dict:
     second): the merged report and every cell's own snapshot."""
     from repro.telemetry.blame_plan import blame_sweep
 
-    sweep = blame_sweep(*_observed_cells(("pcpu_fail", "hypercall"), "blame", jobs, seed))
+    sweep = blame_sweep(_observed_cells(("pcpu_fail", "hypercall"), "blame", jobs, seed))
     hashes = {"blame/merged": rows_hash(sweep.merged.snapshot())}
     for part in sweep.parts:
         hashes[f"blame/{part['fault']}/{part['scheduler']}"] = rows_hash(part)
@@ -168,7 +171,7 @@ def trace_hashes(ids, jobs: int, seed=None) -> dict:
     every telemetry event, not just the end metrics — and each cell's."""
     from repro.telemetry.trace_plan import trace_bundle
 
-    bundle = trace_bundle(*_observed_cells(("pcpu_fail", "vm_churn"), "record", jobs, seed))
+    bundle = trace_bundle(_observed_cells(("pcpu_fail", "vm_churn"), "record", jobs, seed))
     hashes = {"trace/merged": bundle.merged_hash}
     for part in bundle.parts:
         hashes[f"trace/{part['fault']}/{part['scheduler']}"] = part["hash"]
@@ -177,7 +180,7 @@ def trace_hashes(ids, jobs: int, seed=None) -> dict:
 
 #: (flag, what reruns, digest(ids, jobs, seed) -> {label: hash}).  Each
 #: row runs at jobs=1 and at jobs=N; every label must hash identically.
-#: ``--parallel``'s jobs=1 side is the per-experiment registry pass.
+#: ``--parallel``'s jobs=1 side is the serial pass whose manifest --record writes.
 RERUNS = (
     ("parallel", "parallel", registry_hashes),
     ("streams", "telemetry-stream", stream_hashes),
@@ -186,23 +189,29 @@ RERUNS = (
 )
 
 
+def compare(got: dict, want: dict, got_side: str, want_side: str) -> list:
+    """Print every label's *got* hash against its *want* hash; the
+    failures (a differing or missing hash)."""
+    failures = []
+    for label in list(want) + [k for k in got if k not in want]:
+        w = want.get(label, "missing")
+        g = got.get(label, "missing")
+        verdict = "ok" if g == w else "DIVERGED"
+        print(
+            f"[determinism]   {label}: {got_side} {g[:16]} "
+            f"vs {want_side} {w[:16]}: {verdict}",
+            flush=True,
+        )
+        if g != w:
+            failures.append(f"{label}: {got_side} {g[:16]} != {want_side} {w[:16]}")
+    return failures
+
+
 def compare_rerun(name: str, run, jobs: int, serial: dict) -> list:
     """Run *run* at *jobs* workers and compare every label with *serial*."""
     print(f"[determinism] {name} rerun with {jobs} job(s) ...", flush=True)
     started = time.perf_counter()
-    parallel = run(jobs)
-    failures = []
-    for label in list(serial) + [k for k in parallel if k not in serial]:
-        want = serial.get(label, "missing")
-        got = parallel.get(label, "missing")
-        verdict = "ok" if got == want else "DIVERGED"
-        print(
-            f"[determinism]   {label}: parallel {got[:16]} "
-            f"vs serial {want[:16]}: {verdict}",
-            flush=True,
-        )
-        if got != want:
-            failures.append(f"{label}: parallel {got[:16]} != serial {want[:16]}")
+    failures = compare(run(jobs), serial, "parallel", "serial")
     print(
         f"[determinism] {name} rerun took {time.perf_counter() - started:.1f}s",
         flush=True,
@@ -210,15 +219,15 @@ def compare_rerun(name: str, run, jobs: int, serial: dict) -> list:
     return failures
 
 
-def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
+def check_cache(ids, serial: dict, jobs: int = 1, seed=None) -> list:
     """Warm-cache gate: a cached rerun is byte-identical and actually hits.
 
     The cold run populates a fresh temporary cache; the warm rerun must
     resolve every unit from it (zero misses, at least one hit) and merge
     rows hashing identically to the cold run's.  When this invocation
-    also computed serial digests (``--record``/``--check``/``--parallel``),
-    the cold hashes must match those too — proving the cached path feeds
-    the exact serial bytes back.
+    also ran the serial pass (``--record``/``--check``/``--parallel``),
+    the cold hashes must match *serial* too — proving the cached path
+    feeds the exact serial bytes back.
     """
     import tempfile
 
@@ -226,12 +235,11 @@ def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
 
     print(f"[determinism] cache gate: cold+warm run ({jobs} job(s)) ...", flush=True)
     with tempfile.TemporaryDirectory(prefix="repro-cache-gate-") as tmp:
-        cache_dir = os.path.join(tmp, "cache")
-        cold = run_experiments(
-            ids, jobs=jobs, cache=ResultCache(cache_dir), seed=seed
-        )
-        warm = run_experiments(
-            ids, jobs=jobs, cache=ResultCache(cache_dir), seed=seed
+        cold, warm = (
+            run_experiments(
+                ids, jobs=jobs, cache=ResultCache(os.path.join(tmp, "cache")), seed=seed
+            )
+            for _ in range(2)
         )
     failures = []
     total_units = warm.cache_hits + warm.cache_misses
@@ -246,55 +254,44 @@ def check_cache(ids, serial_digests, jobs: int = 1, seed=None) -> list:
         f"(cold {cold.wall_s:.1f}s -> warm {warm.wall_s:.1f}s)",
         flush=True,
     )
-    for cold_report, warm_report in zip(cold.reports, warm.reports):
-        experiment_id = cold_report.experiment_id
-        want = rows_hash(cold_report.rows)
-        got = rows_hash(warm_report.rows)
-        serial = serial_digests.get(experiment_id, {}).get("sha256")
-        diverged = got != want or (serial is not None and want != serial)
-        verdict = "DIVERGED" if diverged else "ok"
-        print(
-            f"[determinism]   {experiment_id}: warm {got[:16]} "
-            f"vs cold {want[:16]}: {verdict}",
-            flush=True,
-        )
-        if got != want:
-            failures.append(
-                f"{experiment_id}: warm-cache hash {got[:16]} != cold {want[:16]}"
-            )
-        elif serial is not None and want != serial:
-            failures.append(
-                f"{experiment_id}: cached hash {want[:16]} != serial {serial[:16]}"
-            )
+    cold_hashes = report_hashes(cold)
+    if serial:
+        failures.extend(compare(cold_hashes, serial, "cold", "serial"))
+    failures.extend(compare(report_hashes(warm), cold_hashes, "warm", "cold"))
     return failures
 
 
-def load_baseline(path: str) -> dict:
-    """Read a ``--record`` baseline: experiment id -> ``{"sha256": ...}``.
+def load_manifest(path: str) -> dict:
+    """Experiment id -> ``rows_sha256`` of the run-ledger manifest at *path*.
 
     Raises :class:`ValueError` with a one-line reason when the file is
-    missing, is not JSON, or is not in the recorded format.
+    missing, is not JSON, or is not a manifest.
     """
     try:
         with open(path) as fh:
-            baseline = json.load(fh)
+            manifest = json.load(fh)
     except OSError as exc:
         raise ValueError(exc.strerror or str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"not JSON ({exc})") from None
-    if not isinstance(baseline, dict):
-        raise ValueError("expected a JSON object of experiment ids")
-    for experiment_id, digest in baseline.items():
-        if not (isinstance(digest, dict) and isinstance(digest.get("sha256"), str)):
-            raise ValueError(f"entry {experiment_id!r} has no sha256 string")
-    return baseline
+    experiments = manifest.get("experiments") if isinstance(manifest, dict) else None
+    if not isinstance(experiments, dict):
+        raise ValueError("not a run manifest: no experiments object")
+    for experiment_id, entry in experiments.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("rows_sha256"), str)):
+            raise ValueError(f"experiment {experiment_id!r} has no rows_sha256 string")
+    return {i: entry["rows_sha256"] for i, entry in experiments.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     mode = parser.add_mutually_exclusive_group(required=False)
-    mode.add_argument("--record", metavar="PATH", help="write baseline hashes to PATH")
-    mode.add_argument("--check", metavar="PATH", help="compare against baseline at PATH")
+    mode.add_argument(
+        "--record", metavar="PATH", help="write the serial run's manifest to PATH"
+    )
+    mode.add_argument(
+        "--check", metavar="PATH", help="compare against the run manifest at PATH"
+    )
     parser.add_argument(
         "--only",
         metavar="IDS",
@@ -312,8 +309,8 @@ def main(argv=None) -> int:
         "--seed",
         type=int,
         metavar="N",
-        help="RNG-seed override for seed-taking experiments (robustness "
-        "family); applied to both the serial and the parallel pass",
+        help="RNG-seed override for the ids whose simulation draws from it "
+        "(robustness_jitter, cluster_*); applied to every pass",
     )
     parser.add_argument(
         "--streams",
@@ -363,10 +360,10 @@ def main(argv=None) -> int:
     baseline = None
     if args.check:
         try:
-            baseline = load_baseline(args.check)
+            baseline = load_manifest(args.check)
         except ValueError as exc:
             print(
-                f"check_determinism: bad baseline {args.check}: {exc}",
+                f"check_determinism: bad manifest {args.check}: {exc}",
                 file=sys.stderr,
             )
             return 2
@@ -386,15 +383,18 @@ def main(argv=None) -> int:
         os.environ["REPRO_RUNNER_FORCE_POOL"] = "1"
 
     run_registry = bool(args.record or args.check or args.parallel)
-    digests = {}
+    manifest = None
+    serial = {}
     if run_registry:
-        for experiment_id in ids:
-            print(f"[determinism] running {experiment_id} ...", flush=True)
-            digests[experiment_id] = experiment_digest(experiment_id, seed=args.seed)
+        report = run_experiments(
+            ids, jobs=1, seed=args.seed, echo=lambda m: print(f"[determinism] {m}")
+        )
+        manifest = run_manifest(report, seed=args.seed)
+        for experiment_id, entry in manifest["experiments"].items():
+            serial[experiment_id] = entry["rows_sha256"]
             print(
-                f"[determinism]   {experiment_id}: "
-                f"{digests[experiment_id]['sha256'][:16]} "
-                f"({digests[experiment_id]['wall_s']}s)",
+                f"[determinism]   {experiment_id}: {entry['rows_sha256'][:16]} "
+                f"({entry['unit_wall_s']}s)",
                 flush=True,
             )
 
@@ -407,31 +407,20 @@ def main(argv=None) -> int:
         def run(n, digest=digest):
             return digest(ids, n, seed=args.seed)
 
-        if flag == "parallel":
-            serial = {i: d["sha256"] for i, d in digests.items()}
-        else:
-            serial = run(1)
-        failures.extend(compare_rerun(name, run, max(1, jobs), serial))
+        reference = serial if flag == "parallel" else run(1)
+        failures.extend(compare_rerun(name, run, max(1, jobs), reference))
     if args.cache:
-        failures.extend(
-            check_cache(ids, digests, jobs=args.parallel or 1, seed=args.seed)
-        )
+        failures.extend(check_cache(ids, serial, jobs=args.parallel or 1, seed=args.seed))
 
     if args.record:
         with open(args.record, "w") as fh:
-            json.dump(digests, fh, indent=2, sort_keys=True)
-        print(f"[determinism] baseline written to {args.record}")
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"[determinism] manifest written to {args.record}")
     elif baseline is not None:
-        for experiment_id in ids:
-            if experiment_id not in baseline:
-                failures.append(f"{experiment_id}: not in baseline")
-                continue
-            want = baseline[experiment_id]["sha256"]
-            got = digests[experiment_id]["sha256"]
-            if want != got:
-                failures.append(
-                    f"{experiment_id}: hash {got[:16]} != baseline {want[:16]}"
-                )
+        print(f"[determinism] baseline {args.check}:", flush=True)
+        want = {i: baseline.get(i, "missing") for i in ids}
+        failures.extend(compare(serial, want, "run", "baseline"))
 
     if failures:
         print("[determinism] FAIL")
