@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--log",
         action="store_true",
-        help="print the management-plane event log (placements, "
+        help="print the run's management-plane event log (placements, "
         "migrations, faults)",
     )
     trace = sub.add_parser(
@@ -696,7 +696,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from .experiments.cluster_scale import assemble_cluster, run_cluster_host
+    from .experiments.cluster_scale import assemble_cluster, run_cluster_config
     from .simcore.time import MSEC, sec
     from .telemetry.observe import observing
 
@@ -715,27 +715,23 @@ def _cmd_cluster(args) -> int:
             f"--clock-offset-ms takes a finite number of milliseconds, got {offset}"
         )
     offset_ns = None if offset is None else int(offset * MSEC)
-    clusters = []  # --log prints host 0's management-plane log
-    with observing([lambda system, context: clusters.append(context["cluster"])]):
-        parts = [
-            run_cluster_host(
-                args.mode,
-                args.scheduler,
-                host_count,
-                host_index,
-                duration_ns,
-                args.seed,
-                clock_offset_step_ns=offset_ns,
-                policy=args.policy,
-            )
-            for host_index in range(host_count)
-        ]
-    print(assemble_cluster(parts).summary())
+    seen = {}  # the hook hands over every host with the one cluster
+    with observing([lambda system, context: seen.update(cluster=context["cluster"])]):
+        parts = run_cluster_config(
+            args.mode,
+            args.scheduler,
+            host_count,
+            duration_ns,
+            args.seed,
+            clock_offset_step_ns=offset_ns,
+            policy=args.policy,
+        )
+    print(assemble_cluster([parts]).summary())
     if args.log:
-        print("\nmanagement-plane log (host 0's run):")
-        for time_ns, kind, detail in clusters[0].log:
+        print("\nmanagement-plane log:")
+        for time_ns, kind, detail in seen["cluster"].log:
             joined = ", ".join(str(d) for d in detail)
-            print(f"  {time_ns / 1e6:10.3f}ms  {kind:<16s} {joined}")
+            print(f"  {time_ns / 1e6:10.3f}ms  {kind:<20s} {joined}")
     return 0
 
 

@@ -102,6 +102,8 @@ class Cluster:
         self._vm_hosts: Dict[str, ClusterHost] = {}
         self._vm_rtas: Dict[str, Tuple[Tuple[int, int], ...]] = {}
         self._migrating: Set[str] = set()
+        #: VMs whose shutdown waits for their migration to resume.
+        self._shutdown_deferred: Set[str] = set()
         #: Management-plane event log: (engine time, kind, detail tuple).
         self.log: List[Tuple[int, str, tuple]] = []
         #: The cluster's own actuation port: placement mutations
@@ -265,8 +267,12 @@ class Cluster:
         return vm
 
     def shutdown_vm(self, name: str) -> None:
+        """Shut a VM down; one that is mid-migration shuts down on its
+        destination once the migration resumes there."""
         if name in self._migrating:
-            raise ConfigurationError(f"VM {name} is mid-migration")
+            self._shutdown_deferred.add(name)
+            self._note("vm_shutdown_deferred", name)
+            return
         vm = self.vms.pop(name)
         chost = self._vm_hosts.pop(name)
         self.planner.remove(name)
@@ -379,6 +385,9 @@ class Cluster:
         self._migrating.discard(migration.vm_name)
         self.total_downtime_ns += migration.downtime_ns
         self._note("migrate_resume", migration.vm_name, migration.dest.name)
+        if migration.vm_name in self._shutdown_deferred:
+            self._shutdown_deferred.remove(migration.vm_name)
+            self.shutdown_vm(migration.vm_name)
 
     def rebalance(
         self,

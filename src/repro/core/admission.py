@@ -48,8 +48,8 @@ class UtilizationAdmission:
             raise ConfigurationError(
                 f"background reserve {background_reserve} must be in [0, {pcpu_count})"
             )
-        self.pcpu_count = pcpu_count
         self.background_reserve = Fraction(background_reserve)
+        self.set_pcpu_count(pcpu_count)  # sets pcpu_count and capacity
         self._granted = _Grants()  # vcpu uid -> bandwidth
         self._names: Dict[int, str] = {}  # vcpu uid -> last-known name
         self._owners: Dict[int, str] = {}  # vcpu uid -> owning VM name
@@ -112,11 +112,6 @@ class UtilizationAdmission:
     def _vm_name(vcpu: VCPU) -> str:
         vm = getattr(vcpu, "vm", None)
         return vm.name if vm is not None else ""
-
-    @property
-    def capacity(self) -> Fraction:
-        """Bandwidth available to RT VCPUs, in CPUs."""
-        return max(Fraction(self.pcpu_count) - self.background_reserve, Fraction(0))
 
     @property
     def total_granted(self) -> Fraction:
@@ -214,6 +209,8 @@ class UtilizationAdmission:
                 f"in {pcpu_count} PCPUs"
             )
         self.pcpu_count = pcpu_count
+        #: Bandwidth available to RT VCPUs, in CPUs.
+        self.capacity = max(Fraction(pcpu_count) - self.background_reserve, Fraction(0))
 
     def shed_to_capacity(self) -> List[int]:
         """Revoke grants (newest VCPU first) until the total fits capacity.

@@ -20,10 +20,11 @@ plane:
   cross-host audit matches the engine's own accounting; with offset it
   measurably diverges.
 
-Every mode shards **per host**: one work unit re-runs the full
-(deterministic) cluster simulation with telemetry attached only to the
-observed host's bus and returns that host's row + mergeable snapshot,
-so the merged output is the same whatever the worker count.
+Every mode has one work unit per cluster configuration (a scheduler ×
+host count, or one clockskew clock offset): it simulates that cluster
+once, with telemetry on every host's bus, and returns each host's row +
+mergeable snapshot in host order, so the merged output is the same
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -217,177 +218,156 @@ def build_cluster(
     return cluster
 
 
-def run_cluster_host(
+def run_cluster_config(
     mode: str,
     scheduler: str,
     host_count: int,
-    host_index: int,
     duration_ns: int,
     seed: int,
     clock_offset_step_ns: Optional[int] = None,
     policy: Optional[str] = None,
-) -> Dict[str, object]:
-    """One per-host shard: full cluster sim, one host's telemetry.
+) -> List[Dict[str, object]]:
+    """One cluster configuration, simulated once: every host's
+    ``{"row", "snapshot"}``, in host order.
 
-    The observed host's system reaches the observation hook after the
-    build, with the whole ``cluster`` in its context (``repro cluster
-    --log`` reads the management plane's log through it).
+    Each host's system reaches the observation hook after the build,
+    with the whole ``cluster`` in its context (``repro cluster --log``
+    reads the management plane's log through it).  Subscribing is
+    passive, so observing every host leaves each one's timeline as it
+    would be with only that host observed.
     """
     cluster = build_cluster(
         mode, scheduler, host_count, duration_ns, seed, clock_offset_step_ns, policy
     )
-    host = cluster.hosts[host_index]
-    telemetry = StandardTelemetry(host.machine.bus)
-    observe(host.system, cluster=cluster)
+    bundles = []
+    for host in cluster.hosts:
+        bundles.append(StandardTelemetry(host.machine.bus))
+        observe(host.system, cluster=cluster)
     cluster.run(duration_ns)
     cluster.finalize()
 
-    snapshot = telemetry.snapshot()
-    misses = telemetry.misses
-    decided = misses.decided()
-    missed = decided and sum(x for _, x in misses.per_task.values())
-    audit = cluster.audit
-    cross_decided = audit.decided(host.name)
-    cross_missed = audit.missed(host.name)
-    xhost_decided, xhost_missed = audit.cross_pairs(host.name)
-    inbound_downtime = sum(
-        m.downtime_ns for m in cluster.migrations if m.done and m.dest is host
-    )
     offset_step = (
         CLUSTER_OFFSET_STEP_NS if clock_offset_step_ns is None else clock_offset_step_ns
     )
-    row = {
-        "mode": mode,
-        "scheduler": scheduler,
-        "hosts": host_count,
-        "host": host.name,
-        "offset_ms": round(offset_step / MSEC, 3),
-        "vms_end": sum(1 for h in cluster._vm_hosts.values() if h is host),
-        "migr_in": host.migrations_in,
-        "migr_out": host.migrations_out,
-        "downtime_ms": round(inbound_downtime / MSEC, 3),
-        "decided": decided,
-        "missed": int(missed),
-        "miss_pct": round(100.0 * misses.miss_ratio(), 3),
-        "cross_decided": cross_decided,
-        "cross_missed": cross_missed,
-        "cross_miss_pct": round(100.0 * audit.miss_ratio(host.name), 3),
-        "xhost_decided": xhost_decided,
-        "xhost_missed": xhost_missed,
-        "stranded": sum(1 for _, kind, _ in cluster.log if kind == "vm_stranded"),
-    }
-    return {"row": row, "snapshot": snapshot}
+    audit = cluster.audit
+    stranded = sum(1 for _, kind, _ in cluster.log if kind == "vm_stranded")
+    parts: List[Dict[str, object]] = []
+    for host, telemetry in zip(cluster.hosts, bundles):
+        snapshot = telemetry.snapshot()
+        misses = telemetry.misses
+        decided = misses.decided()
+        missed = decided and sum(x for _, x in misses.per_task.values())
+        xhost_decided, xhost_missed = audit.cross_pairs(host.name)
+        inbound_downtime = sum(
+            m.downtime_ns for m in cluster.migrations if m.done and m.dest is host
+        )
+        row = {
+            "mode": mode,
+            "scheduler": scheduler,
+            "hosts": host_count,
+            "host": host.name,
+            "offset_ms": round(offset_step / MSEC, 3),
+            "vms_end": sum(1 for h in cluster._vm_hosts.values() if h is host),
+            "migr_in": host.migrations_in,
+            "migr_out": host.migrations_out,
+            "downtime_ms": round(inbound_downtime / MSEC, 3),
+            "decided": decided,
+            "missed": int(missed),
+            "miss_pct": round(100.0 * misses.miss_ratio(), 3),
+            "cross_decided": audit.decided(host.name),
+            "cross_missed": audit.missed(host.name),
+            "cross_miss_pct": round(100.0 * audit.miss_ratio(host.name), 3),
+            "xhost_decided": xhost_decided,
+            "xhost_missed": xhost_missed,
+            "stranded": stranded,
+        }
+        parts.append({"row": row, "snapshot": snapshot})
+    return parts
 
 
 def cluster_unit_specs(
     mode: str, smoke: bool = False
 ) -> List[Tuple[str, Dict[str, object]]]:
-    """(unit label, shard kwargs) pairs of one mode, in canonical order.
+    """(unit label, configuration kwargs) pairs of one mode, in
+    canonical order.
 
     The label is the work-unit id suffix; the kwargs (minus duration
-    and seed, which the caller owns) fully determine the shard.
+    and seed, which the caller owns) fully determine the configuration.
     """
-    specs: List[Tuple[str, Dict[str, object]]] = []
     if mode == "clockskew":
-        for offset_ns in CLOCKSKEW_OFFSETS_NS:
-            for i in range(2):
-                specs.append(
-                    (
-                        f"off{offset_ns // MSEC}ms/h{i}",
-                        {
-                            "mode": mode,
-                            "scheduler": "RTVirt",
-                            "host_count": 2,
-                            "host_index": i,
-                            "clock_offset_step_ns": offset_ns,
-                        },
-                    )
-                )
-        return specs
+        return [
+            (
+                f"off{offset_ns // MSEC}ms",
+                {
+                    "mode": mode,
+                    "scheduler": "RTVirt",
+                    "host_count": 2,
+                    "clock_offset_step_ns": offset_ns,
+                },
+            )
+            for offset_ns in CLOCKSKEW_OFFSETS_NS
+        ]
     counts = CLUSTER_HOST_COUNTS[mode]
     if smoke:
         counts = counts[:1]
-    for scheduler in CLUSTER_SCHEDULERS:
-        for host_count in counts:
-            for i in range(host_count):
-                specs.append(
-                    (
-                        f"{scheduler}-{host_count}h/h{i}",
-                        {
-                            "mode": mode,
-                            "scheduler": scheduler,
-                            "host_count": host_count,
-                            "host_index": i,
-                        },
-                    )
-                )
-    return specs
+    return [
+        (
+            f"{scheduler}-{host_count}h",
+            {"mode": mode, "scheduler": scheduler, "host_count": host_count},
+        )
+        for scheduler in CLUSTER_SCHEDULERS
+        for host_count in counts
+    ]
 
 
-def _config_key(row: Dict[str, object]) -> Tuple:
-    return (row["scheduler"], row["hosts"], row["offset_ms"])
+#: Host-row counts a configuration's ``cluster`` row sums.
+_SUMMED = (
+    "vms_end",
+    "migr_in",
+    "migr_out",
+    "cross_decided",
+    "cross_missed",
+    "xhost_decided",
+    "xhost_missed",
+)
+
+
+def _pct(part: int, whole: int) -> float:
+    return round(100.0 * part / whole, 3) if whole else 0.0
 
 
 @dataclass
 class ClusterResult:
-    """Per-host shard rows plus per-configuration merged summaries."""
+    """Per-host rows plus one merged summary per cluster configuration."""
 
     mode: str
-    cases: List[Dict[str, object]]
+    #: per configuration, in unit order: its hosts' parts, in host order
+    configs: List[List[Dict[str, object]]]
 
     def rows(self) -> List[Dict[str, object]]:
-        """Host rows in shard order, then one ``cluster`` row per config."""
-        rows = [dict(part["row"]) for part in self.cases]
-        merged: List[Dict[str, object]] = []
-        by_config: Dict[Tuple, List[Dict[str, object]]] = {}
-        for part in self.cases:
-            by_config.setdefault(_config_key(part["row"]), []).append(part)
-        for key, parts in by_config.items():
+        """Host rows in unit and host order, then one ``cluster`` row per
+        configuration."""
+        rows = [dict(part["row"]) for parts in self.configs for part in parts]
+        for parts in self.configs:
+            hosts = [part["row"] for part in parts]
             snap = StandardTelemetry.merge_snapshots([p["snapshot"] for p in parts])
             counts = snap["misses"]["per_task"].values()
-            met = sum(c["met"] for c in counts)
             missed = sum(c["missed"] for c in counts)
-            decided = met + missed
-            cross_decided = sum(p["row"]["cross_decided"] for p in parts)
-            cross_missed = sum(p["row"]["cross_missed"] for p in parts)
-            first = parts[0]["row"]
-            merged.append(
-                {
-                    "mode": self.mode,
-                    "scheduler": first["scheduler"],
-                    "hosts": first["hosts"],
-                    "host": "cluster",
-                    "offset_ms": first["offset_ms"],
-                    "vms_end": sum(p["row"]["vms_end"] for p in parts),
-                    "migr_in": sum(p["row"]["migr_in"] for p in parts),
-                    "migr_out": sum(p["row"]["migr_out"] for p in parts),
-                    "downtime_ms": round(
-                        sum(p["row"]["downtime_ms"] for p in parts), 3
-                    ),
-                    "decided": decided,
-                    "missed": missed,
-                    "miss_pct": round(100.0 * missed / decided, 3) if decided else 0.0,
-                    "cross_decided": cross_decided,
-                    "cross_missed": cross_missed,
-                    "cross_miss_pct": round(
-                        100.0 * cross_missed / cross_decided, 3
-                    )
-                    if cross_decided
-                    else 0.0,
-                    "xhost_decided": sum(p["row"]["xhost_decided"] for p in parts),
-                    "xhost_missed": sum(p["row"]["xhost_missed"] for p in parts),
-                    "stranded": max(p["row"]["stranded"] for p in parts),
-                }
-            )
-        return rows + merged
+            decided = sum(c["met"] for c in counts) + missed
+            row = dict(hosts[0], host="cluster", decided=decided, missed=missed)
+            row.update((key, sum(r[key] for r in hosts)) for key in _SUMMED)
+            row["downtime_ms"] = round(sum(r["downtime_ms"] for r in hosts), 3)
+            row["miss_pct"] = _pct(missed, decided)
+            row["cross_miss_pct"] = _pct(row["cross_missed"], row["cross_decided"])
+            rows.append(row)
+        return rows
 
     def summary(self) -> str:
-        return format_table(
-            self.rows(), title=f"Cluster — mode {self.mode!r}"
-        )
+        return format_table(self.rows(), title=f"Cluster — mode {self.mode!r}")
 
 
-def assemble_cluster(parts: Sequence[Dict[str, object]]) -> ClusterResult:
-    """Parallel-runner assembly: parts arrive in unit (= spec) order."""
-    mode = parts[0]["row"]["mode"] if parts else "?"
-    return ClusterResult(mode, list(parts))
+def assemble_cluster(parts: Sequence[List[Dict[str, object]]]) -> ClusterResult:
+    """Parallel-runner assembly: one part per configuration, in unit (=
+    spec) order, each a list of host parts."""
+    mode = parts[0][0]["row"]["mode"] if parts else "?"
+    return ClusterResult(mode, [list(hosts) for hosts in parts])

@@ -120,7 +120,7 @@ for _fault in ROBUSTNESS_FAULTS:
 del _fault
 
 # Cluster suite: one entry per management-plane mode, all on the same
-# multi-host harness (one work unit per observed host).
+# multi-host harness (one work unit per cluster configuration).
 for _mode in CLUSTER_MODES:
     REGISTRY[f"cluster_{_mode}"] = ExperimentEntry(
         f"cluster_{_mode}",

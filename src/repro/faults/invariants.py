@@ -4,7 +4,8 @@
 it runs after every same-instant event batch, once the machine has
 synced charges and the host scheduler has flushed its pending pass, so
 it observes exactly the committed scheduling decisions.  Rules are
-selected by introspecting the system under test:
+selected once, by introspecting the system under test when the checker
+is built:
 
 - ``placement`` (every system): no PCPU runs two VCPUs, the machine's
   location index agrees with PCPU occupancy, nothing runs on a failed
@@ -23,6 +24,9 @@ A violated rule raises :class:`InvariantViolation` carrying the rule
 name, the simulated time, and the trailing window of placement
 snapshots so the offending decision sequence is attached to the error.
 
+The window keeps each batch's placement with VCPU references and names
+them only when read: it is read only when a rule fails.
+
 The checker is opt-in (nothing attaches it by default), so benchmark
 and experiment hot paths pay nothing unless a robustness run asks for
 it.
@@ -31,11 +35,15 @@ it.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from ..host.edf import EDFHostScheduler, PartitionedEDFHostScheduler
 from ..simcore.errors import InvariantViolation
 from ..telemetry import events as T
+
+#: One PCPU's (index, running VCPU or None, failed).
+_PLACEMENT = attrgetter("index", "running_vcpu", "failed")
 
 
 class InvariantChecker:
@@ -54,6 +62,9 @@ class InvariantChecker:
         #: telemetry bus, so a violation can be correlated with the
         #: fault activity that preceded it.
         self.fault_log: List[Tuple[int, str, str]] = []
+        scheduler = self.machine.host_scheduler
+        self._edf = scheduler if isinstance(scheduler, EDFHostScheduler) else None
+        self._admission = getattr(system, "admission", None)
 
     def attach(self) -> "InvariantChecker":
         """Register with the engine and the machine's telemetry bus.
@@ -84,22 +95,19 @@ class InvariantChecker:
     def _on_admission(self, event: T.AdmissionDecisionEvent) -> None:
         if not self.enabled or not event.granted or event.level != "host":
             return
-        admission = getattr(self.system, "admission", None)
-        if admission is not None:
-            self._check_capacity(admission)
+        if self._admission is not None:
+            self._check_capacity(self._admission)
 
     # -- snapshotting -------------------------------------------------------------
 
-    def _snapshot(self) -> Tuple:
-        return tuple(
-            (p.index, p.running_vcpu.name if p.running_vcpu else None, p.failed)
-            for p in self.machine.pcpus
-        )
-
     @property
     def window(self) -> List[Tuple[int, Tuple]]:
-        """The retained (time, placement-snapshot) history."""
-        return list(self._window)
+        """The retained (time, placement-snapshot) history; a snapshot
+        holds ``(index, running VCPU name or None, failed)`` per PCPU."""
+        return [
+            (time, tuple((i, v.name if v else None, f) for i, v, f in placement))
+            for time, placement in self._window
+        ]
 
     def _fail(self, rule: str, message: str) -> None:
         raise InvariantViolation(rule, self.engine.now, message, window=self.window)
@@ -110,35 +118,33 @@ class InvariantChecker:
         if not self.enabled:
             return
         self.checks += 1
-        self._window.append((self.engine.now, self._snapshot()))
-        self._check_placement()
-        scheduler = self.machine.host_scheduler
-        if isinstance(scheduler, EDFHostScheduler):
-            self._check_budget(scheduler)
-            self._check_edf_order(scheduler)
-        admission = getattr(self.system, "admission", None)
-        if admission is not None:
-            self._check_capacity(admission)
+        placement = tuple(map(_PLACEMENT, self.machine.pcpus))
+        self._window.append((self.engine.now, placement))
+        self._check_placement(placement)
+        if self._edf is not None:
+            self._check_budget(self._edf)
+            self._check_edf_order(self._edf)
+        if self._admission is not None:
+            self._check_capacity(self._admission)
 
     # -- rules -------------------------------------------------------------
 
-    def _check_placement(self) -> None:
+    def _check_placement(self, placement: Tuple) -> None:
         seen = {}
-        for pcpu in self.machine.pcpus:
-            vcpu = pcpu.running_vcpu
+        for index, vcpu, failed in placement:
             if vcpu is None:
                 continue
-            if pcpu.failed:
+            if failed:
                 self._fail(
-                    "placement", f"{vcpu.name} is running on failed PCPU {pcpu.index}"
+                    "placement", f"{vcpu.name} is running on failed PCPU {index}"
                 )
             if vcpu.uid in seen:
                 self._fail(
                     "placement",
-                    f"{vcpu.name} runs on PCPUs {seen[vcpu.uid]} and {pcpu.index}",
+                    f"{vcpu.name} runs on PCPUs {seen[vcpu.uid]} and {index}",
                 )
-            seen[vcpu.uid] = pcpu.index
-        locations = self.machine.vcpu_locations()
+            seen[vcpu.uid] = index
+        locations = self.machine._vcpu_pcpu
         if locations != seen:
             self._fail(
                 "placement",
@@ -146,7 +152,7 @@ class InvariantChecker:
             )
 
     def _check_budget(self, scheduler: EDFHostScheduler) -> None:
-        placed = self.machine.vcpu_locations()
+        placed = self.machine._vcpu_pcpu
         for uid, server in scheduler._servers.items():
             if server.remaining < 0:
                 self._fail(
@@ -176,7 +182,7 @@ class InvariantChecker:
         return pending > 0 and server.remaining > 0
 
     def _check_edf_order(self, scheduler: EDFHostScheduler) -> None:
-        placed = self.machine.vcpu_locations()
+        placed = self.machine._vcpu_pcpu
         partitioned = isinstance(scheduler, PartitionedEDFHostScheduler)
         # Latest-deadline competing placed server (global), or per-PCPU map.
         placed_keys = {}

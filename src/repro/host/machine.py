@@ -160,10 +160,6 @@ class Machine:
         if vm._is_gedf:
             self._has_gedf_vm = True
 
-    def vcpu_locations(self) -> Dict[int, int]:
-        """Mapping of running VCPU uid -> PCPU index."""
-        return dict(self._vcpu_pcpu)
-
     def pcpu_of(self, vcpu: VCPU) -> Optional[int]:
         """PCPU currently running *vcpu*, or None."""
         return self._vcpu_pcpu.get(vcpu.uid)

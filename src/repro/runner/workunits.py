@@ -185,10 +185,6 @@ def _assemble_robustness(parts: Sequence[Any]) -> RobustnessResult:
     return RobustnessResult(list(parts))
 
 
-def _assemble_cluster(parts: Sequence[Any]):
-    return assemble_cluster(list(parts))
-
-
 def _assemble_feedback(parts: Sequence[Any]):
     return assemble_feedback(list(parts))
 
@@ -233,12 +229,12 @@ _UNIT_COST_S: Dict[str, float] = {
 _FAMILY_COST_S: Dict[str, float] = {
     "table1": 0.5,
     "sporadic": 0.2,
-    # cluster_* units re-run the full multi-host sim each; cost scales
-    # with the host grid, not the observed shard.
-    "cluster_consolidate": 0.1,
-    "cluster_rebalance": 0.1,
-    "cluster_hostfail": 0.1,
-    "cluster_clockskew": 0.05,
+    # cluster_* units run one whole multi-host configuration each (every
+    # host observed); cost scales with the host count.
+    "cluster_consolidate": 0.04,
+    "cluster_rebalance": 0.04,
+    "cluster_hostfail": 0.03,
+    "cluster_clockskew": 0.03,
     # feedback_* units run one (scenario, policy) cell each; the
     # adaptive/credit cells carry the controller and ledger overhead.
     "feedback_overrun": 0.6,
@@ -475,22 +471,22 @@ def robustness_plan(fault: str, duration_ns: int, seed: int) -> ExperimentPlan:
 def cluster_plan(
     mode: str, duration_ns: int, seed: int, smoke: bool = False
 ) -> ExperimentPlan:
-    """Per-host shards: each unit re-runs the full deterministic cluster
-    sim and extracts one host's row + mergeable telemetry snapshot.
+    """One unit per cluster configuration: it simulates the cluster once
+    and returns every host's row + mergeable telemetry snapshot.
     *smoke* keeps only the first host count of the grid."""
     experiment_id = f"cluster_{mode}"
     units = tuple(
         WorkUnit(
             experiment_id=experiment_id,
             unit_id=f"{experiment_id}/{label}",
-            fn="repro.experiments.cluster_scale:run_cluster_host",
+            fn="repro.experiments.cluster_scale:run_cluster_config",
             kwargs=tuple(
                 sorted({"duration_ns": duration_ns, "seed": seed, **kwargs}.items())
             ),
         )
         for label, kwargs in cluster_unit_specs(mode, smoke=smoke)
     )
-    return ExperimentPlan(experiment_id, units, _assemble_cluster)
+    return ExperimentPlan(experiment_id, units, assemble_cluster)
 
 
 def feedback_plan(experiment_id: str, duration_ns: int, seed: int) -> ExperimentPlan:

@@ -10,8 +10,8 @@ that one unit, so nothing leaks into the next unit of the same worker.
 
 An observer is a callable ``observer(system, context)``; *context* is
 the keyword arguments the unit passed to :func:`observe` (a trace
-``header`` for replayable formats, a feedback cell's ``tenants``, a
-cluster host's whole ``cluster``).
+``header`` for replayable formats, a feedback cell's ``tenants``, the
+whole ``cluster`` with each of its hosts).
 With nothing installed the hook costs one truth test: it publishes no
 event and arms no timer, so an unobserved run is byte-identical to one
 that never called it.

@@ -6,11 +6,11 @@ may carry one argument: ``blame:vm2.rta1#15``).  The runner installs a
 (:mod:`repro.telemetry.observe`); it gives every system the unit builds
 a fresh observer of each name, in the order named, and returns each
 one's picklable ``finish(part)`` output beside the part, one per system
-(fig1 builds two systems, fig3 none): a stream snapshot
-(``telemetry``), a detached :class:`~repro.simcore.trace.Trace`
-(``chrome_trace``), trace bytes and the rows in their trailer
-(``record``), a blame snapshot, miss list, per-tenant table and job
-timelines (``blame``), an uninstalled
+(fig1 builds two systems, a cluster configuration one per host, fig3
+none): a stream snapshot (``telemetry``), a detached
+:class:`~repro.simcore.trace.Trace` (``chrome_trace``), trace bytes and
+the rows in their trailer (``record``), a blame snapshot, miss list,
+per-tenant table and job timelines (``blame``), an uninstalled
 :class:`~repro.telemetry.profile.SimProfiler` (``profile``).  Systems
 are never folded together: two runs that restart time at 0 and reuse
 task names make one trace, span set or timeline meaningless.
@@ -36,12 +36,13 @@ WORST_MISSES = 5
 
 def unit_rows(part: Any) -> Optional[List[dict]]:
     """The metric rows of a unit's part: a robustness cell's row, a
-    cluster host's ``"row"``, a feedback cell's row list, or a result's
-    ``rows()`` / shard outcome's ``row()``; ``None`` when it has none."""
+    feedback cell's row list, the ``"row"`` of every host of a cluster
+    configuration, or a result's ``rows()`` / shard outcome's ``row()``;
+    ``None`` when it has none."""
     if isinstance(part, dict):
-        return [part.get("row", part)]
+        return [part]
     if isinstance(part, list):
-        return part
+        return [p["row"] if "snapshot" in p else p for p in part]
     if hasattr(part, "rows"):
         return part.rows()
     return [part.row()] if hasattr(part, "row") else None
@@ -154,10 +155,12 @@ class _Blame:
 
 
 class _Profile:
+    """A system's bus costs, and its engine's phases unless an earlier
+    system holds that engine (a cluster's hosts share one: h0 has it)."""
+
     def __init__(self, system, context: dict, unit_id: str, arg: Optional[str]) -> None:
-        self._profiler = SimProfiler().install(
-            engine=system.engine, bus=system.machine.bus
-        )
+        engine = None if system.engine._profile else system.engine
+        self._profiler = SimProfiler().install(engine=engine, bus=system.machine.bus)
 
     def finish(self, part: Any) -> SimProfiler:
         self._profiler.uninstall()

@@ -146,11 +146,19 @@ class TestMigration:
         assert cluster.migrate("vm0", 1) is None
         assert len(cluster.migrations) == 1
 
-    def test_shutdown_mid_migration_rejected(self):
+    def test_shutdown_mid_migration_deferred(self):
         cluster = seeded(two_hosts(policy="first_fit"))
         cluster.migrate("vm0", 1)
-        with pytest.raises(ConfigurationError):
-            cluster.shutdown_vm("vm0")
+        cluster.shutdown_vm("vm0")
+        assert "vm0" in cluster.vms  # still in flight
+        cluster.run(sec(1))
+        assert "vm0" not in cluster.vms
+        assert "vm0" not in cluster.planner.assignments
+        kinds = [(kind, detail) for _, kind, detail in cluster.log]
+        deferred = kinds.index(("vm_shutdown_deferred", ("vm0",)))
+        resumed = kinds.index(("migrate_resume", ("vm0", "h1")))
+        assert deferred < resumed
+        assert kinds[resumed + 1] == ("vm_shutdown", ("vm0", "h1"))
 
     def test_shutdown_after_resume_ok(self):
         cluster = seeded(two_hosts(policy="first_fit"))

@@ -1,12 +1,15 @@
-"""The cluster_* experiment family: shards, merging, clock-offset effect."""
+"""The cluster_* experiment family: configurations, merging, clock-offset
+effect, and one run observing every host."""
 
 import pytest
 
 from repro.experiments import cluster_scale, registry
 from repro.runner.executor import execute_plan
-from repro.runner.workunits import cluster_plan, plan_for
+from repro.runner.workunits import cluster_plan, execute_unit, observed_plan, plan_for
 from repro.simcore.time import MSEC, sec
+from repro.telemetry.aggregate import StandardTelemetry
 from repro.telemetry.observe import observing
+from repro.telemetry.record import TraceReader, TraceRecorder
 
 DURATION = sec(1)
 SEED = 29
@@ -17,25 +20,120 @@ def _keep_cluster(state):
     return lambda system, context: state.update(cluster=context["cluster"])
 
 
+def single_host_part(
+    mode,
+    scheduler,
+    host_count,
+    host_index,
+    duration_ns,
+    seed,
+    clock_offset_step_ns=None,
+    record=False,
+):
+    """The oracle: one full cluster run with telemetry (and, with
+    *record*, a trace recorder) on host *host_index* alone; that host's
+    ``{"row", "snapshot"}`` and its trace body hash (``None`` unrecorded)."""
+    cluster = cluster_scale.build_cluster(
+        mode, scheduler, host_count, duration_ns, seed, clock_offset_step_ns
+    )
+    host = cluster.hosts[host_index]
+    telemetry = StandardTelemetry(host.machine.bus)
+    recorder = TraceRecorder(None, {}).attach(host.machine.bus) if record else None
+    cluster.run(duration_ns)
+    cluster.finalize()
+    snapshot = telemetry.snapshot()
+    misses = telemetry.misses
+    decided = misses.decided()
+    missed = decided and sum(x for _, x in misses.per_task.values())
+    audit = cluster.audit
+    xhost_decided, xhost_missed = audit.cross_pairs(host.name)
+    if clock_offset_step_ns is None:
+        clock_offset_step_ns = cluster_scale.CLUSTER_OFFSET_STEP_NS
+    downtime_ns = sum(
+        m.downtime_ns for m in cluster.migrations if m.done and m.dest is host
+    )
+    row = {
+        "mode": mode,
+        "scheduler": scheduler,
+        "hosts": host_count,
+        "host": host.name,
+        "offset_ms": round(clock_offset_step_ns / MSEC, 3),
+        "vms_end": sum(1 for h in cluster._vm_hosts.values() if h is host),
+        "migr_in": host.migrations_in,
+        "migr_out": host.migrations_out,
+        "downtime_ms": round(downtime_ns / MSEC, 3),
+        "decided": decided,
+        "missed": int(missed),
+        "miss_pct": round(100.0 * misses.miss_ratio(), 3),
+        "cross_decided": audit.decided(host.name),
+        "cross_missed": audit.missed(host.name),
+        "cross_miss_pct": round(100.0 * audit.miss_ratio(host.name), 3),
+        "xhost_decided": xhost_decided,
+        "xhost_missed": xhost_missed,
+        "stranded": sum(1 for _, kind, _ in cluster.log if kind == "vm_stranded"),
+    }
+    trace = TraceReader(recorder.close()).trace_hash if record else None
+    return {"row": row, "snapshot": snapshot}, trace
+
+
+#: Every smoke-length cluster unit: each mode × scheduler (× clock offset).
+SMOKE_UNITS = [
+    unit
+    for mode in cluster_scale.CLUSTER_MODES
+    for unit in plan_for(f"cluster_{mode}", smoke=True).units
+]
+
+
+class TestOneRunEveryHost:
+    """One configuration run observes each host exactly as a run that
+    observes that host alone."""
+
+    @pytest.mark.parametrize("unit", SMOKE_UNITS, ids=lambda u: u.unit_id)
+    def test_each_host_matches_its_single_host_run(self, unit):
+        config = dict(unit.kwargs)
+        record = config["mode"] == "hostfail"
+        recorders = []
+
+        def attach_recorder(system, context):
+            recorders.append(TraceRecorder(None, {}).attach(system.machine.bus))
+
+        with observing([attach_recorder] if record else []):
+            parts = cluster_scale.run_cluster_config(**config)
+        assert len(parts) == config["host_count"]
+        for index, part in enumerate(parts):
+            alone, trace = single_host_part(host_index=index, record=record, **config)
+            assert part == alone
+            if record:
+                assert TraceReader(recorders[index].close()).trace_hash == trace
+
+    def test_profile_gives_the_engine_phases_to_h0_alone(self):
+        plan = observed_plan(plan_for("cluster_clockskew", smoke=True), ("profile",))
+        _, outputs = execute_unit(plan.units[0])
+        h0, *others = outputs["profile"]
+        assert len(others) == 1
+        assert h0.phase_costs and not any(p.phase_costs for p in others)
+
+
 class TestUnitSpecs:
     def test_specs_cover_every_host(self):
+        """One unit per (scheduler, host count); it observes every host,
+        so no kwarg picks one."""
         for mode in ("consolidate", "rebalance", "hostfail"):
             specs = cluster_scale.cluster_unit_specs(mode)
-            for scheduler in cluster_scale.CLUSTER_SCHEDULERS:
-                for host_count in cluster_scale.CLUSTER_HOST_COUNTS[mode]:
-                    indices = [
-                        kwargs["host_index"]
-                        for _, kwargs in specs
-                        if kwargs["scheduler"] == scheduler
-                        and kwargs["host_count"] == host_count
-                    ]
-                    assert indices == list(range(host_count))
+            assert [
+                (kwargs["scheduler"], kwargs["host_count"]) for _, kwargs in specs
+            ] == [
+                (scheduler, host_count)
+                for scheduler in cluster_scale.CLUSTER_SCHEDULERS
+                for host_count in cluster_scale.CLUSTER_HOST_COUNTS[mode]
+            ]
+            assert all("host_index" not in kwargs for _, kwargs in specs)
 
     def test_clockskew_specs_sweep_offsets(self):
         specs = cluster_scale.cluster_unit_specs("clockskew")
-        offsets = {kwargs["clock_offset_step_ns"] for _, kwargs in specs}
-        assert offsets == set(cluster_scale.CLOCKSKEW_OFFSETS_NS)
-        assert len(specs) == 2 * len(cluster_scale.CLOCKSKEW_OFFSETS_NS)
+        offsets = [kwargs["clock_offset_step_ns"] for _, kwargs in specs]
+        assert offsets == list(cluster_scale.CLOCKSKEW_OFFSETS_NS)
+        assert [label for label, _ in specs] == ["off0ms", "off25ms"]
 
     def test_smoke_grid_is_a_prefix(self):
         full = cluster_scale.cluster_unit_specs("rebalance")
@@ -56,7 +154,7 @@ class TestShardEquivalence:
             f"cluster_hostfail/{label}" for label in labels
         ]
         for unit in plan.units:
-            assert unit.fn == "repro.experiments.cluster_scale:run_cluster_host"
+            assert unit.fn == "repro.experiments.cluster_scale:run_cluster_config"
             kwargs = dict(unit.kwargs)
             assert kwargs["duration_ns"] == registry.CLUSTER_DURATION_NS
             assert kwargs["seed"] == registry.CLUSTER_SEED
@@ -73,11 +171,10 @@ class TestClusterScenarios:
 
         state = {}
         with observing([_keep_cluster(state)]):
-            part = cluster_scale.run_cluster_host(
+            part, *_ = cluster_scale.run_cluster_config(
                 mode="hostfail",
                 scheduler="RTVirt",
                 host_count=3,
-                host_index=0,
                 duration_ns=DURATION,
                 seed=SEED,
             )
@@ -94,11 +191,10 @@ class TestClusterScenarios:
         def migrations(mode):
             state = {}
             with observing([_keep_cluster(state)]):
-                cluster_scale.run_cluster_host(
+                cluster_scale.run_cluster_config(
                     mode=mode,
                     scheduler="RTVirt",
                     host_count=2,
-                    host_index=0,
                     duration_ns=DURATION,
                     seed=SEED,
                 )
@@ -115,11 +211,10 @@ class TestClusterScenarios:
         def audit_and_row(offset_ns):
             state = {}
             with observing([_keep_cluster(state)]):
-                part = cluster_scale.run_cluster_host(
+                _, part = cluster_scale.run_cluster_config(
                     mode="clockskew",
                     scheduler="RTVirt",
                     host_count=2,
-                    host_index=1,
                     duration_ns=sec(2),
                     seed=SEED,
                     clock_offset_step_ns=offset_ns,

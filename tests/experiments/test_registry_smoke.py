@@ -35,6 +35,8 @@ class _CountingObserver:
 def _systems_built(unit) -> int:
     if unit.fn in ANALYTIC_FNS:  # fig3, table2, the RT-Xen capacity analysis
         return 0
+    if unit.experiment_id.startswith("cluster_"):  # every host of the cluster
+        return dict(unit.kwargs)["host_count"]
     return 2 if unit.unit_id == "fig1/whole" else 1  # fig1 compares two hosts
 
 

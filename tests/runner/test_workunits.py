@@ -39,6 +39,10 @@ class TestPlanShape:
             ("fig5a", 4),
             ("fig5b", 4),
             ("table6", 3),
+            ("cluster_consolidate", 6),
+            ("cluster_rebalance", 6),
+            ("cluster_hostfail", 3),
+            ("cluster_clockskew", 2),
         ):
             assert len(plan_for(experiment_id).units) == expected
 

@@ -430,6 +430,13 @@ class TestCluster:
         assert main(["cluster", "--hosts", "1"]) == 2
         assert "at least 2 hosts" in capsys.readouterr().err
 
+    def test_shutdown_of_a_migrating_vm_is_deferred(self, capsys):
+        # At 0.2 s the churn timeline shuts churn0 down while the
+        # rebalance is still migrating it.
+        assert main(["cluster", "--duration-s", "0.2", "--log"]) == 0
+        assert "vm_shutdown_deferred churn0" in capsys.readouterr().out
+
+
 class TestRunAllLedger:
     def _manifest(self, runs_dir):
         (stamp,) = runs_dir.iterdir()

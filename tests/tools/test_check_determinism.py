@@ -25,6 +25,13 @@ def test_bad_baseline_exits_2_before_running(check_determinism, tmp_path, capsys
     assert err.count("\n") == 1 and str(path) in err
 
 
+@pytest.mark.parametrize("flag", ["--streams", "--blame", "--trace"])
+def test_seed_without_a_registry_pass_exits_2(check_determinism, capsys, flag):
+    assert check_determinism.main(["--seed", "5", flag, "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--seed" in err
+
+
 def test_recorded_baseline_round_trips(check_determinism, tmp_path, capsys):
     path = tmp_path / "manifest.json"
     assert check_determinism.main(["--record", str(path), "--only", "fig1"]) == 0

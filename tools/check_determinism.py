@@ -60,7 +60,7 @@ these rows, ``--cache`` and the baseline — compares labels to hashes
 the same way and prints ``<label>: <side> X vs <side> Y: ok|DIVERGED``.
 
 ``--only`` narrows any registry mode to one family.  The multi-host
-``cluster_*`` experiments shard per observed host, and the
+``cluster_*`` experiments shard per cluster configuration, and the
 adaptive-control ``feedback_*``/``tenant_*`` experiments shard per
 policy cell, so the serial-vs-parallel gate over each family proves
 its shards reassemble byte-identically however they were spread over
@@ -84,12 +84,15 @@ the cold hashes are also checked against the serial ones):
 ``--seed N`` reaches only the ids whose simulation draws from a seed
 (``robustness_jitter`` and ``cluster_*``); every other id, and the
 ``--blame``/``--trace`` cells (pcpu_fail, hypercall, vm_churn), run at
-their registry seed.
+their registry seed.  It needs a registry pass (``--record``,
+``--check``, ``--parallel`` or ``--cache``): beside ``--streams``,
+``--blame`` or ``--trace`` alone it would reach nothing, so it exits 2.
 
 Exit status is 1 when any experiment's hash differs from the baseline
 (or is missing from it), or when a rerun diverges from the serial path;
 2 on bad arguments, including a ``--check`` manifest that is missing or
-malformed — the manifest is read before anything runs.
+malformed — the manifest is read before anything runs — and a
+``--seed`` that no pass reaches.
 """
 
 from __future__ import annotations
@@ -357,6 +360,15 @@ def main(argv=None) -> int:
             "one of --record, --check, --parallel, --streams, --blame, "
             "--trace or --cache is required"
         )
+    if args.seed is not None and not (
+        args.record or args.check or args.parallel or args.cache
+    ):
+        print(
+            "check_determinism: --seed reaches nothing here: the --streams, "
+            "--blame and --trace passes take no seed",
+            file=sys.stderr,
+        )
+        return 2
     baseline = None
     if args.check:
         try:
