@@ -220,6 +220,13 @@ _UNIT_COST_S: Dict[str, float] = {
     "fig1/whole": 1.0,
     "table4/RT-Xen": 0.6,
     "robustness_hypercall/RTVirt": 0.6,
+    # feedback_* cells (seed 1, 2-core host): the static policy carries
+    # the misses, so it runs longest — and first.
+    "feedback_overrun/static": 1.2,
+    "feedback_migrate/static": 0.6,
+    "feedback_overrun/adaptive": 0.2,
+    "feedback_migrate/adaptive": 0.17,
+    "feedback_overrun/csa": 0.13,
     "table4/Credit": 0.2,
     "table6/rtxen-capacity": 0.2,
 }
@@ -235,10 +242,6 @@ _FAMILY_COST_S: Dict[str, float] = {
     "cluster_rebalance": 0.04,
     "cluster_hostfail": 0.03,
     "cluster_clockskew": 0.03,
-    # feedback_* units run one (scenario, policy) cell each; the
-    # adaptive/credit cells carry the controller and ledger overhead.
-    "feedback_overrun": 0.6,
-    "feedback_migrate": 0.4,
     "tenant_shed": 0.7,
 }
 

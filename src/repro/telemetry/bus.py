@@ -15,6 +15,11 @@ mechanisms deliver that:
   directly.  The bus is not consulted at all between subscription
   changes.
 
+Each kind's handlers are a tuple that (un)subscribe replace rather than
+mutate (copy on write), so ``publish`` iterates the tuple it looked up
+without copying it: a handler that (un)subscribes during a delivery
+changes the next publish, never the current one.
+
 Handlers run synchronously, in subscription order, on the simulated
 timeline — a handler that mutates the system under test will perturb
 it, so consumers should only record.
@@ -23,7 +28,7 @@ it, so consumers should only record.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 Handler = Callable[[Any], None]
 WatchCallback = Callable[["TelemetryBus"], None]
@@ -35,7 +40,7 @@ class TelemetryBus:
     __slots__ = ("_subscribers", "_watchers", "_profile")
 
     def __init__(self) -> None:
-        self._subscribers: Dict[str, List[Handler]] = {}
+        self._subscribers: Dict[str, Tuple[Handler, ...]] = {}
         self._watchers: List[WatchCallback] = []
         #: Optional self-profiler (see :mod:`repro.telemetry.profile`).
         #: Checked only after the zero-subscriber early return, so the
@@ -50,7 +55,7 @@ class TelemetryBus:
         The unsubscribe callable is idempotent: calling it twice (or
         after the handler was removed another way) is a no-op.
         """
-        self._subscribers.setdefault(kind, []).append(handler)
+        self._subscribers[kind] = self._subscribers.get(kind, ()) + (handler,)
         self._notify_watchers()
         removed = False
 
@@ -63,10 +68,12 @@ class TelemetryBus:
             if handlers is None:
                 return
             try:
-                handlers.remove(handler)
+                index = handlers.index(handler)
             except ValueError:
                 return
-            if not handlers:
+            if len(handlers) > 1:
+                self._subscribers[kind] = handlers[:index] + handlers[index + 1 :]
+            else:
                 # Drop the key so has_subscribers stays a membership test.
                 del self._subscribers[kind]
             self._notify_watchers()
@@ -125,15 +132,13 @@ class TelemetryBus:
             return
         profile = self._profile
         if profile is None:
-            for handler in list(handlers):
+            for handler in handlers:
                 handler(event)
             return
         started = perf_counter()
-        delivered = 0
-        for handler in list(handlers):
+        for handler in handlers:
             handler(event)
-            delivered += 1
-        profile.record_event(kind, delivered, perf_counter() - started)
+        profile.record_event(kind, len(handlers), perf_counter() - started)
 
     # -- self-profiling ---------------------------------------------------------------
 

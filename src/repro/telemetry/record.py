@@ -32,6 +32,14 @@ heterogeneous sequence.  The canonical trace hash is the sha256 over the
 body bytes: two runs publish the same event sequence iff their traces
 hash identically, and a merge of per-unit traces in canonical order is
 byte-identical however the units were executed.
+
+The codec is generated from the one schema table :data:`_SCHEMAS`: on
+first use, once per process, each kind's row is compiled into
+straight-line Python — an encoder factory and a decoder — so no event
+pays for a loop over codec tags.  A :class:`TraceWriter` calls the
+factories once, binding its buffer, intern table and state cell into
+each encoder as locals, and a recorder subscribes those encoders to the
+bus directly.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ import hashlib
 import io
 import json
 import struct
-from functools import partial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..simcore.errors import TraceFormatError
 from . import events as ev
@@ -169,11 +177,205 @@ def _read_svarint(data, pos: int) -> Tuple[int, int]:
     return _zigzag(raw), pos
 
 
+def _decode_item(data, pos: int, table: List[str]):
+    tag = data[pos]
+    pos += 1
+    if tag == 0:
+        return None, pos
+    if tag == 1:
+        return _read_svarint(data, pos)
+    if tag == 2:
+        idx, pos = _read_uvarint(data, pos)
+        return table[idx], pos
+    if tag == 3:
+        return bool(data[pos]), pos + 1
+    if tag == 4:
+        (value,) = struct.unpack_from("<d", data, pos)
+        return value, pos + 8
+    return _decode_tuple(data, pos, table)
+
+
+def _decode_tuple(data, pos: int, table: List[str]) -> Tuple[tuple, int]:
+    n, pos = _read_uvarint(data, pos)
+    items = []
+    for _ in range(n):
+        item, pos = _decode_item(data, pos, table)
+        items.append(item)
+    return tuple(items), pos
+
+
+# -- generated codec ------------------------------------------------------------------
+#
+# Each schema row compiles to one encoder factory and one decoder.  The
+# encoder writes exactly what a loop over the row's codec tags would:
+# a due checkpoint first, then every intern frame its strings need in
+# field order (tagged fields encode into a scratch frame, interning as
+# they go), then the event frame.  So the bytes do not depend on which
+# code wrote them, only on the schema.
+
+
+def _indent(lines: List[str], depth: int = 1) -> List[str]:
+    return ["    " * depth + line for line in lines]
+
+
+def _put_uvarint(var: str) -> List[str]:
+    """Append uvarint *var* to ``buf``; one byte without entering a loop."""
+    return [f"if {var} < 128:", f"    append({var})", "else:", f"    uvarint(buf, {var})"]
+
+
+def _put_svarint(var: str) -> List[str]:
+    return [f"z = {var} << 1 if {var} >= 0 else ((-{var}) << 1) - 1", *_put_uvarint("z")]
+
+
+def _intern_lines(field: str, sid: str) -> List[str]:
+    return [f"{sid} = get({field})", f"if {sid} is None:", f"    {sid} = intern({field})"]
+
+
+def _get_uvarint(var: str) -> List[str]:
+    """Read uvarint *var* at ``pos``; one byte without entering a loop."""
+    return [
+        f"{var} = data[pos]",
+        "pos += 1",
+        f"if {var} > 127:",
+        f"    {var}, pos = read_uvarint(data, pos - 1)",
+    ]
+
+
+def _encoder_source(kind_id: int, codecs: Tuple[int, ...]) -> str:
+    fields = [f"f{i}" for i in range(len(codecs))]
+    resolve: List[str] = []
+    put: List[str] = []
+    binds = ["buf", "append", "cell", "counts", "checkpoint", "flush", "uvarint"]
+    for field, codec in zip(fields, codecs):
+        sid = "s" + field
+        if codec == _C_INT:
+            put += _put_svarint(field)
+        elif codec == _C_STR:
+            resolve += _intern_lines(field, sid)
+            put += _put_uvarint(sid)
+        elif codec == _C_OPT_STR:
+            resolve += [f"if {field} is not None:", *_indent(_intern_lines(field, sid))]
+            put += [f"if {field} is None:", "    append(0)", "else:", "    append(1)"]
+            put += _indent(_put_uvarint(sid))
+        elif codec == _C_BOOL:
+            put.append(f"append(1 if {field} else 0)")
+        else:
+            encode = "encode_item" if codec == _C_VALUE else "encode_tuple"
+            value = field if codec == _C_VALUE else f"tuple({field})"
+            resolve += [f"{sid} = bytearray()", f"{encode}({sid}, {value})"]
+            put.append(f"buf += {sid}")
+            binds.append(encode)
+    if any(codec in (_C_STR, _C_OPT_STR) for codec in codecs):
+        binds += ["get", "intern"]
+    head = bytearray([_TAG_EVENT])
+    _uvarint(head, kind_id)
+    defaults = ", ".join(f"{name}={name}" for name in dict.fromkeys(binds))
+    body = [
+        "left = cell[1]",
+        "if left:",
+        "    cell[1] = left - 1",
+        "else:",
+        "    checkpoint()",
+        f"t, {', '.join(fields)} = event",
+        *resolve,
+        f"buf += {bytes(head)!r}",
+        "d = t - cell[0]",
+        "cell[0] = t",
+        *_put_svarint("d"),
+        *put,
+        f"counts[{kind_id}] += 1",
+        f"if len(buf) >= {_FLUSH_BYTES}:",
+        "    flush()",
+    ]
+    return "\n".join(
+        [
+            "def factory(buf, append, get, cell, counts, intern, checkpoint, flush,",
+            "            encode_item, encode_tuple, uvarint):",
+            f"    def encode(event, {defaults}):",
+            *_indent(body, 2),
+            "    return encode",
+        ]
+    )
+
+
+def _decoder_source(codecs: Tuple[int, ...]) -> str:
+    fields = [f"f{i}" for i in range(len(codecs))]
+    body = [*_get_uvarint("b"), "t = prev + ((b >> 1) ^ -(b & 1))"]
+    for field, codec in zip(fields, codecs):
+        if codec == _C_INT:
+            body += [*_get_uvarint("b"), f"{field} = (b >> 1) ^ -(b & 1)"]
+        elif codec == _C_STR:
+            body += [*_get_uvarint("b"), f"{field} = table[b]"]
+        elif codec == _C_OPT_STR:
+            body += ["if data[pos]:", "    pos += 1"]
+            body += _indent([*_get_uvarint("b"), f"{field} = table[b]"])
+            body += ["else:", "    pos += 1", f"    {field} = None"]
+        elif codec == _C_BOOL:
+            body += [f"{field} = data[pos] != 0", "pos += 1"]
+        elif codec == _C_VALUE:
+            body.append(f"{field}, pos = decode_item(data, pos, table)")
+        else:
+            body.append(f"{field}, pos = decode_tuple(data, pos, table)")
+    body.append(f"return new(cls, (t, {', '.join(fields)})), pos")
+    return "\n".join(
+        [
+            "def decode(data, pos, prev, table, new=tuple.__new__, cls=cls,",
+            "           read_uvarint=read_uvarint, decode_item=decode_item,",
+            "           decode_tuple=decode_tuple):",
+            *_indent(body),
+        ]
+    )
+
+
+def _compile(source: str, name: str, label: str, namespace: dict) -> Callable:
+    exec(compile(source, f"<rtvt {label}>", "exec"), namespace)
+    return namespace[name]
+
+
+# Compiling all 34 functions takes about 10 ms, so a process that never
+# records or reads a trace never compiles them.
+
+
+@lru_cache(maxsize=None)
+def _encoder_factories() -> Tuple[Callable, ...]:
+    """kind id -> factory(buf, buf.append, strings.get, cell, counts,
+    intern, checkpoint, flush, encode_item, encode_tuple, uvarint) ->
+    encode(event)."""
+    return tuple(
+        _compile(_encoder_source(kind_id, codecs), "factory", f"encode {kind}", {})
+        for kind_id, (kind, (_, codecs)) in enumerate(zip(ALL_KINDS, _SCHEMAS))
+    )
+
+
+@lru_cache(maxsize=None)
+def _decoders() -> Tuple[Callable, ...]:
+    """kind id -> decode(data, pos, prev_time, table) -> (event, pos)."""
+    return tuple(
+        _compile(
+            _decoder_source(codecs),
+            "decode",
+            f"decode {kind}",
+            {
+                "cls": cls,
+                "read_uvarint": _read_uvarint,
+                "decode_item": _decode_item,
+                "decode_tuple": _decode_tuple,
+            },
+        )
+        for kind, (cls, codecs) in zip(ALL_KINDS, _SCHEMAS)
+    )
+
+
 # -- writer ---------------------------------------------------------------------------
 
 
 class TraceWriter:
-    """Low-level framed writer.  Most callers want :class:`TraceRecorder`."""
+    """Low-level framed writer.  Most callers want :class:`TraceRecorder`.
+
+    ``encoders[KIND_IDS[kind]](event)`` writes one event.  The encoders
+    hold this writer's buffer, intern table, state cell and counters, so
+    those objects are only ever changed in place.
+    """
 
     def __init__(self, path: Optional[str] = None, header: Optional[dict] = None):
         self.path = path
@@ -181,9 +383,14 @@ class TraceWriter:
         self._buf = bytearray()
         self._hash = hashlib.sha256()
         self._strings: Dict[str, int] = {}
-        self._prev_time = 0
-        self._events = 0
+        #: [previous event time, events still to write before a checkpoint
+        #: is due (negative once a section is written: none is ever due)]
+        self._cell = [0, CHECKPOINT_EVERY]
+        #: kind id -> events encoded directly
+        self._kind_counts = [0] * len(ALL_KINDS)
+        #: kind -> events merged in from sections
         self._counts: Dict[str, int] = {}
+        self._section_events = 0
         self._checkpoints: List[List[int]] = []
         self._sections: List[dict] = []
         self._body_bytes = 0
@@ -196,6 +403,26 @@ class TraceWriter:
         _uvarint(head, len(payload))
         head += payload
         self._sink.write(bytes(head))
+        state = (
+            self._buf,
+            self._buf.append,
+            self._strings.get,
+            self._cell,
+            self._kind_counts,
+            self._intern,
+            self._checkpoint,
+            self._flush,
+            self._encode_item,
+            self._encode_tuple,
+            _uvarint,
+        )
+        self.encoders: Tuple[Callable, ...] = tuple(
+            factory(*state) for factory in _encoder_factories()
+        )
+
+    @property
+    def event_count(self) -> int:
+        return self._section_events + sum(self._kind_counts)
 
     # body framing
 
@@ -206,6 +433,17 @@ class TraceWriter:
             self._sink.write(chunk)
             self._body_bytes += len(chunk)
             self._buf.clear()
+
+    def _checkpoint(self) -> None:
+        self._checkpoints.append(
+            [
+                self._body_bytes + len(self._buf),
+                self.event_count,
+                self._cell[0],
+                len(self._strings),
+            ]
+        )
+        self._cell[1] = CHECKPOINT_EVERY - 1
 
     def _intern(self, text: str) -> int:
         idx = self._strings.get(text)
@@ -244,51 +482,6 @@ class TraceWriter:
         for item in items:
             self._encode_item(out, item)
 
-    def write_event(self, kind: str, event) -> None:
-        if (
-            self._events
-            and self._events % CHECKPOINT_EVERY == 0
-            and not self._sections
-        ):
-            self._checkpoints.append(
-                [
-                    self._body_bytes + len(self._buf),
-                    self._events,
-                    self._prev_time,
-                    len(self._strings),
-                ]
-            )
-        kind_id = KIND_IDS[kind]
-        codecs = _SCHEMAS[kind_id][1]
-        frame = bytearray()
-        frame.append(_TAG_EVENT)
-        _uvarint(frame, kind_id)
-        t = event[0]
-        _svarint(frame, t - self._prev_time)
-        self._prev_time = t
-        for codec, value in zip(codecs, event[1:]):
-            if codec == _C_INT:
-                _svarint(frame, value)
-            elif codec == _C_STR:
-                _uvarint(frame, self._intern(value))
-            elif codec == _C_OPT_STR:
-                if value is None:
-                    frame.append(0)
-                else:
-                    frame.append(1)
-                    _uvarint(frame, self._intern(value))
-            elif codec == _C_BOOL:
-                frame.append(1 if value else 0)
-            elif codec == _C_VALUE:
-                self._encode_item(frame, value)
-            else:
-                self._encode_tuple(frame, tuple(value))
-        self._buf += frame
-        self._events += 1
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        if len(self._buf) >= _FLUSH_BYTES:
-            self._flush()
-
     # merge support: append a whole recorded body as one labelled section
 
     def write_section(self, label: str, reader: "TraceReader") -> None:
@@ -305,7 +498,7 @@ class TraceWriter:
         self._hash.update(body)
         self._sink.write(body)
         self._body_bytes += len(body)
-        self._events += reader.event_count
+        self._section_events += reader.event_count
         for kind, count in reader.counts.items():
             self._counts[kind] = self._counts.get(kind, 0) + count
         self._sections.append(
@@ -316,9 +509,11 @@ class TraceWriter:
                 "hash": reader.trace_hash,
             }
         )
-        # section state resets for any subsequent direct writes
-        self._strings = {}
-        self._prev_time = 0
+        # Section state resets for any subsequent direct writes, in place:
+        # the encoders hold these objects.
+        self._strings.clear()
+        self._cell[0] = 0
+        self._cell[1] = -1
 
     def close(self, meta: Optional[dict] = None):
         """Finish the trace; returns the in-memory bytes when unpathed."""
@@ -326,9 +521,13 @@ class TraceWriter:
             return None
         self._closed = True
         self._flush()
+        counts = dict(self._counts)
+        for kind, count in zip(ALL_KINDS, self._kind_counts):
+            if count:
+                counts[kind] = counts.get(kind, 0) + count
         trailer = {
-            "events": self._events,
-            "counts": dict(sorted(self._counts.items())),
+            "events": self.event_count,
+            "counts": dict(sorted(counts.items())),
             "hash": self._hash.hexdigest(),
             "strings": (
                 None if self._sections else list(self._strings)
@@ -372,9 +571,9 @@ class TraceRecorder:
     def attach(self, bus, kinds: Sequence[str] = ALL_KINDS) -> "TraceRecorder":
         if self._writer is None:
             self._writer = TraceWriter(self.path, self.header)
-        write = self._writer.write_event
+        encoders = self._writer.encoders
         for kind in kinds:
-            self._unsubscribes.append(bus.subscribe(kind, partial(write, kind)))
+            self._unsubscribes.append(bus.subscribe(kind, encoders[KIND_IDS[kind]]))
         return self
 
     def detach(self) -> None:
@@ -384,7 +583,7 @@ class TraceRecorder:
 
     @property
     def event_count(self) -> int:
-        return self._writer._events if self._writer else 0
+        return self._writer.event_count if self._writer else 0
 
     def close(self, meta: Optional[dict] = None):
         """Detach and finalize; returns trace bytes when path is None."""
@@ -437,7 +636,8 @@ class TraceReader:
         if self._body_end < self._body_start or data[self._body_end] != _TAG_END:
             raise self._corrupt("body end tag missing")
         self._data = data
-        body_hash = hashlib.sha256(self.body_bytes()).hexdigest()
+        self._body = memoryview(data)[self._body_start : self._body_end]
+        body_hash = hashlib.sha256(self._body).hexdigest()
         if body_hash != self.trace_hash:
             raise self._corrupt(
                 f"body hashes to {body_hash[:16]}, trailer records "
@@ -448,36 +648,12 @@ class TraceReader:
         source = self.path if self.path is not None else "trace bytes"
         return TraceFormatError(f"{source}: {reason}")
 
-    def body_bytes(self) -> bytes:
-        return self._data[self._body_start : self._body_end]
+    def body_bytes(self) -> memoryview:
+        """The body, as a read-only view of the trace (no copy)."""
+        return self._body
 
     def count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
-
-    def _decode_item(self, data, pos: int, table: List[str]):
-        tag = data[pos]
-        pos += 1
-        if tag == 0:
-            return None, pos
-        if tag == 1:
-            return _read_svarint(data, pos)
-        if tag == 2:
-            idx, pos = _read_uvarint(data, pos)
-            return table[idx], pos
-        if tag == 3:
-            return bool(data[pos]), pos + 1
-        if tag == 4:
-            (value,) = struct.unpack_from("<d", data, pos)
-            return value, pos + 8
-        return self._decode_tuple(data, pos, table)
-
-    def _decode_tuple(self, data, pos: int, table: List[str]) -> Tuple[tuple, int]:
-        n, pos = _read_uvarint(data, pos)
-        items = []
-        for _ in range(n):
-            item, pos = self._decode_item(data, pos, table)
-            items.append(item)
-        return tuple(items), pos
 
     def events(
         self,
@@ -507,48 +683,28 @@ class TraceReader:
                 prev_time = best[1]
                 table = list(self.strings[: best[2]])
         end = self._body_end
+        decoders = _decoders()
+        kinds_by_id = ALL_KINDS
+        filtered = wanted is not None or start_time is not None
         while pos < end:
             tag = data[pos]
-            pos += 1
-            if tag == _TAG_INTERN:
-                length, pos = _read_uvarint(data, pos)
+            if tag == _TAG_EVENT:
+                # Kind ids are below 128, so their uvarint is one byte.
+                kind_id = data[pos + 1]
+                event, pos = decoders[kind_id](data, pos + 2, prev_time, table)
+                prev_time = event[0]
+                if filtered:
+                    if start_time is not None and prev_time < start_time:
+                        continue
+                    if wanted is not None and kinds_by_id[kind_id] not in wanted:
+                        continue
+                yield kinds_by_id[kind_id], event
+            elif tag == _TAG_INTERN:
+                length, pos = _read_uvarint(data, pos + 1)
                 table.append(data[pos : pos + length].decode("utf-8"))
                 pos += length
-            elif tag == _TAG_EVENT:
-                kind_id, pos = _read_uvarint(data, pos)
-                delta, pos = _read_svarint(data, pos)
-                prev_time += delta
-                cls, codecs = _SCHEMAS[kind_id]
-                fields: List = [prev_time]
-                for codec in codecs:
-                    if codec == _C_INT:
-                        value, pos = _read_svarint(data, pos)
-                    elif codec == _C_STR:
-                        idx, pos = _read_uvarint(data, pos)
-                        value = table[idx]
-                    elif codec == _C_OPT_STR:
-                        flag = data[pos]
-                        pos += 1
-                        if flag:
-                            idx, pos = _read_uvarint(data, pos)
-                            value = table[idx]
-                        else:
-                            value = None
-                    elif codec == _C_BOOL:
-                        value = bool(data[pos])
-                        pos += 1
-                    elif codec == _C_VALUE:
-                        value, pos = self._decode_item(data, pos, table)
-                    else:
-                        value, pos = self._decode_tuple(data, pos, table)
-                    fields.append(value)
-                if start_time is not None and prev_time < start_time:
-                    continue
-                kind = ALL_KINDS[kind_id]
-                if wanted is None or kind in wanted:
-                    yield kind, cls._make(fields)
             elif tag == _TAG_SECTION:
-                length, pos = _read_uvarint(data, pos)
+                length, pos = _read_uvarint(data, pos + 1)
                 pos += length
                 table = []
                 prev_time = 0

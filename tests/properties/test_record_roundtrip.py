@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.telemetry import TraceReader, merge_traces
 from repro.telemetry import events as T
-from repro.telemetry.record import EVENT_CLASSES, TraceWriter
+from repro.telemetry.record import EVENT_CLASSES, KIND_IDS, TraceWriter
 
 # Text drawn from a small alphabet so interning gets collisions, plus a
 # few adversarial shapes (empty, unicode, long).
@@ -75,7 +75,7 @@ event_streams = st.lists(any_event, max_size=60)
 def record(events, header=None):
     writer = TraceWriter(header=header)
     for kind, event in events:
-        writer.write_event(kind, event)
+        writer.encoders[KIND_IDS[kind]](event)
     return writer.close()
 
 

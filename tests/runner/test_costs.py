@@ -92,6 +92,22 @@ class TestScheduling:
         measured = {"a/1": 0.1, "b/1": 9.0}
         assert ordered_by_cost([fast, slow], measured) == [slow, fast]
 
+    def test_cold_start_submits_the_longest_small_unit_first(self):
+        # The small-unit families with no costs.json (perfbench's
+        # registry_slice): the static feedback cell, the longest at about
+        # 1.2 s serial, must not queue behind sub-second cells.
+        from repro.experiments.registry import expand_ids
+        from repro.runner.workunits import build_plans
+
+        ids = expand_ids(["robustness_*", "cluster_*", "feedback_*"])
+        units = [unit for plan in build_plans(ids) for unit in plan.units]
+        assert len(units) == 37
+        ordered = [unit.unit_id for unit in ordered_by_cost(units, measured=None)]
+        assert ordered[0] == "feedback_overrun/static"
+        assert ordered.index("feedback_migrate/static") < ordered.index(
+            "feedback_overrun/adaptive"
+        )
+
 
 class TestExecutorIntegration:
     def test_run_persists_measured_walls(self, tmp_path):

@@ -1,7 +1,76 @@
 """Unit tests for the telemetry bus (pub/sub + zero-subscriber path)."""
 
+import random
+
+import pytest
+
 from repro.telemetry import TelemetryBus
 from repro.telemetry import events as T
+
+
+class ListCopyBus:
+    """The bus as it was before copy-on-write handler tuples: a list per
+    kind, copied on every publish.  The reference for delivery order."""
+
+    def __init__(self):
+        self._subscribers = {}
+
+    def subscribe(self, kind, handler):
+        self._subscribers.setdefault(kind, []).append(handler)
+        removed = False
+
+        def unsubscribe():
+            nonlocal removed
+            if removed:
+                return
+            removed = True
+            handlers = self._subscribers.get(kind)
+            if handlers is None:
+                return
+            try:
+                handlers.remove(handler)
+            except ValueError:
+                return
+            if not handlers:
+                del self._subscribers[kind]
+
+        return unsubscribe
+
+    def publish(self, kind, event):
+        handlers = self._subscribers.get(kind)
+        if handlers is None:
+            return
+        for handler in list(handlers):
+            handler(event)
+
+
+def churning_deliveries(bus, seed):
+    """Publish 200 events on *bus* while handlers (un)subscribe handlers,
+    themselves included, in the middle of deliveries; the delivery log."""
+    rng = random.Random(seed)
+    log = []
+    cancels = []
+    kinds = ("a", "b")
+
+    def make(name):
+        def handler(event):
+            log.append((name, event))
+            roll = rng.random()
+            if roll < 0.3 and cancels:
+                cancels.pop(rng.randrange(len(cancels)))()
+            elif roll < 0.6 and len(cancels) < 10:
+                cancels.append(bus.subscribe(rng.choice(kinds), rng.choice(handlers)))
+
+        return handler
+
+    handlers = [make(f"h{i}") for i in range(4)]
+    for kind in kinds:  # never cancelled, so the churn never dies out
+        bus.subscribe(kind, make(f"anchor-{kind}"))
+    for handler in handlers:
+        cancels.append(bus.subscribe(rng.choice(kinds), handler))
+    for event in range(200):
+        bus.publish(rng.choice(kinds), event)
+    return log
 
 
 class TestSubscribe:
@@ -59,6 +128,70 @@ class TestSubscribe:
         bus.publish("k", 1)
         bus.publish("k", 2)
         assert seen == [1, 1, 2]
+
+    def test_handler_may_unsubscribe_another_during_publish(self):
+        bus = TelemetryBus()
+        seen = []
+        cancels = {}
+
+        def first(event):
+            seen.append(("first", event))
+            cancels["last"]()
+
+        def middle(event):
+            seen.append(("middle", event))
+            cancels["first"]()
+
+        cancels["first"] = bus.subscribe("k", first)
+        bus.subscribe("k", middle)
+        cancels["last"] = bus.subscribe("k", lambda e: seen.append(("last", e)))
+        bus.publish("k", 1)
+        bus.publish("k", 2)
+        # Both removals land after delivery 1 reached every handler.
+        assert seen == [("first", 1), ("middle", 1), ("last", 1), ("middle", 2)]
+
+    def test_subscribe_during_publish_starts_with_the_next(self):
+        bus = TelemetryBus()
+        seen = []
+
+        def recruiter(event):
+            seen.append(("recruiter", event))
+            if event == 1:
+                bus.subscribe("k", lambda e: seen.append(("late", e)))
+
+        bus.subscribe("k", recruiter)
+        bus.publish("k", 1)
+        bus.publish("k", 2)
+        assert seen == [("recruiter", 1), ("recruiter", 2), ("late", 2)]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_churning_handlers_deliver_as_the_list_copy_bus(self, seed):
+        got = churning_deliveries(TelemetryBus(), seed)
+        assert got == churning_deliveries(ListCopyBus(), seed)
+        assert len(got) > 200
+
+    def test_profiled_publish_counts_the_delivery_snapshot(self):
+        class Profile:
+            def __init__(self):
+                self.records = []
+
+            def record_event(self, kind, delivered, seconds):
+                self.records.append((kind, delivered))
+
+        bus = TelemetryBus()
+        profile = Profile()
+        bus.set_profiler(profile)
+        cancels = []
+
+        def once(event):
+            cancels[0]()
+
+        cancels.append(bus.subscribe("k", once))
+        bus.subscribe("k", lambda e: None)
+        bus.publish("k", 1)
+        bus.publish("k", 2)
+        bus.publish("other", 3)
+        assert profile.records == [("k", 2), ("k", 1)]
 
     def test_subscribe_many_single_cancel(self):
         bus = TelemetryBus()

@@ -16,6 +16,7 @@ from repro.telemetry import events as T
 from repro.telemetry.record import (
     CHECKPOINT_EVERY,
     EVENT_CLASSES,
+    KIND_IDS,
     TraceWriter,
 )
 
@@ -48,10 +49,15 @@ def sample_events():
     ]
 
 
+def write(writer, events):
+    encoders = writer.encoders
+    for kind, event in events:
+        encoders[KIND_IDS[kind]](event)
+
+
 def record(events, header=None):
     writer = TraceWriter(header=header)
-    for kind, event in events:
-        writer.write_event(kind, event)
+    write(writer, events)
     return writer.close()
 
 
@@ -114,8 +120,7 @@ class TestFormat:
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "t.rtvt")
         writer = TraceWriter(path, header={"n": 1})
-        for kind, event in sample_events():
-            writer.write_event(kind, event)
+        write(writer, sample_events())
         assert writer.close() is None
         reader = TraceReader(path)
         assert list(reader.events()) == sample_events()

@@ -72,3 +72,54 @@ def test_hash_is_the_ledger_hash(check_determinism):
 
     assert check_determinism.rows_hash is ledger.rows_hash
     assert check_determinism.run_manifest is ledger.run_manifest
+
+
+def test_recorded_rerun_digests_gate_a_consistent_change(
+    check_determinism, tmp_path, capsys, monkeypatch
+):
+    """A recorder that writes different bytes in every process passes
+    serial-vs-parallel, but not the digests ``--record`` stored."""
+    from repro.telemetry import events as T
+    from repro.telemetry.record import TraceRecorder
+
+    monkeypatch.setenv("REPRO_RUNNER_FORCE_POOL", "1")  # main sets it; undo after
+    path = tmp_path / "manifest.json"
+    flags = ["--only", "table2", "--trace", "2"]
+    assert check_determinism.main(["--record", str(path), *flags]) == 0
+    files = json.loads(path.read_text())["files"]
+    assert "trace/merged" in {entry["digest"] for entry in files}
+    assert all(entry["digest"].startswith("trace/") for entry in files)
+    assert check_determinism.main(["--check", str(path), *flags]) == 0
+
+    attach = TraceRecorder.attach
+
+    def planted(self, bus, kinds=T.ALL_KINDS):
+        """Attach, then hand the recorder's first handler one event of
+        its own: the recorder alone sees it, in every process alike."""
+        subscribed = []
+
+        class Spy:
+            def subscribe(self, kind, handler):
+                subscribed.append(handler)
+                return bus.subscribe(kind, handler)
+
+        attach(self, Spy(), kinds)
+        subscribed[0](T.JobReleaseEvent(0, "planted", None, "planted", 0, 0, 0))
+        return self
+
+    monkeypatch.setattr(TraceRecorder, "attach", planted)
+    capsys.readouterr()
+    assert check_determinism.main(["--trace", "2"]) == 0
+    assert check_determinism.main(["--check", str(path), *flags]) == 1
+    out = capsys.readouterr().out
+    assert "trace/merged: run " in out and "DIVERGED" in out
+
+
+def test_a_baseline_without_the_rerun_digests_fails(check_determinism, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    assert check_determinism.main(["--record", str(path), "--only", "table2"]) == 0
+    assert json.loads(path.read_text())["files"] == []
+    capsys.readouterr()
+    argv = ["--check", str(path), "--only", "table2", "--streams", "1"]
+    assert check_determinism.main(argv) == 1
+    assert "vs baseline missing: DIVERGED" in capsys.readouterr().out

@@ -59,6 +59,17 @@ hashes.  Each row runs at ``jobs=1`` and at ``jobs=N``.  Every check —
 these rows, ``--cache`` and the baseline — compares labels to hashes
 the same way and prints ``<label>: <side> X vs <side> Y: ok|DIVERGED``.
 
+Serial against parallel cannot see a change that moves the same bytes
+on both sides — an encoder writing different bytes, say.  So ``--record``
+also stores the serial digest of every ``--streams``, ``--blame`` and
+``--trace`` label it ran, as ``{"digest": label, "sha256": hash}``
+entries of the manifest's ``files``, and ``--check`` with the same flags
+compares this run's serial digests with them (a label the baseline
+lacks is a failure):
+
+    python tools/check_determinism.py --record base.json --trace 2
+    python tools/check_determinism.py --check base.json --trace 2
+
 ``--only`` narrows any registry mode to one family.  The multi-host
 ``cluster_*`` experiments shard per cluster configuration, and the
 adaptive-control ``feedback_*``/``tenant_*`` experiments shard per
@@ -183,7 +194,9 @@ def trace_hashes(ids, jobs: int, seed=None) -> dict:
 
 #: (flag, what reruns, digest(ids, jobs, seed) -> {label: hash}).  Each
 #: row runs at jobs=1 and at jobs=N; every label must hash identically.
-#: ``--parallel``'s jobs=1 side is the serial pass whose manifest --record writes.
+#: ``--parallel``'s jobs=1 side is the serial pass whose manifest --record
+#: writes; every other row's labels start with ``<flag>/``, and --record
+#: stores its jobs=1 digest in that manifest.
 RERUNS = (
     ("parallel", "parallel", registry_hashes),
     ("streams", "telemetry-stream", stream_hashes),
@@ -264,8 +277,10 @@ def check_cache(ids, serial: dict, jobs: int = 1, seed=None) -> list:
     return failures
 
 
-def load_manifest(path: str) -> dict:
-    """Experiment id -> ``rows_sha256`` of the run-ledger manifest at *path*.
+def load_manifest(path: str) -> tuple:
+    """The run-ledger manifest at *path* as two maps: experiment id ->
+    ``rows_sha256``, and rerun label -> the serial digest ``--record``
+    stored in ``files``.
 
     Raises :class:`ValueError` with a one-line reason when the file is
     missing, is not JSON, or is not a manifest.
@@ -283,7 +298,17 @@ def load_manifest(path: str) -> dict:
     for experiment_id, entry in experiments.items():
         if not (isinstance(entry, dict) and isinstance(entry.get("rows_sha256"), str)):
             raise ValueError(f"experiment {experiment_id!r} has no rows_sha256 string")
-    return {i: entry["rows_sha256"] for i, entry in experiments.items()}
+    files = manifest.get("files", [])
+    if not isinstance(files, list):
+        raise ValueError("files is not a list")
+    digests = {}
+    for entry in files:
+        if isinstance(entry, dict) and "digest" in entry:
+            if not isinstance(entry.get("sha256"), str):
+                raise ValueError(f"digest {entry['digest']!r} has no sha256 string")
+            digests[entry["digest"]] = entry["sha256"]
+    rows = {i: entry["rows_sha256"] for i, entry in experiments.items()}
+    return rows, digests
 
 
 def main(argv=None) -> int:
@@ -369,10 +394,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    baseline = None
+    baseline = baseline_digests = None
     if args.check:
         try:
-            baseline = load_manifest(args.check)
+            baseline, baseline_digests = load_manifest(args.check)
         except ValueError as exc:
             print(
                 f"check_determinism: bad manifest {args.check}: {exc}",
@@ -395,22 +420,21 @@ def main(argv=None) -> int:
         os.environ["REPRO_RUNNER_FORCE_POOL"] = "1"
 
     run_registry = bool(args.record or args.check or args.parallel)
-    manifest = None
     serial = {}
     if run_registry:
         report = run_experiments(
             ids, jobs=1, seed=args.seed, echo=lambda m: print(f"[determinism] {m}")
         )
-        manifest = run_manifest(report, seed=args.seed)
-        for experiment_id, entry in manifest["experiments"].items():
-            serial[experiment_id] = entry["rows_sha256"]
+        serial = report_hashes(report)
+        for r in report.reports:
             print(
-                f"[determinism]   {experiment_id}: {entry['rows_sha256'][:16]} "
-                f"({entry['unit_wall_s']}s)",
+                f"[determinism]   {r.experiment_id}: {serial[r.experiment_id][:16]} "
+                f"({round(r.unit_wall_s, 3)}s)",
                 flush=True,
             )
 
     failures = []
+    digests = {}  # label -> serial hash, for every row but --parallel
     for flag, name, digest in RERUNS:
         jobs = getattr(args, flag)
         if not jobs:
@@ -420,11 +444,15 @@ def main(argv=None) -> int:
             return digest(ids, n, seed=args.seed)
 
         reference = serial if flag == "parallel" else run(1)
+        if flag != "parallel":
+            digests.update(reference)
         failures.extend(compare_rerun(name, run, max(1, jobs), reference))
     if args.cache:
         failures.extend(check_cache(ids, serial, jobs=args.parallel or 1, seed=args.seed))
 
     if args.record:
+        files = [{"digest": label, "sha256": h} for label, h in digests.items()]
+        manifest = run_manifest(report, seed=args.seed, files=files)
         with open(args.record, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -433,6 +461,9 @@ def main(argv=None) -> int:
         print(f"[determinism] baseline {args.check}:", flush=True)
         want = {i: baseline.get(i, "missing") for i in ids}
         failures.extend(compare(serial, want, "run", "baseline"))
+        ran = {label.split("/")[0] for label in digests}
+        want = {k: h for k, h in baseline_digests.items() if k.split("/")[0] in ran}
+        failures.extend(compare(digests, want, "run", "baseline"))
 
     if failures:
         print("[determinism] FAIL")
