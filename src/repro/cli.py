@@ -747,14 +747,8 @@ def _trace_inspect(args) -> int:
             continue  # a full scenario spec is too bulky for a one-liner
         print(f"  {key}: {reader.header[key]}")
     print(f"  events: {reader.event_count}")
-    if reader.strings is not None:
-        print(f"  strings: {len(reader.strings)} interned")
+    print(f"  strings: {len(reader.strings)} interned")
     print(f"  hash: {reader.trace_hash}")
-    for section in reader.sections:
-        print(
-            f"  section {section['label']}: {section['events']} events, "
-            f"hash {section['hash'][:16]}"
-        )
     for key in sorted(reader.meta):
         print(f"  meta.{key}: {reader.meta[key]}")
     rows = [

@@ -25,7 +25,7 @@ from .blame import CAUSES, BlameReport, analyze_spans, attribute_miss
 from .bus import TelemetryBus
 from .diff import TraceDiff, diff_traces
 from .profile import SimProfiler
-from .record import TraceReader, TraceRecorder, merge_traces
+from .record import TraceReader, TraceRecorder
 from .spans import Span, SpanBuilder
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "TraceReader",
     "TraceDiff",
     "diff_traces",
-    "merge_traces",
     "BlameReport",
     "CAUSES",
     "analyze_spans",

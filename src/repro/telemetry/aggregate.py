@@ -17,8 +17,9 @@ summary, replacing the post-hoc walks over ``Trace`` lists in
 Every aggregator produces a JSON-able ``snapshot()`` and a classmethod
 ``merge(snapshots)`` such that merging per-shard snapshots in canonical
 unit order reproduces the single-stream result byte for byte (sorted
-multisets merge associatively), which is what
-``tools/check_determinism.py --streams`` gates on.
+multisets merge associatively); a cluster's rows merge its hosts' snapshots
+this way.  ``tools/check_determinism.py --observed`` digests each unit's
+snapshot, serial against parallel.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ what the miss costs.  Each slice is then classified:
 
 Reports are **mergeable**: :meth:`BlameReport.merge` over shard
 snapshots in canonical unit order is byte-identical to a single-stream
-run — the same contract PR 4's aggregators honour, gated by
-``tools/check_determinism.py --blame``.
+run — the same contract PR 4's aggregators honour.
+``tools/check_determinism.py --observed`` digests each cell's blame
+output, serial against parallel.
 
 This module is the *pure* half: it depends only on spans.  The sharded
 sweep that fans robustness cells out over the runner lives in

@@ -4,8 +4,7 @@
 cause taxonomy, mergeable reports).  Robustness cells run with the
 ``blame`` observer (:mod:`repro.telemetry.observers`) are blamed in the
 worker; :func:`blame_sweep` rebuilds their per-cell parts and merges
-them in the parent, for ``repro run robustness_* --blame`` and
-``tools/check_determinism.py --blame``.
+them in the parent, for ``repro run robustness_* --blame``.
 """
 
 from __future__ import annotations

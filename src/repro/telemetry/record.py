@@ -19,19 +19,17 @@ Format ``RTVT`` version 1::
              assigned the next sequential id in the table
       0x02   event: uvarint kind id (index into ALL_KINDS) + zigzag
              varint time delta from the previous event + per-field codecs
-      0x03   section: uvarint byte-length + utf-8 label; resets the
-             intern table and the delta-time base (merge boundary)
       0x00   end of body
     trailer  compact JSON {events, counts, hash, strings, checkpoints,
-             sections, meta} + 8-byte LE length + b"RTVT"
+             meta} + 8-byte LE length + b"RTVT"
 
 Field codecs are derived from the event ``NamedTuple`` annotations:
 ``int`` is a zigzag varint, ``str`` an interned id, ``Optional[str]`` a
 presence byte + id, ``bool`` one byte, and ``Tuple`` a tagged
 heterogeneous sequence.  The canonical trace hash is the sha256 over the
 body bytes: two runs publish the same event sequence iff their traces
-hash identically, and a merge of per-unit traces in canonical order is
-byte-identical however the units were executed.
+hash identically.  Older traces carry a ``sections`` trailer key: empty,
+it is ignored; a merged trace of sections raises ``TraceFormatError``.
 
 The codec is generated from the one schema table :data:`_SCHEMAS`: on
 first use, once per process, each kind's row is compiled into
@@ -60,7 +58,6 @@ VERSION = 1
 
 _TAG_INTERN = 0x01
 _TAG_EVENT = 0x02
-_TAG_SECTION = 0x03
 _TAG_END = 0x00
 
 #: Events between trailer checkpoints (seek granularity).
@@ -383,16 +380,11 @@ class TraceWriter:
         self._buf = bytearray()
         self._hash = hashlib.sha256()
         self._strings: Dict[str, int] = {}
-        #: [previous event time, events still to write before a checkpoint
-        #: is due (negative once a section is written: none is ever due)]
+        #: [previous event time, events still to write before a checkpoint]
         self._cell = [0, CHECKPOINT_EVERY]
-        #: kind id -> events encoded directly
+        #: kind id -> events encoded
         self._kind_counts = [0] * len(ALL_KINDS)
-        #: kind -> events merged in from sections
-        self._counts: Dict[str, int] = {}
-        self._section_events = 0
         self._checkpoints: List[List[int]] = []
-        self._sections: List[dict] = []
         self._body_bytes = 0
         self._closed = False
         head = bytearray(MAGIC)
@@ -422,7 +414,7 @@ class TraceWriter:
 
     @property
     def event_count(self) -> int:
-        return self._section_events + sum(self._kind_counts)
+        return sum(self._kind_counts)
 
     # body framing
 
@@ -482,58 +474,19 @@ class TraceWriter:
         for item in items:
             self._encode_item(out, item)
 
-    # merge support: append a whole recorded body as one labelled section
-
-    def write_section(self, label: str, reader: "TraceReader") -> None:
-        self._flush()
-        frame = bytearray()
-        frame.append(_TAG_SECTION)
-        payload = label.encode("utf-8")
-        _uvarint(frame, len(payload))
-        frame += payload
-        self._buf += frame
-        self._flush()
-        offset = self._body_bytes
-        body = reader.body_bytes()
-        self._hash.update(body)
-        self._sink.write(body)
-        self._body_bytes += len(body)
-        self._section_events += reader.event_count
-        for kind, count in reader.counts.items():
-            self._counts[kind] = self._counts.get(kind, 0) + count
-        self._sections.append(
-            {
-                "label": label,
-                "offset": offset,
-                "events": reader.event_count,
-                "hash": reader.trace_hash,
-            }
-        )
-        # Section state resets for any subsequent direct writes, in place:
-        # the encoders hold these objects.
-        self._strings.clear()
-        self._cell[0] = 0
-        self._cell[1] = -1
-
     def close(self, meta: Optional[dict] = None):
         """Finish the trace; returns the in-memory bytes when unpathed."""
         if self._closed:
             return None
         self._closed = True
         self._flush()
-        counts = dict(self._counts)
-        for kind, count in zip(ALL_KINDS, self._kind_counts):
-            if count:
-                counts[kind] = counts.get(kind, 0) + count
+        counts = {kind: n for kind, n in zip(ALL_KINDS, self._kind_counts) if n}
         trailer = {
             "events": self.event_count,
             "counts": dict(sorted(counts.items())),
             "hash": self._hash.hexdigest(),
-            "strings": (
-                None if self._sections else list(self._strings)
-            ),
+            "strings": list(self._strings),
             "checkpoints": self._checkpoints,
-            "sections": self._sections,
             "meta": meta or {},
         }
         payload = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode(
@@ -626,18 +579,19 @@ class TraceReader:
             self.event_count: int = trailer["events"]
             self.counts: Dict[str, int] = trailer["counts"]
             self.trace_hash: str = trailer["hash"]
-            self.strings: Optional[List[str]] = trailer["strings"]
+            self.strings: List[str] = trailer["strings"]
             self.checkpoints: List[List[int]] = trailer["checkpoints"]
-            self.sections: List[dict] = trailer["sections"]
             self.meta: dict = trailer.get("meta", {})
         except (IndexError, KeyError, TypeError, ValueError, struct.error) as exc:
             raise self._corrupt(f"unparsable header or trailer ({exc})") from exc
+        if trailer.get("sections"):
+            raise self._corrupt("a merged trace: sections are no longer read")
         self._body_end = trailer_start - 1
         if self._body_end < self._body_start or data[self._body_end] != _TAG_END:
             raise self._corrupt("body end tag missing")
         self._data = data
-        self._body = memoryview(data)[self._body_start : self._body_end]
-        body_hash = hashlib.sha256(self._body).hexdigest()
+        body = memoryview(data)[self._body_start : self._body_end]  # no copy
+        body_hash = hashlib.sha256(body).hexdigest()
         if body_hash != self.trace_hash:
             raise self._corrupt(
                 f"body hashes to {body_hash[:16]}, trailer records "
@@ -647,10 +601,6 @@ class TraceReader:
     def _corrupt(self, reason: str) -> TraceFormatError:
         source = self.path if self.path is not None else "trace bytes"
         return TraceFormatError(f"{source}: {reason}")
-
-    def body_bytes(self) -> memoryview:
-        """The body, as a read-only view of the trace (no copy)."""
-        return self._body
 
     def count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
@@ -663,15 +613,15 @@ class TraceReader:
         """Yield ``(kind, event)`` in recorded order.
 
         *kinds* filters to a subset of routing keys; *start_time* skips
-        ahead using the trailer checkpoints (single-section traces) so a
-        late window does not pay for decoding the whole prefix.
+        ahead using the trailer checkpoints so a late window does not pay
+        for decoding the whole prefix.
         """
         wanted = set(kinds) if kinds is not None else None
         data = self._data
         pos = self._body_start
         table: List[str] = []
         prev_time = 0
-        if start_time is not None and self.checkpoints and self.strings is not None:
+        if start_time is not None and self.checkpoints:
             best = None
             for offset, _count, cp_time, n_strings in self.checkpoints:
                 if cp_time <= start_time:
@@ -703,30 +653,6 @@ class TraceReader:
                 length, pos = _read_uvarint(data, pos + 1)
                 table.append(data[pos : pos + length].decode("utf-8"))
                 pos += length
-            elif tag == _TAG_SECTION:
-                length, pos = _read_uvarint(data, pos + 1)
-                pos += length
-                table = []
-                prev_time = 0
             else:
                 raise ValueError(f"corrupt trace: unknown frame tag {tag:#x}")
 
-
-def merge_traces(
-    parts: Sequence[Tuple[str, object]],
-    header: Optional[dict] = None,
-    path: Optional[str] = None,
-):
-    """Concatenate recorded traces into one sectioned trace.
-
-    *parts* is ``(label, source)`` pairs in canonical order; each source
-    is anything :class:`TraceReader` accepts.  Merging is byte-stable:
-    the same parts in the same order always produce the same file, no
-    matter how (or where) the parts were recorded.  Returns the merged
-    bytes when *path* is None.
-    """
-    writer = TraceWriter(path, header or {"merged": [label for label, _ in parts]})
-    for label, source in parts:
-        reader = source if isinstance(source, TraceReader) else TraceReader(source)
-        writer.write_section(label, reader)
-    return writer.close()

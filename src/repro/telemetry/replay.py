@@ -82,25 +82,24 @@ class ReplayResult:
         return None
 
 
-# -- recorded release timelines -------------------------------------------------------
+# -- the recorded stimulus -----------------------------------------------------------
 
 
-def _release_schedule(
-    reader: TraceReader, base_tasks: Sequence[str]
-) -> Tuple[List[str], Dict[str, List[int]]]:
-    """Per-base-task absolute release instants, in first-release order."""
-    base = set(base_tasks)
-    order: List[str] = []
-    times: Dict[str, List[int]] = {}
-    for _kind, event in reader.events(kinds=(T.JOB_RELEASE,)):
-        if event.task not in base:
-            continue  # churn-born tasks are re-created by fault replay
-        slots = times.get(event.task)
-        if slots is None:
-            slots = times[event.task] = []
-            order.append(event.task)
-        slots.append(event.time)
-    return order, times
+def _recorded_stimulus(reader: TraceReader) -> Tuple[Dict[str, List[int]], List[Any]]:
+    """One decode of the trace: every task's absolute release instants,
+    keyed in first-release order, and the root fault injections as an
+    ``At`` timeline (:func:`_fault_directive`)."""
+    releases: Dict[str, List[int]] = {}
+    directives: List[Any] = []
+    kinds = (T.JOB_RELEASE, T.FAULT_INJECTED, T.FAULT_RECOVERED)
+    for kind, event in reader.events(kinds=kinds):
+        if kind == T.JOB_RELEASE:
+            releases.setdefault(event.task, []).append(event.time)
+        else:
+            directive = _fault_directive(kind, event)
+            if directive is not None:
+                directives.append(directive)
+    return releases, directives
 
 
 class _EngineReplay:
@@ -160,35 +159,36 @@ class _MuxReplay:
 
 
 def _install_releases(
-    reader: TraceReader,
+    releases: Dict[str, List[int]],
     base_tasks: Sequence[str],
     task_map: Dict[str, Tuple[Any, Any]],
     engine,
     mux=None,
     sporadic: Sequence[str] = (),
-) -> int:
-    """Start a replay driver per recorded base task; returns task count."""
-    order, times = _release_schedule(reader, base_tasks)
+) -> None:
+    """Start a replay driver per recorded base task, in first-release
+    order; churn-born tasks are re-created by fault replay."""
+    base = set(base_tasks)
     sporadic_set = set(sporadic)
-    for name in order:
+    for name, times in releases.items():
+        if name not in base:
+            continue
         if name not in task_map:
             raise ValueError(f"trace releases unknown task {name!r}")
         vm, task = task_map[name]
         if name in sporadic_set and mux is not None:
-            _MuxReplay(mux, vm, task, times[name]).start()
+            _MuxReplay(mux, vm, task, times).start()
         else:
-            _EngineReplay(engine, vm, task, times[name]).start()
-    return len(order)
+            _EngineReplay(engine, vm, task, times).start()
 
 
 # -- recorded fault timelines ---------------------------------------------------------
 
 
-def _fault_directives(reader: TraceReader) -> List[Any]:
-    """Root fault injections of the trace as an ``At`` timeline.
-
-    Children (churn shutdowns, surge reverts, jitter/drop ends) are
-    skipped: the re-applied roots schedule their own.
+def _fault_directive(kind: str, event) -> Optional[Any]:
+    """A recorded root fault injection as an ``At`` directive; ``None``
+    for a child (churn shutdowns, surge reverts, jitter/drop ends): the
+    re-applied roots schedule their own.
     """
     from ..faults import (
         At,
@@ -201,62 +201,48 @@ def _fault_directives(reader: TraceReader) -> List[Any]:
         WorkloadSurge,
     )
 
-    directives: List[Any] = []
-    for kind, event in reader.events(kinds=(T.FAULT_INJECTED, T.FAULT_RECOVERED)):
-        fault, detail, when = event.fault, event.detail, event.time
-        if kind == T.FAULT_RECOVERED:
-            if fault == "pcpu_recover":
-                directives.append(At(when, PcpuRecover(detail[0])))
-            # every other recovery is a child of an earlier root
-            continue
-        if fault == "pcpu_fail":
-            directives.append(At(when, PcpuFail(detail[0])))
-        elif fault == "vm_churn":
-            # (name, "boot", slice, period, lifetime) or
-            # (name, "rejected", reason, slice, period, lifetime);
-            # admission is scheduler-dependent, so a recorded rejection
-            # is still re-attempted under the what-if scheduler.
-            offset = 2 if detail[1] == "boot" else 3
-            prefix = detail[0].rstrip("0123456789") or "churn"
-            directives.append(
-                At(
-                    when,
-                    VmChurn(
-                        prefix=prefix,
-                        slice_ns=detail[offset],
-                        period_ns=detail[offset + 1],
-                        lifetime_ns=detail[offset + 2],
-                    ),
-                )
-            )
-        elif fault == "workload_surge":
-            # (vm, applied, rejected, num, den, dur) or
-            # (vm, "no-such-vm", num, den, dur)
-            offset = 2 if detail[1] == "no-such-vm" else 3
-            directives.append(
-                At(
-                    when,
-                    WorkloadSurge(
-                        detail[0],
-                        num=detail[offset],
-                        den=detail[offset + 1],
-                        duration_ns=detail[offset + 2],
-                    ),
-                )
-            )
-        elif fault == "hypercall_delay":
-            directives.append(
-                At(when, HypercallDelay(delay_ns=detail[0], duration_ns=detail[1]))
-            )
-        elif fault == "hypercall_drop":
-            directives.append(At(when, HypercallDrop(duration_ns=detail[0])))
-        elif fault == "clock_jitter":
-            directives.append(
-                At(when, ClockJitter(max_ns=detail[0], duration_ns=detail[1]))
-            )
-        else:
-            raise ValueError(f"trace contains unreplayable fault {fault!r}")
-    return directives
+    fault, detail, when = event.fault, event.detail, event.time
+    if kind == T.FAULT_RECOVERED:
+        # every other recovery is a child of an earlier root
+        return At(when, PcpuRecover(detail[0])) if fault == "pcpu_recover" else None
+    if fault == "pcpu_fail":
+        return At(when, PcpuFail(detail[0]))
+    if fault == "vm_churn":
+        # (name, "boot", slice, period, lifetime) or
+        # (name, "rejected", reason, slice, period, lifetime);
+        # admission is scheduler-dependent, so a recorded rejection
+        # is still re-attempted under the what-if scheduler.
+        offset = 2 if detail[1] == "boot" else 3
+        prefix = detail[0].rstrip("0123456789") or "churn"
+        return At(
+            when,
+            VmChurn(
+                prefix=prefix,
+                slice_ns=detail[offset],
+                period_ns=detail[offset + 1],
+                lifetime_ns=detail[offset + 2],
+            ),
+        )
+    if fault == "workload_surge":
+        # (vm, applied, rejected, num, den, dur) or
+        # (vm, "no-such-vm", num, den, dur)
+        offset = 2 if detail[1] == "no-such-vm" else 3
+        return At(
+            when,
+            WorkloadSurge(
+                detail[0],
+                num=detail[offset],
+                den=detail[offset + 1],
+                duration_ns=detail[offset + 2],
+            ),
+        )
+    if fault == "hypercall_delay":
+        return At(when, HypercallDelay(delay_ns=detail[0], duration_ns=detail[1]))
+    if fault == "hypercall_drop":
+        return At(when, HypercallDrop(duration_ns=detail[0]))
+    if fault == "clock_jitter":
+        return At(when, ClockJitter(max_ns=detail[0], duration_ns=detail[1]))
+    raise ValueError(f"trace contains unreplayable fault {fault!r}")
 
 
 # -- replay ---------------------------------------------------------------------------
@@ -314,12 +300,9 @@ def _replay_robustness(reader, scheduler, record_path, record) -> ReplayResult:
     task_map = {
         task.name: (vm, task) for vm in system.vms for task in vm.rt_tasks
     }
-    _install_releases(
-        reader, header["base_tasks"], task_map, system.engine
-    )
-    ctx = Scenario(_fault_directives(reader)).install(
-        system, RandomStreams(header["seed"])
-    )
+    releases, directives = _recorded_stimulus(reader)
+    _install_releases(releases, header["base_tasks"], task_map, system.engine)
+    ctx = Scenario(directives).install(system, RandomStreams(header["seed"]))
     system.run(header["duration_ns"])
     row = case_row(header["fault"], sched, system, ctx, checker)
     trace_data = recorder.close(meta={"rows": [row]}) if recorder else None
@@ -360,8 +343,9 @@ def _replay_scenario(reader, scheduler, record_path, record) -> ReplayResult:
         for task_name, (_vm, task) in build.task_vms.items()
         if task.kind is TaskKind.SPORADIC
     ]
+    releases, directives = _recorded_stimulus(reader)
     _install_releases(
-        reader,
+        releases,
         list(build.task_vms),
         build.task_vms,
         build.system.engine,
@@ -370,7 +354,6 @@ def _replay_scenario(reader, scheduler, record_path, record) -> ReplayResult:
     )
     from ..faults import Scenario as FaultScenario
 
-    directives = _fault_directives(reader)
     if directives:
         FaultScenario(directives).install(build.system, build.streams)
     build.system.run(build.duration_ns)

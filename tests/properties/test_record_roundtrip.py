@@ -10,7 +10,7 @@ interned strings, nested tuples with floats, and the tagged-scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry import TraceReader, merge_traces
+from repro.telemetry import TraceReader
 from repro.telemetry import events as T
 from repro.telemetry.record import EVENT_CLASSES, KIND_IDS, TraceWriter
 
@@ -108,13 +108,3 @@ def test_start_time_filter_is_a_pure_filter(events, start):
     reader = TraceReader(record(events))
     want = [(k, e) for k, e in events if e.time >= start]
     assert list(reader.events(start_time=start)) == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(event_streams, min_size=1, max_size=4))
-def test_merge_preserves_every_part(parts):
-    labeled = [(f"part{i}", record(events)) for i, events in enumerate(parts)]
-    reader = TraceReader(merge_traces(labeled))
-    want = [pair for events in parts for pair in events]
-    assert list(reader.events()) == want
-    assert [s["label"] for s in reader.sections] == [lbl for lbl, _ in labeled]

@@ -28,6 +28,7 @@ from repro.telemetry.spans import (
     total,
 )
 from tests.telemetry.interval_oracle import clip_intervals
+from tests.telemetry.test_spans import probe_spec
 
 intervals = st.lists(
     st.tuples(
@@ -162,7 +163,6 @@ class TestFullSystemRuns:
     def test_invariants_hold_for_every_system_type(self, system):
         from repro.scenario import run_scenario
         from repro.telemetry.observe import observing
-        from repro.telemetry.probe import probe_spec
 
         holder = {}
 
@@ -170,7 +170,7 @@ class TestFullSystemRuns:
             holder["spans"] = SpanBuilder().attach(sim.machine)
 
         with observing([attach]):
-            result = run_scenario(probe_spec(system, seed=7, duration_s=0.5))
+            result = run_scenario(probe_spec(system, seed=7))
         _assert_exact(holder["spans"].finalize(result.duration_ns))
 
     @pytest.mark.parametrize("fault", ["pcpu_fail", "hypercall", "surge"])

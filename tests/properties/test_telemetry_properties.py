@@ -143,8 +143,8 @@ def test_sharded_merge_matches_single_stream(samples_ns, cuts):
 
 @given(latencies_ns, st.lists(st.integers(0, 300), max_size=5))
 def test_merge_is_deterministic_for_a_fixed_sharding(samples_ns, cuts):
-    # What tools/check_determinism.py --streams gates on: two runs over
-    # the SAME shard decomposition merge to byte-identical snapshots.
+    # Two runs over the SAME shard decomposition merge to byte-identical
+    # snapshots, however the shards were scheduled.
     bounds = sorted({min(c, len(samples_ns)) for c in cuts} | {0, len(samples_ns)})
 
     def merge_once():

@@ -35,7 +35,6 @@ from repro.telemetry.record import (
     _TAG_END,
     _TAG_EVENT,
     _TAG_INTERN,
-    _TAG_SECTION,
     CHECKPOINT_EVERY,
     KIND_IDS,
     MAGIC,
@@ -60,7 +59,6 @@ class OracleTraceWriter:
         self._events = 0
         self._counts: Dict[str, int] = {}
         self._checkpoints: List[List[int]] = []
-        self._sections: List[dict] = []
         self._body_bytes = 0
         self._closed = False
         head = bytearray(MAGIC)
@@ -122,11 +120,7 @@ class OracleTraceWriter:
             self._encode_item(out, item)
 
     def write_event(self, kind: str, event) -> None:
-        if (
-            self._events
-            and self._events % CHECKPOINT_EVERY == 0
-            and not self._sections
-        ):
+        if self._events and self._events % CHECKPOINT_EVERY == 0:
             self._checkpoints.append(
                 [
                     self._body_bytes + len(self._buf),
@@ -166,34 +160,6 @@ class OracleTraceWriter:
         if len(self._buf) >= _FLUSH_BYTES:
             self._flush()
 
-    def write_section(self, label: str, reader) -> None:
-        self._flush()
-        frame = bytearray()
-        frame.append(_TAG_SECTION)
-        payload = label.encode("utf-8")
-        _uvarint(frame, len(payload))
-        frame += payload
-        self._buf += frame
-        self._flush()
-        offset = self._body_bytes
-        body = bytes(reader.body_bytes())
-        self._hash.update(body)
-        self._sink.write(body)
-        self._body_bytes += len(body)
-        self._events += reader.event_count
-        for kind, count in reader.counts.items():
-            self._counts[kind] = self._counts.get(kind, 0) + count
-        self._sections.append(
-            {
-                "label": label,
-                "offset": offset,
-                "events": reader.event_count,
-                "hash": reader.trace_hash,
-            }
-        )
-        self._strings = {}
-        self._prev_time = 0
-
     def close(self, meta: Optional[dict] = None):
         if self._closed:
             return None
@@ -203,9 +169,8 @@ class OracleTraceWriter:
             "events": self._events,
             "counts": dict(sorted(self._counts.items())),
             "hash": self._hash.hexdigest(),
-            "strings": (None if self._sections else list(self._strings)),
+            "strings": list(self._strings),
             "checkpoints": self._checkpoints,
-            "sections": self._sections,
             "meta": meta or {},
         }
         payload = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode(
@@ -261,7 +226,7 @@ def oracle_events(
     pos = reader._body_start
     table: List[str] = []
     prev_time = 0
-    if start_time is not None and reader.checkpoints and reader.strings is not None:
+    if start_time is not None and reader.checkpoints:
         best = None
         for offset, _count, cp_time, n_strings in reader.checkpoints:
             if cp_time <= start_time:
@@ -313,10 +278,5 @@ def oracle_events(
             kind = ALL_KINDS[kind_id]
             if wanted is None or kind in wanted:
                 yield kind, cls._make(fields)
-        elif tag == _TAG_SECTION:
-            length, pos = _read_uvarint(data, pos)
-            pos += length
-            table = []
-            prev_time = 0
         else:
             raise ValueError(f"corrupt trace: unknown frame tag {tag:#x}")

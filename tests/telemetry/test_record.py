@@ -1,17 +1,18 @@
-"""Tests for the flight-recorder trace format (record/read/merge).
+"""Tests for the flight-recorder trace format (record/read).
 
 The RTVT format must round-trip every telemetry event kind exactly —
 timestamps, interned strings, nested tuples and the tagged-scalar
 ``HypercallEvent.flag`` — seek by time through the trailer checkpoints,
-and merge shard traces into byte-stable sectioned files.
+and refuse damaged traces.
 """
 
+import json
 import struct
 
 import pytest
 
 from repro.simcore.errors import TraceFormatError
-from repro.telemetry import TelemetryBus, TraceReader, TraceRecorder, merge_traces
+from repro.telemetry import TelemetryBus, TraceReader, TraceRecorder
 from repro.telemetry import events as T
 from repro.telemetry.record import (
     CHECKPOINT_EVERY,
@@ -125,6 +126,29 @@ class TestFormat:
         reader = TraceReader(path)
         assert list(reader.events()) == sample_events()
 
+    @staticmethod
+    def with_trailer(data: bytes, **fields) -> bytes:
+        """*data* with *fields* set in its trailer."""
+        (length,) = struct.unpack("<Q", data[-12:-4])
+        start = len(data) - 12 - length
+        trailer = dict(json.loads(data[start:-12]), **fields)
+        payload = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+        return data[:start] + payload + struct.pack("<Q", len(payload)) + data[-4:]
+
+    def test_reads_a_trailer_that_lists_no_sections(self):
+        """Traces written while every trailer had a ``sections`` key read
+        as before."""
+        data = record(sample_events())
+        reader = TraceReader(self.with_trailer(data, sections=[]))
+        assert list(reader.events()) == sample_events()
+        assert reader.trace_hash == TraceReader(data).trace_hash
+
+    def test_merged_trace_rejected(self):
+        section = {"label": "a", "offset": 0, "events": 1, "hash": "0" * 64}
+        merged = self.with_trailer(record([]), sections=[section], strings=None)
+        with pytest.raises(TraceFormatError, match="merged trace"):
+            TraceReader(merged)
+
 
 class TestSeek:
     def test_checkpoint_seek_matches_full_scan(self):
@@ -168,40 +192,6 @@ class TestRecorder:
         assert not any(bus.has_subscribers(kind) for kind in T.ALL_KINDS)
 
 
-class TestMerge:
-    def test_merge_is_byte_stable(self):
-        part_a = record(sample_events())
-        part_b = record(sample_events()[:5])
-        merged1 = merge_traces([("a", part_a), ("b", part_b)], header={"m": 1})
-        merged2 = merge_traces([("a", part_a), ("b", part_b)], header={"m": 1})
-        assert merged1 == merged2
-        reader = TraceReader(merged1)
-        assert reader.event_count == len(sample_events()) + 5
-        assert [s["label"] for s in reader.sections] == ["a", "b"]
-
-    def test_merge_order_changes_hash(self):
-        part_a = record(sample_events())
-        part_b = record(sample_events()[:5])
-        ab = TraceReader(merge_traces([("a", part_a), ("b", part_b)]))
-        ba = TraceReader(merge_traces([("b", part_b), ("a", part_a)]))
-        assert ab.trace_hash != ba.trace_hash
-
-    def test_merged_trace_iterates_all_parts(self):
-        part = record(sample_events())
-        merged = merge_traces([("x", part), ("y", part)])
-        got = list(TraceReader(merged).events())
-        assert got == sample_events() * 2
-
-    def test_section_counts_accumulate(self):
-        part = record(sample_events())
-        reader = TraceReader(merge_traces([("x", part), ("y", part)]))
-        assert reader.counts[T.ENQUEUE] == 2
-
-    def test_unknown_magic_rejected(self):
-        with pytest.raises(ValueError):
-            TraceReader(b"NOPE" + b"\x00" * 32)
-
-
 class TestIntegrity:
     """A damaged trace raises TraceFormatError instead of reading wrong."""
 
@@ -210,11 +200,15 @@ class TestIntegrity:
         with pytest.raises(TraceFormatError, match="truncated"):
             TraceReader(data[: len(data) // 2])
 
+    def test_unknown_magic_rejected(self):
+        with pytest.raises(ValueError):
+            TraceReader(b"NOPE" + b"\x00" * 32)
+
     def test_flipped_body_byte_rejected(self):
         data = record(sample_events())
-        body = TraceReader(data).body_bytes()
+        reader = TraceReader(data)
         flipped = bytearray(data)
-        flipped[data.index(body) + len(body) // 2] ^= 0x01
+        flipped[(reader._body_start + reader._body_end) // 2] ^= 0x01
         with pytest.raises(TraceFormatError, match="trailer records"):
             TraceReader(bytes(flipped))
 

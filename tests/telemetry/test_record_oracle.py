@@ -11,10 +11,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.runner.workunits import execute_unit, observed_smoke_plans
-from repro.telemetry import TelemetryBus, TraceReader, TraceRecorder, merge_traces
+from repro.telemetry import TelemetryBus, TraceReader, TraceRecorder
 from repro.telemetry import events as T
 from repro.telemetry.record import (
     _C_BOOL,
@@ -32,22 +31,12 @@ from tests.properties.test_record_roundtrip import event_streams
 from tests.telemetry.rtvt_oracle import OracleTraceWriter, oracle_events
 
 
-def write_both(steps, header=None, meta=None):
-    """Apply *steps* to a generated and an oracle writer; both files.
-
-    A step is ``("events", [(kind, event), ...])`` or ``("section",
-    label, trace_bytes)``.
-    """
+def write_both(events, header=None, meta=None):
+    """Write *events* through a generated and an oracle writer; both files."""
     new, old = TraceWriter(header=header), OracleTraceWriter(header=header)
-    for step in steps:
-        if step[0] == "section":
-            _, label, data = step
-            new.write_section(label, TraceReader(data))
-            old.write_section(label, TraceReader(data))
-            continue
-        for kind, event in step[1]:
-            new.encoders[KIND_IDS[kind]](event)
-            old.write_event(kind, event)
+    for kind, event in events:
+        new.encoders[KIND_IDS[kind]](event)
+        old.write_event(kind, event)
     return new.close(meta), old.close(meta)
 
 
@@ -101,12 +90,12 @@ class TestWriterMatchesOracle:
     @settings(max_examples=120, deadline=None)
     @given(event_streams)
     def test_any_stream_is_byte_identical(self, events):
-        new, old = write_both([("events", events)], header={"h": 1}, meta={"m": 2})
+        new, old = write_both(events, header={"h": 1}, meta={"m": 2})
         assert new == old
 
     def test_every_kind_and_checkpoints(self):
         events = random_stream(1, 3 * CHECKPOINT_EVERY + 17)
-        new, old = write_both([("events", events)])
+        new, old = write_both(events)
         assert new == old
         reader = TraceReader(new)
         assert len(reader.checkpoints) == 3
@@ -114,29 +103,10 @@ class TestWriterMatchesOracle:
 
     def test_stream_crossing_the_flush_threshold(self):
         events = random_stream(2, 3000, long_every=10)
-        new, old = write_both([("events", events)])
+        new, old = write_both(events)
         assert new == old
-        assert len(TraceReader(new).body_bytes()) > 2 * _FLUSH_BYTES
-
-    @settings(max_examples=40, deadline=None)
-    @given(event_streams, st.lists(event_streams, max_size=3), event_streams)
-    def test_sections_then_direct_writes(self, before, parts, after):
-        steps = [("events", before)]
-        steps += [("section", f"p{i}", oracle_record(p)) for i, p in enumerate(parts)]
-        steps.append(("events", after))
-        new, old = write_both(steps)
-        assert new == old
-
-    def test_direct_writes_after_a_section_cross_no_checkpoint(self):
-        part = oracle_record(random_stream(3, 50))
-        steps = [
-            ("events", random_stream(4, CHECKPOINT_EVERY + 5)),
-            ("section", "p", part),
-            ("events", random_stream(5, 2 * CHECKPOINT_EVERY + 5)),
-        ]
-        new, old = write_both(steps)
-        assert new == old
-        assert len(TraceReader(new).checkpoints) == 1
+        reader = TraceReader(new)
+        assert reader._body_end - reader._body_start > 2 * _FLUSH_BYTES
 
     def test_recorder_event_count_mid_run(self):
         events = random_stream(6, CHECKPOINT_EVERY + 100)
@@ -165,12 +135,6 @@ class TestDecoderMatchesOracle:
     def test_any_stream(self, events):
         got = self.assert_same(TraceReader(oracle_record(events)))
         assert got == events
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(event_streams, min_size=1, max_size=3))
-    def test_merged_sections(self, parts):
-        merged = merge_traces([(f"p{i}", oracle_record(p)) for i, p in enumerate(parts)])
-        self.assert_same(TraceReader(merged))
 
     def test_filters_and_checkpoint_seek(self):
         reader = TraceReader(oracle_record(random_stream(7, 3 * CHECKPOINT_EVERY)))

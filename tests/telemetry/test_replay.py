@@ -103,6 +103,24 @@ class TestSameSchedulerRoundTrip:
             replay_reader.trace_hash == TraceReader(recorded["data"]).trace_hash
         )
 
+    @pytest.mark.parametrize("source", ["robustness", "scenario"])
+    def test_replay_decodes_its_trace_once(self, monkeypatch, source):
+        """The releases and the fault roots come from one pass."""
+        if source == "robustness":
+            recorded = record_robustness_case("vm_churn", "RT-Xen")
+        else:
+            recorded = record_scenario(overloadable_spec(), name="xsched")
+        passes = []
+        events = TraceReader.events
+
+        def counted(self, *args, **kwargs):
+            passes.append(kwargs.get("kinds"))
+            return events(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceReader, "events", counted)
+        assert replay_trace(recorded["data"]).rows_match()
+        assert len(passes) == 1
+
     def test_scenario_replays_exactly(self):
         recorded = record_scenario(overloadable_spec(), name="xsched")
         result = replay_trace(recorded["data"], record=True)

@@ -1,11 +1,27 @@
 """Unit tests for causal span stitching and the interval tiling."""
 
+import json
+import os
+
 import pytest
 
 from repro.telemetry import SpanBuilder, TelemetryBus
 from repro.telemetry import events as T
 from repro.telemetry.spans import merge_intervals, subtract_intervals, total
 from tests.telemetry.interval_oracle import clip_intervals
+
+#: The scenario ``tools/check_determinism.py --observed`` probes.
+PROBE_SPEC = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "scenarios", "probe.json"
+)
+
+
+def probe_spec(system: str, seed: int, duration_s: float = 0.5) -> dict:
+    """The probe scenario under *system* at *seed*, *duration_s* long."""
+    with open(PROBE_SPEC) as fh:
+        spec = json.load(fh)
+    spec["system"]["type"] = system
+    return dict(spec, seed=seed, duration_s=duration_s)
 
 
 class _Costs:
@@ -210,7 +226,6 @@ class TestSystemIntegration:
     def test_real_run_produces_exact_spans(self):
         from repro.scenario import run_scenario
         from repro.telemetry.observe import observing
-        from repro.telemetry.probe import probe_spec
 
         holder = {}
 
@@ -218,7 +233,7 @@ class TestSystemIntegration:
             holder["spans"] = SpanBuilder().attach(system.machine)
 
         with observing([attach]):
-            result = run_scenario(probe_spec("rtvirt", seed=1, duration_s=0.5))
+            result = run_scenario(probe_spec("rtvirt", seed=1))
         builder = holder["spans"].finalize(result.duration_ns)
         assert builder.spans, "deadline-bearing jobs must produce spans"
         for span in builder.spans:

@@ -1,6 +1,7 @@
 """``check_determinism.py`` records and checks run-ledger manifests."""
 
 import json
+import os
 
 import pytest
 
@@ -25,11 +26,41 @@ def test_bad_baseline_exits_2_before_running(check_determinism, tmp_path, capsys
     assert err.count("\n") == 1 and str(path) in err
 
 
-@pytest.mark.parametrize("flag", ["--streams", "--blame", "--trace"])
-def test_seed_without_a_registry_pass_exits_2(check_determinism, capsys, flag):
-    assert check_determinism.main(["--seed", "5", flag, "2"]) == 2
+def test_seed_without_a_registry_pass_exits_2(check_determinism, capsys):
+    assert check_determinism.main(["--seed", "5", "--observed", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "--seed" in err
+
+
+def test_only_without_a_registry_pass_exits_2(check_determinism, capsys):
+    assert check_determinism.main(["--only", "fig1", "--observed", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--only" in err
+
+
+@pytest.mark.parametrize("before", [None, "0"])
+def test_main_restores_the_pool_setting(check_determinism, monkeypatch, before):
+    """The forced pool lasts for the gate's own run only."""
+    if before is None:
+        monkeypatch.delenv("REPRO_RUNNER_FORCE_POOL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_RUNNER_FORCE_POOL", before)
+    assert check_determinism.main(["--only", "table2", "--parallel", "2"]) == 0
+    assert os.environ.get("REPRO_RUNNER_FORCE_POOL") == before
+
+
+def test_every_observer_is_digested_or_excused(check_determinism):
+    """A new observer fails here until the gate digests its output or
+    says why it does not."""
+    from repro.telemetry.observers import OBSERVERS
+
+    digested, excused = check_determinism.DIGESTS, check_determinism.NOT_DIGESTED
+    assert not set(digested) & set(excused)
+    assert set(digested) | set(excused) == set(OBSERVERS)
+    assert all(reason.strip() for reason in excused.values())
+    units = [u for plan in check_determinism.observed_plans() for u in plan.units]
+    assert len(units) == 15
+    assert all(unit.observers == tuple(digested) for unit in units)
 
 
 def test_recorded_baseline_round_trips(check_determinism, tmp_path, capsys):
@@ -82,13 +113,14 @@ def test_recorded_rerun_digests_gate_a_consistent_change(
     from repro.telemetry import events as T
     from repro.telemetry.record import TraceRecorder
 
-    monkeypatch.setenv("REPRO_RUNNER_FORCE_POOL", "1")  # main sets it; undo after
     path = tmp_path / "manifest.json"
-    flags = ["--only", "table2", "--trace", "2"]
+    flags = ["--only", "table2", "--observed", "2"]
     assert check_determinism.main(["--record", str(path), *flags]) == 0
-    files = json.loads(path.read_text())["files"]
-    assert "trace/merged" in {entry["digest"] for entry in files}
-    assert all(entry["digest"].startswith("trace/") for entry in files)
+    manifest = json.loads(path.read_text())
+    labels = [entry["digest"] for entry in manifest["files"]]
+    assert len(labels) == 45 and not set(labels) & set(manifest["experiments"])
+    assert {label.split("/")[0] for label in labels} == {"telemetry", "blame", "record"}
+    assert "record/robustness_vm_churn/Credit/0" in labels
     assert check_determinism.main(["--check", str(path), *flags]) == 0
 
     attach = TraceRecorder.attach
@@ -109,10 +141,14 @@ def test_recorded_rerun_digests_gate_a_consistent_change(
 
     monkeypatch.setattr(TraceRecorder, "attach", planted)
     capsys.readouterr()
-    assert check_determinism.main(["--trace", "2"]) == 0
+    assert check_determinism.main(["--observed", "2"]) == 0
     assert check_determinism.main(["--check", str(path), *flags]) == 1
-    out = capsys.readouterr().out
-    assert "trace/merged: run " in out and "DIVERGED" in out
+    diverged = [
+        line.split()[1].rstrip(":")
+        for line in capsys.readouterr().out.splitlines()
+        if line.endswith("DIVERGED")
+    ]
+    assert sorted(diverged) == sorted(x for x in labels if x.startswith("record/"))
 
 
 def test_a_baseline_without_the_rerun_digests_fails(check_determinism, tmp_path, capsys):
@@ -120,6 +156,24 @@ def test_a_baseline_without_the_rerun_digests_fails(check_determinism, tmp_path,
     assert check_determinism.main(["--record", str(path), "--only", "table2"]) == 0
     assert json.loads(path.read_text())["files"] == []
     capsys.readouterr()
-    argv = ["--check", str(path), "--only", "table2", "--streams", "1"]
+    argv = ["--check", str(path), "--only", "table2", "--observed", "1"]
     assert check_determinism.main(argv) == 1
     assert "vs baseline missing: DIVERGED" in capsys.readouterr().out
+
+
+def test_a_cache_that_returns_a_changed_part_fails(
+    check_determinism, capsys, monkeypatch
+):
+    from repro.runner.cache import ResultCache
+
+    assert check_determinism.main(["--only", "table2", "--cache"]) == 0
+    assert "OK — 1 experiments byte-identical (warm-cache)" in capsys.readouterr().out
+    get = ResultCache.get
+
+    def changed(self, unit):
+        hit, part = get(self, unit)
+        return hit, (dict(part, rows=part["rows"][:-1]) if hit else part)
+
+    monkeypatch.setattr(ResultCache, "get", changed)
+    assert check_determinism.main(["--only", "table2", "--cache"]) == 1
+    assert "table2: warm " in capsys.readouterr().out

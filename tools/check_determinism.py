@@ -1,109 +1,71 @@
 #!/usr/bin/env python
-"""Determinism harness over the experiment registry.
+"""Determinism gate: one table of passes over maps from label to digest.
 
-Runs the selected experiments once, serially and uncached (their
-work-unit plans at ``jobs=1``), and hashes each one's ``rows()`` with
-:func:`repro.runner.ledger.rows_hash`.  The record of that run is a
-run-ledger manifest (:func:`repro.runner.ledger.run_manifest`), the
-same record every ``repro run`` writes: ``--record`` writes it, and
-``--check`` compares this run with the ``experiments[id].rows_sha256``
-of any manifest — a ``--record`` file, or the
-``runs/<stamp>/manifest.json`` of ``repro run … --no-cache``.
-Recording before an optimisation and checking afterwards proves the
-change preserved byte-identical metrics:
+Every pass compares two maps from a label to a digest and prints
+``<label>: <side> X vs <side> Y: ok|DIVERGED`` for each label; a label
+present on one side only is a failure.  The serial run makes the maps
+the passes compare against:
 
-    python tools/check_determinism.py --record baseline.json
+* the **registry** run executes the selected experiments once,
+  serially and uncached (their work-unit plans at ``jobs=1``), and maps
+  each experiment id to :func:`repro.runner.ledger.rows_hash` of its
+  ``rows()``.  ``--record``, ``--check`` and ``--parallel`` make it;
+* the **observed** run executes fifteen fixed cells with the
+  ``telemetry``, ``blame`` and ``record`` observers on every unit — the
+  probe scenario (``examples/scenarios/probe.json``) under RTVirt,
+  RT-Xen and Credit at seeds 1 and 2, and the robustness smoke cells of
+  ``pcpu_fail``, ``hypercall`` and ``vm_churn`` — and maps
+  ``<observer>/<unit id>/<system>`` to the digest of that output
+  (:data:`DIGESTS`): ``rows_hash`` of a telemetry snapshot or a blame
+  output, the ``trace_hash`` of a recording.  Only observer outputs are
+  hashed, so no label is an experiment id.  ``--observed`` makes it.
+
+The rows of :data:`PASSES` compare those maps:
+
+    --parallel N   the registry at jobs=N against the serial run
+    --observed N   the observed cells at jobs=N against jobs=1
+    --cache        the registry run cold into a fresh temporary cache
+                   against the serial run (when one ran), and the warm
+                   rerun, which must hit every unit, against the cold one
+                   (at --parallel's jobs when given)
+    --check PATH   the serial run against a run-ledger manifest
+
+The record of a serial run is a run-ledger manifest
+(:func:`repro.runner.ledger.run_manifest`), the same record every
+``repro run`` writes.  ``--record`` writes it, with each observed digest
+as a ``{"digest": label, "sha256": hash}`` entry of its ``files``.
+``--check`` reads any manifest — a ``--record`` file, or the
+``runs/<stamp>/manifest.json`` of ``repro run … --no-cache`` — as
+experiment id -> ``rows_sha256`` plus digest label -> ``sha256``.
+Recording before a change and checking afterwards proves the change
+moved no byte:
+
+    python tools/check_determinism.py --record base.json --parallel 4 --observed 4
     ... hack on the scheduler hot path ...
-    python tools/check_determinism.py --check baseline.json
-    python tools/check_determinism.py --check runs/<stamp>/manifest.json
-
-With ``--parallel N`` the same plans are additionally executed across
-N worker processes (cache disabled) and each experiment's merged
-``rows()`` hash must equal the serial hash — the serial-vs-parallel
-equivalence gate:
-
-    python tools/check_determinism.py --parallel 4
-    python tools/check_determinism.py --check baseline.json --parallel 4
-
-With ``--streams N`` the telemetry probe's scenario cells
-(``repro.telemetry.probe``) run twice with the ``telemetry`` observer —
-serially and across N workers — and each system's *merged
-streaming-aggregate snapshot* must hash identically: the gate that
-sharded telemetry streams merge byte-identically to a single stream.
-``--streams`` stands alone; it does not rerun the experiment registry:
-
-    python tools/check_determinism.py --streams 4
-
-With ``--blame N`` the robustness smoke cells of two fault families run
-twice with the ``blame`` observer — serially and across N workers — and
-the merged blame report (``repro.telemetry.blame_plan``) plus every
-per-cell snapshot must hash identically: the gate that miss attribution
-is independent of how the work units were scheduled.  Like
-``--streams`` it stands alone:
-
-    python tools/check_determinism.py --blame 4
-
-With ``--trace N`` the robustness smoke cells of two fault families run
-twice with the ``record`` observer — serially and across N workers —
-and the merged trace's *canonical hash* (``repro.telemetry.trace_plan``;
-a digest of every telemetry event the runs emitted, not just the end
-metrics) must be identical in both: the gate that the simulated event
-stream itself is byte-stable under work-unit re-scheduling.  Like
-``--streams`` it stands alone:
-
-    python tools/check_determinism.py --trace 4
-
-``--parallel``, ``--streams``, ``--blame`` and ``--trace`` are rows of
-one table (:data:`RERUNS`): what to run, and a digest mapping labels to
-hashes.  Each row runs at ``jobs=1`` and at ``jobs=N``.  Every check —
-these rows, ``--cache`` and the baseline — compares labels to hashes
-the same way and prints ``<label>: <side> X vs <side> Y: ok|DIVERGED``.
+    python tools/check_determinism.py --check base.json --parallel 4 --observed 4 \
+        --cache
 
 Serial against parallel cannot see a change that moves the same bytes
-on both sides — an encoder writing different bytes, say.  So ``--record``
-also stores the serial digest of every ``--streams``, ``--blame`` and
-``--trace`` label it ran, as ``{"digest": label, "sha256": hash}``
-entries of the manifest's ``files``, and ``--check`` with the same flags
-compares this run's serial digests with them (a label the baseline
-lacks is a failure):
+in every process (an encoder writing different bytes, say); the
+baseline does.  With ``--observed``, ``--check`` compares every digest
+the baseline holds, so a baseline recorded without it fails.
 
-    python tools/check_determinism.py --record base.json --trace 2
-    python tools/check_determinism.py --check base.json --trace 2
-
-``--only`` narrows any registry mode to one family.  The multi-host
-``cluster_*`` experiments shard per cluster configuration, and the
-adaptive-control ``feedback_*``/``tenant_*`` experiments shard per
-policy cell, so the serial-vs-parallel gate over each family proves
-its shards reassemble byte-identically however they were spread over
-workers:
+``--only`` narrows the registry to ids or globs.  The multi-host
+``cluster_*`` experiments shard per cluster configuration and the
+adaptive-control ``feedback_*``/``tenant_*`` experiments per policy
+cell, so ``--parallel`` over each family proves its shards reassemble
+byte-identically however they were spread over workers:
 
     python tools/check_determinism.py --only 'cluster_*' --parallel 4
-    python tools/check_determinism.py --only 'feedback_*,tenant_*' --parallel 4
-
-With ``--cache`` the selected experiments run twice through the runner
-against a fresh temporary cache directory — a cold run that writes
-every work unit, then a warm rerun that must execute *nothing* (every
-unit a cache hit, zero misses) while its merged ``rows()`` still hash
-identically to the cold run's: the gate that the dependency-aware
-incremental cache returns the same bytes it stored.  It composes with
-``--parallel`` (the cold and warm runs then use that worker count, and
-the cold hashes are also checked against the serial ones):
-
-    python tools/check_determinism.py --cache
-    python tools/check_determinism.py --parallel 4 --cache
 
 ``--seed N`` reaches only the ids whose simulation draws from a seed
-(``robustness_jitter`` and ``cluster_*``); every other id, and the
-``--blame``/``--trace`` cells (pcpu_fail, hypercall, vm_churn), run at
-their registry seed.  It needs a registry pass (``--record``,
-``--check``, ``--parallel`` or ``--cache``): beside ``--streams``,
-``--blame`` or ``--trace`` alone it would reach nothing, so it exits 2.
+(``robustness_jitter`` and ``cluster_*``); every other id runs at its
+registry seed.  ``--only`` and ``--seed`` act on the registry alone:
+beside ``--observed`` alone they would reach nothing, so they exit 2.
 
-Exit status is 1 when any experiment's hash differs from the baseline
-(or is missing from it), or when a rerun diverges from the serial path;
-2 on bad arguments, including a ``--check`` manifest that is missing or
-malformed — the manifest is read before anything runs — and a
-``--seed`` that no pass reaches.
+Exit status is 1 when any pass finds a differing or missing digest; 2
+on bad arguments, including a ``--check`` manifest that is missing or
+malformed (the manifest is read before anything runs).
 """
 
 from __future__ import annotations
@@ -112,102 +74,92 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.experiments import registry  # noqa: E402
-from repro.runner import run_experiments  # noqa: E402
+from repro.runner import ResultCache, run_experiments  # noqa: E402
 from repro.runner.executor import run_plans  # noqa: E402
 from repro.runner.ledger import rows_hash, run_manifest  # noqa: E402
-from repro.runner.workunits import observed_smoke_plans  # noqa: E402
-
-
-def report_hashes(report) -> dict:
-    """Experiment id -> merged ``rows()`` hash of one run's report."""
-    return {r.experiment_id: rows_hash(r.rows) for r in report.reports}
-
-
-def registry_hashes(ids, jobs: int, seed=None) -> dict:
-    """Experiment id -> merged ``rows()`` hash of one run over *ids*."""
-    return report_hashes(run_experiments(ids, jobs=jobs, seed=seed))
-
-
-def stream_hashes(ids, jobs: int, seed=None) -> dict:
-    """Telemetry probe: its scenario cells run with the ``telemetry``
-    observer; each system's merged streaming-aggregate snapshot."""
-    from repro.runner.workunits import observed_plan, scenario_plan
-    from repro.telemetry.probe import (
-        PROBE_SEEDS,
-        PROBE_SYSTEMS,
-        ProbeResult,
-        probe_spec,
-    )
-
-    cells = [(system, n) for system in PROBE_SYSTEMS for n in PROBE_SEEDS]
-    plans = [
-        observed_plan(
-            scenario_plan(probe_spec(system, n), f"probe:{system}:{n}"), ("telemetry",)
-        )
-        for system, n in cells
-    ]
-    parts = [
-        {"system": system, "snapshot": report.results[0][2]["telemetry"][0]}
-        for (system, _), report in zip(cells, run_plans(plans, jobs).reports)
-    ]
-    merged = ProbeResult(parts).merged
-    return {f"streams/{system}": rows_hash(merged[system]) for system in sorted(merged)}
-
-
-def _observed_cells(faults, observer: str, jobs: int, seed) -> list:
-    """Robustness smoke cells (1 simulated second) of *faults*, every
-    scheduler, run with *observer*: ``(unit, part, outputs)`` each."""
-    ids = [f"robustness_{fault}" for fault in faults]
-    reports = run_plans(observed_smoke_plans(ids, (observer,), seed=seed), jobs).reports
-    return [cell for report in reports for cell in report.results]
-
-
-def blame_hashes(ids, jobs: int, seed=None) -> dict:
-    """Blame sweep (two fault families, every scheduler, 1 simulated
-    second): the merged report and every cell's own snapshot."""
-    from repro.telemetry.blame_plan import blame_sweep
-
-    sweep = blame_sweep(_observed_cells(("pcpu_fail", "hypercall"), "blame", jobs, seed))
-    hashes = {"blame/merged": rows_hash(sweep.merged.snapshot())}
-    for part in sweep.parts:
-        hashes[f"blame/{part['fault']}/{part['scheduler']}"] = rows_hash(part)
-    return hashes
-
-
-def trace_hashes(ids, jobs: int, seed=None) -> dict:
-    """Flight-recorder sweep (two fault families, every scheduler, 1
-    simulated second): the merged trace's canonical hash — a digest of
-    every telemetry event, not just the end metrics — and each cell's."""
-    from repro.telemetry.trace_plan import trace_bundle
-
-    bundle = trace_bundle(_observed_cells(("pcpu_fail", "vm_churn"), "record", jobs, seed))
-    hashes = {"trace/merged": bundle.merged_hash}
-    for part in bundle.parts:
-        hashes[f"trace/{part['fault']}/{part['scheduler']}"] = part["hash"]
-    return hashes
-
-
-#: (flag, what reruns, digest(ids, jobs, seed) -> {label: hash}).  Each
-#: row runs at jobs=1 and at jobs=N; every label must hash identically.
-#: ``--parallel``'s jobs=1 side is the serial pass whose manifest --record
-#: writes; every other row's labels start with ``<flag>/``, and --record
-#: stores its jobs=1 digest in that manifest.
-RERUNS = (
-    ("parallel", "parallel", registry_hashes),
-    ("streams", "telemetry-stream", stream_hashes),
-    ("blame", "blame-sweep", blame_hashes),
-    ("trace", "trace-sweep", trace_hashes),
+from repro.runner.workunits import (  # noqa: E402
+    observed_plan,
+    observed_smoke_plans,
+    scenario_plan,
 )
+from repro.telemetry.record import TraceReader  # noqa: E402
+
+#: The probe scenario of the observed run, under each system at each seed.
+PROBE_SPEC = os.path.join(
+    os.path.dirname(__file__), "..", "examples", "scenarios", "probe.json"
+)
+PROBE_SYSTEMS = ("rtvirt", "rtxen", "credit")
+PROBE_SEEDS = (1, 2)
+#: Robustness families whose smoke cells the observed run executes.
+OBSERVED_FAULTS = ("pcpu_fail", "hypercall", "vm_churn")
+
+#: Observer -> digest of one of its outputs.  Every unit of the observed
+#: run carries each of these observers.
+DIGESTS = {
+    "telemetry": rows_hash,
+    "blame": rows_hash,
+    "record": lambda output: TraceReader(output["data"]).trace_hash,
+}
+#: The other observers of ``repro.telemetry.observers``, and why no
+#: digest covers them.
+NOT_DIGESTED = {
+    "chrome_trace": "a timeline of bus events that `record` digests byte for byte",
+    "profile": "wall-clock timings, which differ from run to run",
+}
+
+#: Makes the runner keep its worker pool on a one-CPU host.
+FORCE_POOL = "REPRO_RUNNER_FORCE_POOL"
+
+
+def registry_digests(ids, jobs: int, seed=None, cache=None, echo=None) -> tuple:
+    """Experiment id -> ``rows_hash`` of its merged rows, and the run's report."""
+    report = run_experiments(ids, jobs=jobs, cache=cache, seed=seed, echo=echo)
+    return {r.experiment_id: rows_hash(r.rows) for r in report.reports}, report
+
+
+def observed_plans() -> list:
+    """The probe cells, then the robustness smoke cells, every unit
+    carrying every observer of :data:`DIGESTS`."""
+    with open(PROBE_SPEC) as fh:
+        spec = json.load(fh)
+    observers = tuple(DIGESTS)
+    probes = [
+        observed_plan(
+            scenario_plan(
+                dict(spec, system=dict(spec["system"], type=system), seed=seed),
+                f"probe:{system}:{seed}",
+            ),
+            observers,
+        )
+        for system in PROBE_SYSTEMS
+        for seed in PROBE_SEEDS
+    ]
+    faults = [f"robustness_{fault}" for fault in OBSERVED_FAULTS]
+    return probes + observed_smoke_plans(faults, observers)
+
+
+def observed_digests(jobs: int) -> dict:
+    """``<observer>/<unit id>/<system>`` -> digest, for every output of
+    the observed run at *jobs* workers."""
+    digests = {}
+    for report in run_plans(observed_plans(), jobs).reports:
+        for unit, _part, outputs in report.results:
+            for name, per_system in outputs.items():
+                for system, output in enumerate(per_system):
+                    digests[f"{name}/{unit.unit_id}/{system}"] = DIGESTS[name](output)
+    return digests
 
 
 def compare(got: dict, want: dict, got_side: str, want_side: str) -> list:
-    """Print every label's *got* hash against its *want* hash; the
-    failures (a differing or missing hash)."""
+    """Print every label's *got* digest against its *want* digest; the
+    failures (a differing or missing digest)."""
     failures = []
     for label in list(want) + [k for k in got if k not in want]:
         w = want.get(label, "missing")
@@ -223,63 +175,60 @@ def compare(got: dict, want: dict, got_side: str, want_side: str) -> list:
     return failures
 
 
-def compare_rerun(name: str, run, jobs: int, serial: dict) -> list:
-    """Run *run* at *jobs* workers and compare every label with *serial*."""
-    print(f"[determinism] {name} rerun with {jobs} job(s) ...", flush=True)
-    started = time.perf_counter()
-    failures = compare(run(jobs), serial, "parallel", "serial")
-    print(
-        f"[determinism] {name} rerun took {time.perf_counter() - started:.1f}s",
-        flush=True,
-    )
-    return failures
+def parallel_pass(args, ids, serial: dict) -> list:
+    got, _ = registry_digests(ids, args.parallel, args.seed)
+    return compare(got, serial["registry"], "parallel", "serial")
 
 
-def check_cache(ids, serial: dict, jobs: int = 1, seed=None) -> list:
-    """Warm-cache gate: a cached rerun is byte-identical and actually hits.
+def observed_pass(args, ids, serial: dict) -> list:
+    got = observed_digests(args.observed)
+    return compare(got, serial["observed"], "parallel", "serial")
 
-    The cold run populates a fresh temporary cache; the warm rerun must
-    resolve every unit from it (zero misses, at least one hit) and merge
-    rows hashing identically to the cold run's.  When this invocation
-    also ran the serial pass (``--record``/``--check``/``--parallel``),
-    the cold hashes must match *serial* too — proving the cached path
-    feeds the exact serial bytes back.
-    """
-    import tempfile
 
-    from repro.runner import ResultCache
-
-    print(f"[determinism] cache gate: cold+warm run ({jobs} job(s)) ...", flush=True)
+def cache_pass(args, ids, serial: dict) -> list:
+    """The cold run fills a fresh temporary cache; the warm rerun must
+    resolve every unit from it (no miss, at least one hit)."""
     with tempfile.TemporaryDirectory(prefix="repro-cache-gate-") as tmp:
         cold, warm = (
-            run_experiments(
-                ids, jobs=jobs, cache=ResultCache(os.path.join(tmp, "cache")), seed=seed
+            registry_digests(
+                ids, args.parallel or 1, args.seed, ResultCache(os.path.join(tmp, "c"))
             )
             for _ in range(2)
         )
+    hits, misses = warm[1].cache_hits, warm[1].cache_misses
+    print(f"[determinism]   warm rerun: {hits}/{hits + misses} hits", flush=True)
     failures = []
-    total_units = warm.cache_hits + warm.cache_misses
-    if warm.cache_hits <= 0 or warm.cache_misses != 0:
-        failures.append(
-            f"cache: warm rerun hit only {warm.cache_hits}/{total_units} "
-            f"units ({warm.cache_misses} misses; expected all hits)"
-        )
-    print(
-        f"[determinism]   warm rerun: {warm.cache_hits}/{total_units} hits, "
-        f"{warm.cache_misses} misses "
-        f"(cold {cold.wall_s:.1f}s -> warm {warm.wall_s:.1f}s)",
-        flush=True,
-    )
-    cold_hashes = report_hashes(cold)
-    if serial:
-        failures.extend(compare(cold_hashes, serial, "cold", "serial"))
-    failures.extend(compare(report_hashes(warm), cold_hashes, "warm", "cold"))
-    return failures
+    if hits <= 0 or misses:
+        failures.append(f"cache: warm rerun missed {misses} of {hits + misses} units")
+    if serial["registry"]:
+        failures += compare(cold[0], serial["registry"], "cold", "serial")
+    return failures + compare(warm[0], cold[0], "warm", "cold")
+
+
+def check_pass(args, ids, serial: dict) -> list:
+    """Every digest this run made against the baseline's; with
+    ``--observed``, also every observed digest the baseline holds."""
+    rows, digests = args.baseline
+    want = {label: rows.get(label, "missing") for label in serial["registry"]}
+    if args.observed:
+        want.update(digests)
+    got = dict(serial["registry"], **serial["observed"])
+    return compare(got, want, "run", "baseline")
+
+
+#: (flag, name, pass(args, ids, serial) -> failures), run in this order
+#: after the serial run when their flag is set.
+PASSES = (
+    ("parallel", "serial-vs-parallel", parallel_pass),
+    ("observed", "observed-outputs", observed_pass),
+    ("cache", "warm-cache", cache_pass),
+    ("check", "baseline", check_pass),
+)
 
 
 def load_manifest(path: str) -> tuple:
     """The run-ledger manifest at *path* as two maps: experiment id ->
-    ``rows_sha256``, and rerun label -> the serial digest ``--record``
+    ``rows_sha256``, and digest label -> the ``sha256`` ``--record``
     stored in ``files``.
 
     Raises :class:`ValueError` with a one-line reason when the file is
@@ -311,6 +260,30 @@ def load_manifest(path: str) -> tuple:
     return rows, digests
 
 
+def jobs(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"takes at least 1 job, got {count}")
+    return count
+
+
+@contextmanager
+def forced_pool():
+    """Keep the worker pool for this run only: the cross-process passes
+    must cross processes even where the executor would collapse the
+    pool to one CPU."""
+    previous = os.environ.get(FORCE_POOL)
+    os.environ[FORCE_POOL] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[FORCE_POOL]
+        else:
+            os.environ[FORCE_POOL] = previous
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     mode = parser.add_mutually_exclusive_group(required=False)
@@ -328,41 +301,25 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--parallel",
-        type=int,
+        type=jobs,
         metavar="JOBS",
-        help="also run the parallel work-unit runner with JOBS processes "
-        "and fail unless its merged output hashes equal the serial run's",
+        help="also run the registry with JOBS processes and fail unless "
+        "every experiment's rows hash as in the serial run",
     )
     parser.add_argument(
         "--seed",
         type=int,
         metavar="N",
         help="RNG-seed override for the ids whose simulation draws from it "
-        "(robustness_jitter, cluster_*); applied to every pass",
+        "(robustness_jitter, cluster_*); applied to every registry run",
     )
     parser.add_argument(
-        "--streams",
-        type=int,
+        "--observed",
+        type=jobs,
         metavar="JOBS",
-        help="run the telemetry probe serially and with JOBS processes "
-        "and fail unless the merged streaming-aggregate snapshots hash "
-        "identically (does not rerun the experiment registry)",
-    )
-    parser.add_argument(
-        "--blame",
-        type=int,
-        metavar="JOBS",
-        help="run the span/blame sweep serially and with JOBS processes "
-        "and fail unless the merged blame reports hash identically "
-        "(does not rerun the experiment registry)",
-    )
-    parser.add_argument(
-        "--trace",
-        type=int,
-        metavar="JOBS",
-        help="record the flight-recorder trace sweep serially and with "
-        "JOBS processes and fail unless the merged canonical trace hashes "
-        "are identical (does not rerun the experiment registry)",
+        help="run the probe and robustness smoke cells with the telemetry, "
+        "blame and record observers serially and with JOBS processes, and "
+        "fail unless every output's digest is equal",
     )
     parser.add_argument(
         "--cache",
@@ -372,36 +329,25 @@ def main(argv=None) -> int:
         "every unit and hashes identically to the cold run",
     )
     args = parser.parse_args(argv)
-    if not (
-        args.record
-        or args.check
-        or args.parallel
-        or args.streams
-        or args.blame
-        or args.trace
-        or args.cache
-    ):
+    serial_registry = bool(args.record or args.check or args.parallel)
+    if not (serial_registry or args.cache or args.observed):
         parser.error(
-            "one of --record, --check, --parallel, --streams, --blame, "
-            "--trace or --cache is required"
+            "one of --record, --check, --parallel, --observed or --cache is required"
         )
-    if args.seed is not None and not (
-        args.record or args.check or args.parallel or args.cache
-    ):
-        print(
-            "check_determinism: --seed reaches nothing here: the --streams, "
-            "--blame and --trace passes take no seed",
-            file=sys.stderr,
-        )
-        return 2
-    baseline = baseline_digests = None
+    for flag in ("only", "seed"):
+        if getattr(args, flag) is not None and not (serial_registry or args.cache):
+            print(
+                f"check_determinism: --{flag} reaches nothing here: it acts on "
+                "the registry, and --observed runs fixed cells",
+                file=sys.stderr,
+            )
+            return 2
     if args.check:
         try:
-            baseline, baseline_digests = load_manifest(args.check)
+            args.baseline = load_manifest(args.check)
         except ValueError as exc:
             print(
-                f"check_determinism: bad manifest {args.check}: {exc}",
-                file=sys.stderr,
+                f"check_determinism: bad manifest {args.check}: {exc}", file=sys.stderr
             )
             return 2
     if args.only:
@@ -413,89 +359,56 @@ def main(argv=None) -> int:
             parser.error(f"--only: {exc.args[0]}")
     else:
         ids = registry.all_ids()
+    with forced_pool():
+        return run_gate(args, ids, serial_registry)
 
-    if args.parallel or args.streams or args.blame or args.trace:
-        # The cross-process gates must actually cross processes, even on
-        # hosts where the executor would collapse the pool to one CPU.
-        os.environ["REPRO_RUNNER_FORCE_POOL"] = "1"
 
-    run_registry = bool(args.record or args.check or args.parallel)
-    serial = {}
-    if run_registry:
-        report = run_experiments(
-            ids, jobs=1, seed=args.seed, echo=lambda m: print(f"[determinism] {m}")
-        )
-        serial = report_hashes(report)
+def run_gate(args, ids, serial_registry: bool) -> int:
+    """The serial run, then every pass whose flag is set."""
+    serial = {"registry": {}, "observed": {}}
+    if serial_registry:
+        echo = lambda m: print(f"[determinism] {m}")  # noqa: E731
+        serial["registry"], report = registry_digests(ids, 1, args.seed, echo=echo)
         for r in report.reports:
+            digest = serial["registry"][r.experiment_id]
             print(
-                f"[determinism]   {r.experiment_id}: {serial[r.experiment_id][:16]} "
+                f"[determinism]   {r.experiment_id}: {digest[:16]} "
                 f"({round(r.unit_wall_s, 3)}s)",
                 flush=True,
             )
+    if args.observed:
+        serial["observed"] = observed_digests(1)
 
-    failures = []
-    digests = {}  # label -> serial hash, for every row but --parallel
-    for flag, name, digest in RERUNS:
-        jobs = getattr(args, flag)
-        if not jobs:
+    failures, ran = [], []
+    for flag, name, run in PASSES:
+        if not getattr(args, flag):
             continue
-
-        def run(n, digest=digest):
-            return digest(ids, n, seed=args.seed)
-
-        reference = serial if flag == "parallel" else run(1)
-        if flag != "parallel":
-            digests.update(reference)
-        failures.extend(compare_rerun(name, run, max(1, jobs), reference))
-    if args.cache:
-        failures.extend(check_cache(ids, serial, jobs=args.parallel or 1, seed=args.seed))
+        print(f"[determinism] {name} ...", flush=True)
+        started = time.perf_counter()
+        failures += run(args, ids, serial)
+        took = time.perf_counter() - started
+        print(f"[determinism] {name} took {took:.1f}s", flush=True)
+        ran.append(name)
 
     if args.record:
-        files = [{"digest": label, "sha256": h} for label, h in digests.items()]
+        files = [{"digest": k, "sha256": h} for k, h in serial["observed"].items()]
         manifest = run_manifest(report, seed=args.seed, files=files)
         with open(args.record, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"[determinism] manifest written to {args.record}")
-    elif baseline is not None:
-        print(f"[determinism] baseline {args.check}:", flush=True)
-        want = {i: baseline.get(i, "missing") for i in ids}
-        failures.extend(compare(serial, want, "run", "baseline"))
-        ran = {label.split("/")[0] for label in digests}
-        want = {k: h for k, h in baseline_digests.items() if k.split("/")[0] in ran}
-        failures.extend(compare(digests, want, "run", "baseline"))
-
     if failures:
         print("[determinism] FAIL")
         for line in failures:
             print(f"  {line}")
         return 1
-    checks = []
-    if args.check:
-        checks.append("baseline")
-    if args.parallel:
-        checks.append("serial-vs-parallel")
-    if args.cache:
-        checks.append("warm-cache")
-    if args.streams:
-        checks.append("streamed-aggregates")
-    if args.blame:
-        checks.append("blame-reports")
-    if args.trace:
-        checks.append("trace-hashes")
-    suffix = f" ({' + '.join(checks)})" if checks else ""
-    standalone = []
-    if args.streams:
-        standalone.append("telemetry streams")
-    if args.blame:
-        standalone.append("blame sweep")
-    if args.trace:
-        standalone.append("trace sweep")
-    if run_registry or args.cache:
-        subject = f"{len(ids)} experiments"
-    else:
-        subject = " + ".join(standalone)
-    print(f"[determinism] OK — {subject} byte-identical{suffix}")
+    subject = []
+    if serial_registry or args.cache:
+        subject.append(f"{len(ids)} experiments")
+    if args.observed:
+        subject.append(f"{len(serial['observed'])} observed outputs")
+    suffix = f" ({' + '.join(ran)})" if ran else ""
+    print(f"[determinism] OK — {' + '.join(subject)} byte-identical{suffix}")
     return 0
 
 
