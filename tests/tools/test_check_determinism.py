@@ -26,10 +26,26 @@ def test_bad_baseline_exits_2_before_running(check_determinism, tmp_path, capsys
     assert err.count("\n") == 1 and str(path) in err
 
 
-def test_seed_without_a_registry_pass_exits_2(check_determinism, capsys):
-    assert check_determinism.main(["--seed", "5", "--observed", "2"]) == 2
+#: The per-observer flags that ``--observed`` replaced.
+RETIRED_FLAGS = ["--streams", "--blame", "--trace"]
+
+
+@pytest.mark.parametrize("flag", [*RETIRED_FLAGS, "--observed"])
+def test_seed_without_a_registry_pass_exits_2(check_determinism, capsys, flag):
+    """``--seed`` beside an observed pass alone runs nothing.  ``--observed``
+    refuses it in one line; a retired flag is an unknown option, so an old
+    recipe fails loudly instead of passing with nothing checked."""
+    argv = ["--seed", "5", flag, "2"]
+    if flag in RETIRED_FLAGS:
+        with pytest.raises(SystemExit) as exited:
+            check_determinism.main(argv)
+        status, named = exited.value.code, f"unrecognized arguments: {flag} 2"
+    else:
+        status, named = check_determinism.main(argv), "--seed"
     out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1 and "--seed" in err
+    assert status == 2 and out == ""
+    assert named in err.splitlines()[-1]
+    assert flag in RETIRED_FLAGS or err.count("\n") == 1
 
 
 def test_only_without_a_registry_pass_exits_2(check_determinism, capsys):
