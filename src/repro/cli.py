@@ -528,16 +528,16 @@ def _print_observed(experiment, args, many: bool, files: List[dict]) -> int:
 
 
 def _print_telemetry(snapshot: dict) -> None:
-    from .telemetry import BandwidthAggregator, LatencyAggregator, MissRatioAggregator
+    from .metrics.latency import LatencyRecorder
 
-    misses = MissRatioAggregator.merge([snapshot["misses"]])
-    latency = LatencyAggregator.merge([snapshot["latency"]])
-    consumed_ns = BandwidthAggregator.merge([snapshot["bandwidth"]]).consumed_ns
-    print(
-        f"  deadline miss ratio: {misses.miss_ratio() * 100:.3f}% "
-        f"({misses.decided()} decided)"
-    )
-    if latency.stats.count:
+    counts = snapshot["misses"]["per_task"].values()
+    missed = sum(c["missed"] for c in counts)
+    decided = sum(c["met"] for c in counts) + missed
+    ratio = missed / decided if decided else 0.0
+    latency = LatencyRecorder(samples_ns=snapshot["latency"])
+    consumed_ns = snapshot["bandwidth"]["consumed_ns"]
+    print(f"  deadline miss ratio: {ratio * 100:.3f}% ({decided} decided)")
+    if len(latency):
         tails = latency.tail_usec()
         tail_text = "  ".join(f"p{p:g}={v:.1f}us" for p, v in sorted(tails.items()))
         print(f"  job latency: mean={latency.mean_usec():.1f}us  {tail_text}")

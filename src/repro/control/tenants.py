@@ -17,11 +17,10 @@ Credits drive two mechanisms: the admission controller's shed order
 first), and the feedback controller's throttle response (re-admit
 high-credit victims at the expense of low-credit tenants).
 
-Determinism/merge contract: the ledger state is counters plus an exact
-:class:`~repro.telemetry.aggregate.TailAggregator`, so ``snapshot()`` /
-``merge()`` follow the streaming-aggregator rules — merging per-shard
-snapshots in canonical order reproduces the serial state byte-for-byte,
-and :meth:`credit` is a pure function of that state.
+Determinism: each tenant's state is counters plus every job latency
+in a :class:`~repro.metrics.latency.LatencyRecorder`, and :meth:`credit`
+is a pure function of that state — any two ledgers fed the same stream
+score every tenant alike.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from ..metrics.latency import LatencyRecorder
 from ..simcore.errors import ConfigurationError
-from ..simcore.time import to_usec
 from ..telemetry import events as T
-from ..telemetry.aggregate import TailAggregator
 from ..telemetry.bus import TelemetryBus
 
 #: Credit-model weights (sum to 1): error-budget remaining dominates,
@@ -78,7 +76,7 @@ class _TenantState:
         self.missed = 0
         #: Host-level admission sheds charged to this tenant.
         self.violations = 0
-        self.tail = TailAggregator()
+        self.tail = LatencyRecorder("tenant latency")
 
 
 class CreditLedger:
@@ -141,7 +139,7 @@ class CreditLedger:
     def _on_latency(self, event) -> None:
         tenant = self._tenant_of_task(event.task)
         if tenant:
-            self._state[tenant].tail.add(to_usec(event.latency_ns))
+            self._state[tenant].tail.record(event.latency_ns)
 
     def _on_admission(self, event) -> None:
         # Host-level sheds are SLO violations charged to the owning
@@ -167,7 +165,7 @@ class CreditLedger:
             budget_remaining = 1.0 if state.missed == 0 else 0.0
         violation_score = 1.0 / (1.0 + state.violations)
         if len(state.tail):
-            p99 = state.tail.percentile(99.0)
+            p99 = state.tail.tail_usec()[99.0]
             timeliness = 1.0 if p99 <= 0 else min(1.0, slo.target_p99_usec / p99)
         else:
             timeliness = 1.0
@@ -210,39 +208,3 @@ class CreditLedger:
             return (1, credits[tenant], -uid)
 
         return sorted(uids, key=key)
-
-    # -- snapshot / merge (runner-shard contract) --------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-able state, tenants in sorted order."""
-        return {
-            "tenants": {
-                name: {
-                    "met": state.met,
-                    "missed": state.missed,
-                    "violations": state.violations,
-                    "tail": state.tail.snapshot(),
-                }
-                for name, state in sorted(self._state.items())
-            }
-        }
-
-    @classmethod
-    def merge(
-        cls,
-        snapshots: Sequence[dict],
-        slos: Sequence[TenantSLO],
-        vm_tenant: Mapping[str, str],
-    ) -> "CreditLedger":
-        """Combine per-shard snapshots (canonical shard order) into a
-        ledger whose credits equal the serial run's byte-for-byte."""
-        merged = cls(slos, vm_tenant)
-        for name, state in merged._state.items():
-            per_shard = [
-                s["tenants"][name] for s in snapshots if name in s["tenants"]
-            ]
-            state.met = sum(p["met"] for p in per_shard)
-            state.missed = sum(p["missed"] for p in per_shard)
-            state.violations = sum(p["violations"] for p in per_shard)
-            state.tail = TailAggregator.merge([p["tail"] for p in per_shard])
-        return merged

@@ -22,9 +22,9 @@ plane:
 
 Every mode has one work unit per cluster configuration (a scheduler ×
 host count, or one clockskew clock offset): it simulates that cluster
-once, with telemetry on every host's bus, and returns each host's row +
-mergeable snapshot in host order, so the merged output is the same
-whatever the worker count.
+once, counting deadline outcomes on every host's bus, and returns each
+host's row in host order; the configuration's ``cluster`` row sums
+them, so the output is the same whatever the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..placement.migration import MigrationParams, safe_migration_params
 from ..simcore.events import PRIORITY_FAULT
 from ..simcore.rng import RandomStreams
 from ..simcore.time import MSEC, USEC
-from ..telemetry.aggregate import StandardTelemetry
+from ..telemetry.aggregate import MissRatioAggregator
 from ..telemetry.observe import observe
 from ..cluster import Cluster, default_specs
 from .common import format_table
@@ -227,8 +227,8 @@ def run_cluster_config(
     clock_offset_step_ns: Optional[int] = None,
     policy: Optional[str] = None,
 ) -> List[Dict[str, object]]:
-    """One cluster configuration, simulated once: every host's
-    ``{"row", "snapshot"}``, in host order.
+    """One cluster configuration, simulated once: every host's row, in
+    host order.
 
     Each host's system reaches the observation hook after the build,
     with the whole ``cluster`` in its context (``repro cluster --log``
@@ -239,9 +239,9 @@ def run_cluster_config(
     cluster = build_cluster(
         mode, scheduler, host_count, duration_ns, seed, clock_offset_step_ns, policy
     )
-    bundles = []
+    counters = []
     for host in cluster.hosts:
-        bundles.append(StandardTelemetry(host.machine.bus))
+        counters.append(MissRatioAggregator().attach(host.machine.bus))
         observe(host.system, cluster=cluster)
     cluster.run(duration_ns)
     cluster.finalize()
@@ -251,12 +251,8 @@ def run_cluster_config(
     )
     audit = cluster.audit
     stranded = sum(1 for _, kind, _ in cluster.log if kind == "vm_stranded")
-    parts: List[Dict[str, object]] = []
-    for host, telemetry in zip(cluster.hosts, bundles):
-        snapshot = telemetry.snapshot()
-        misses = telemetry.misses
-        decided = misses.decided()
-        missed = decided and sum(x for _, x in misses.per_task.values())
+    rows: List[Dict[str, object]] = []
+    for host, misses in zip(cluster.hosts, counters):
         xhost_decided, xhost_missed = audit.cross_pairs(host.name)
         inbound_downtime = sum(
             m.downtime_ns for m in cluster.migrations if m.done and m.dest is host
@@ -271,8 +267,8 @@ def run_cluster_config(
             "migr_in": host.migrations_in,
             "migr_out": host.migrations_out,
             "downtime_ms": round(inbound_downtime / MSEC, 3),
-            "decided": decided,
-            "missed": int(missed),
+            "decided": misses.decided(),
+            "missed": sum(x for _, x in misses.per_task.values()),
             "miss_pct": round(100.0 * misses.miss_ratio(), 3),
             "cross_decided": audit.decided(host.name),
             "cross_missed": audit.missed(host.name),
@@ -281,8 +277,8 @@ def run_cluster_config(
             "xhost_missed": xhost_missed,
             "stranded": stranded,
         }
-        parts.append({"row": row, "snapshot": snapshot})
-    return parts
+        rows.append(row)
+    return rows
 
 
 def cluster_unit_specs(
@@ -323,6 +319,8 @@ def cluster_unit_specs(
 #: Host-row counts a configuration's ``cluster`` row sums.
 _SUMMED = (
     "vms_end",
+    "decided",
+    "missed",
     "migr_in",
     "migr_out",
     "cross_decided",
@@ -338,26 +336,21 @@ def _pct(part: int, whole: int) -> float:
 
 @dataclass
 class ClusterResult:
-    """Per-host rows plus one merged summary per cluster configuration."""
+    """Per-host rows plus one summed row per cluster configuration."""
 
     mode: str
-    #: per configuration, in unit order: its hosts' parts, in host order
+    #: per configuration, in unit order: its hosts' rows, in host order
     configs: List[List[Dict[str, object]]]
 
     def rows(self) -> List[Dict[str, object]]:
         """Host rows in unit and host order, then one ``cluster`` row per
         configuration."""
-        rows = [dict(part["row"]) for parts in self.configs for part in parts]
-        for parts in self.configs:
-            hosts = [part["row"] for part in parts]
-            snap = StandardTelemetry.merge_snapshots([p["snapshot"] for p in parts])
-            counts = snap["misses"]["per_task"].values()
-            missed = sum(c["missed"] for c in counts)
-            decided = sum(c["met"] for c in counts) + missed
-            row = dict(hosts[0], host="cluster", decided=decided, missed=missed)
+        rows = [dict(row) for hosts in self.configs for row in hosts]
+        for hosts in self.configs:
+            row = dict(hosts[0], host="cluster")
             row.update((key, sum(r[key] for r in hosts)) for key in _SUMMED)
             row["downtime_ms"] = round(sum(r["downtime_ms"] for r in hosts), 3)
-            row["miss_pct"] = _pct(missed, decided)
+            row["miss_pct"] = _pct(row["missed"], row["decided"])
             row["cross_miss_pct"] = _pct(row["cross_missed"], row["cross_decided"])
             rows.append(row)
         return rows
@@ -368,6 +361,6 @@ class ClusterResult:
 
 def assemble_cluster(parts: Sequence[List[Dict[str, object]]]) -> ClusterResult:
     """Parallel-runner assembly: one part per configuration, in unit (=
-    spec) order, each a list of host parts."""
-    mode = parts[0][0]["row"]["mode"] if parts else "?"
+    spec) order, each a list of host rows."""
+    mode = parts[0][0]["mode"] if parts else "?"
     return ClusterResult(mode, [list(hosts) for hosts in parts])

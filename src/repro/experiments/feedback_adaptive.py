@@ -25,10 +25,9 @@ FeedbackController` (and the credit shed policy of
   the most valuable tenant), the credit policy sheds the cheapest
   tenant (bronze) instead.
 
-Every scenario is a fixed deterministic timeline (no random draws; the
-seed only parameterises the credit ledger's tail aggregator), so the
-per-policy cells shard cleanly and the rows reproduce byte-for-byte
-whatever the worker count.
+Every scenario is a fixed deterministic timeline: nothing draws from
+the seed, so the per-policy cells shard cleanly and the rows reproduce
+byte-for-byte whatever the worker count.
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ class Job:
             raise SimulationError(f"job {self.task.name}#{self.index} completed twice")
         self.completed_at = now
         if self.deadline is not None:
-            self.task.stats.record_completion(self.release, self.deadline, now)
+            self.task.stats.record_completion(self.deadline, now)
         if self.on_complete is not None:
             self.on_complete(self)
 

@@ -20,9 +20,6 @@ class DeadlineStats:
     completed: int = 0
     met: int = 0
     missed: int = 0
-    response_times: List[int] = field(default_factory=list)
-    #: largest (completion - deadline) over all misses, ns
-    worst_tardiness: int = 0
     #: completion instants of missed jobs, ns (misses are rare, so this
     #: stays tiny; it feeds the robustness suite's recovery latency)
     miss_times: List[int] = field(default_factory=list)
@@ -30,15 +27,13 @@ class DeadlineStats:
     def record_release(self) -> None:
         self.released += 1
 
-    def record_completion(self, release: int, deadline: int, completion: int) -> None:
+    def record_completion(self, deadline: int, completion: int) -> None:
         """Record a finished job and whether it made its deadline."""
         self.completed += 1
-        self.response_times.append(completion - release)
         if completion <= deadline:
             self.met += 1
         else:
             self.missed += 1
-            self.worst_tardiness = max(self.worst_tardiness, completion - deadline)
             self.miss_times.append(completion)
 
     def record_abandoned(self, deadline_passed: bool) -> None:

@@ -1,10 +1,15 @@
-"""Request-latency recording for the memcached experiments.
+"""Per-job latency recording: the one store of job latencies.
 
 Latency here is the paper's NIC-to-NIC definition: from the instant the
 request reaches the host to the instant the response is ready to leave,
 i.e. job release to job completion inside the simulation.  An optional
 constant network delay can be added when reporting client-side numbers
 (the paper measured 19 µs at the 99.9th percentile and excluded it).
+
+The memcached experiments record each request here; the streaming
+telemetry (:class:`~repro.telemetry.aggregate.StandardTelemetry`) and
+each tenant of the credit ledger (:mod:`repro.control.tenants`) keep the
+``JOB_LATENCY`` stream in one too.
 """
 
 from __future__ import annotations

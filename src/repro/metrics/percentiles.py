@@ -8,16 +8,13 @@ well-defined for the small-tail quantiles we care about.
 Every query goes through :class:`SortedSamples`, which sorts the
 sample exactly once; callers that ask several questions of the same
 sample (every tail percentile and the mean) construct one and reuse
-it.  :func:`merge_sorted_samples` combines already-sorted shards in
-linear time — the runner's aggregate merge uses it to recombine
-per-work-unit samples without re-sorting the union.
+it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 
 def _rank(p: float, n: int) -> int:
@@ -30,10 +27,8 @@ class SortedSamples:
 
     __slots__ = ("ordered",)
 
-    def __init__(self, samples: Sequence[float], *, presorted: bool = False):
-        self.ordered: List[float] = (
-            list(samples) if presorted else sorted(samples)
-        )
+    def __init__(self, samples: Sequence[float]):
+        self.ordered: List[float] = sorted(samples)
 
     def __len__(self) -> int:
         return len(self.ordered)
@@ -61,17 +56,6 @@ class SortedSamples:
         if not self.ordered:
             raise ValueError("mean() of an empty sample")
         return sum(self.ordered) / len(self.ordered)
-
-
-def merge_sorted_samples(shards: Iterable[Sequence[float]]) -> List[float]:
-    """Merge already-sorted shards into one sorted list (linear time).
-
-    The result equals ``sorted(chain(*shards))`` whenever every shard is
-    itself sorted, so percentiles of the merge are byte-identical to
-    percentiles of the concatenation — the property the runner's
-    serial-vs-parallel determinism gate relies on.
-    """
-    return list(heapq.merge(*shards))
 
 
 #: The tail percentiles Table 4 reports.

@@ -475,8 +475,8 @@ def cluster_plan(
     mode: str, duration_ns: int, seed: int, smoke: bool = False
 ) -> ExperimentPlan:
     """One unit per cluster configuration: it simulates the cluster once
-    and returns every host's row + mergeable telemetry snapshot.
-    *smoke* keeps only the first host count of the grid."""
+    and returns every host's row.  *smoke* keeps only the first host
+    count of the grid."""
     experiment_id = f"cluster_{mode}"
     units = tuple(
         WorkUnit(

@@ -13,14 +13,7 @@ that reason (the blame *analysis* classes re-exported here are pure).
 """
 
 from . import events
-from .aggregate import (
-    BandwidthAggregator,
-    LatencyAggregator,
-    MissRatioAggregator,
-    OnlineStats,
-    StandardTelemetry,
-    TailAggregator,
-)
+from .aggregate import BandwidthAggregator, MissRatioAggregator, StandardTelemetry
 from .blame import CAUSES, BlameReport, analyze_spans, attribute_miss
 from .bus import TelemetryBus
 from .diff import TraceDiff, diff_traces
@@ -31,10 +24,7 @@ from .spans import Span, SpanBuilder
 __all__ = [
     "events",
     "TelemetryBus",
-    "OnlineStats",
-    "TailAggregator",
     "MissRatioAggregator",
-    "LatencyAggregator",
     "BandwidthAggregator",
     "StandardTelemetry",
     "Span",

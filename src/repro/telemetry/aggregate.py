@@ -1,128 +1,30 @@
 """Streaming aggregators: metrics computed as events arrive.
 
 Each aggregator subscribes to one or two event kinds on a
-:class:`~repro.telemetry.bus.TelemetryBus` and maintains a running
-summary, replacing the post-hoc walks over ``Trace`` lists in
-``metrics/``:
+:class:`~repro.telemetry.bus.TelemetryBus` and keeps a running summary,
+so no trace has to be retained and walked after the run:
 
 * :class:`MissRatioAggregator` — per-task met/missed counts (the
   deadline-miss ratios of Tables 1-3) from ``DEADLINE_HIT``/``MISS``.
-* :class:`LatencyAggregator` — job response-time tails (Table 4 /
-  Figure 5) from ``JOB_LATENCY``, with exact nearest-rank percentiles
-  (byte-identical to :mod:`repro.metrics.percentiles`).
 * :class:`BandwidthAggregator` — granted-vs-consumed CPU bandwidth
-  (Figure 3 / over-claimer analysis) from ``CPU_ACCOUNT`` +
-  ``VCPU_PARAMS``.
+  per VCPU (Figure 3) from ``CPU_ACCOUNT`` + ``VCPU_PARAMS``.
 
-Every aggregator produces a JSON-able ``snapshot()`` and a classmethod
-``merge(snapshots)`` such that merging per-shard snapshots in canonical
-unit order reproduces the single-stream result byte for byte (sorted
-multisets merge associatively); a cluster's rows merge its hosts' snapshots
-this way.  ``tools/check_determinism.py --observed`` digests each unit's
-snapshot, serial against parallel.
+:class:`StandardTelemetry` bundles both with the job latencies of
+``JOB_LATENCY``, kept in a :class:`~repro.metrics.latency.LatencyRecorder`
+(the one per-job latency store; its nearest-rank tails are those of
+:mod:`repro.metrics.percentiles`).  Its ``snapshot()`` is JSON-able;
+``tools/check_determinism.py --observed`` digests each unit's snapshot,
+serial against parallel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
-from ..metrics.percentiles import SortedSamples, merge_sorted_samples
-from ..simcore.time import to_usec
+from ..metrics.latency import LatencyRecorder
 from . import events
 from .bus import TelemetryBus
-
-
-class OnlineStats:
-    """Running count/sum/mean/min/max over a float stream, O(1) memory."""
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("mean of an empty stream")
-        return self.total / self.count
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def merge(cls, snapshots: Sequence[dict]) -> "OnlineStats":
-        merged = cls()
-        for snap in snapshots:
-            if snap["count"] == 0:
-                continue
-            merged.count += snap["count"]
-            merged.total += snap["total"]
-            if merged.min is None or snap["min"] < merged.min:
-                merged.min = snap["min"]
-            if merged.max is None or snap["max"] > merged.max:
-                merged.max = snap["max"]
-        return merged
-
-
-class TailAggregator:
-    """Streaming tail percentiles over every sample.
-
-    Append + lazy sort: the same nearest-rank answers as
-    :func:`repro.metrics.percentiles.percentile`, byte-identical.
-    """
-
-    __slots__ = ("_samples", "_sorted")
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-        self._sorted = True
-
-    def add(self, value: float) -> None:
-        self._samples.append(value)
-        self._sorted = False
-
-    def _view(self) -> SortedSamples:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-        return SortedSamples(self._samples, presorted=True)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def percentile(self, p: float) -> float:
-        return self._view().percentile(p)
-
-    def tail_summary(self) -> Dict[float, float]:
-        return self._view().tail_summary()
-
-    def snapshot(self) -> dict:
-        """JSON-able state; samples are stored sorted."""
-        return {"samples": list(self._view().ordered)}
-
-    @classmethod
-    def merge(cls, snapshots: Sequence[dict]) -> "TailAggregator":
-        """Combine per-shard snapshots losslessly (canonical shard order)."""
-        merged = cls()
-        merged._samples = merge_sorted_samples([s["samples"] for s in snapshots])
-        return merged
 
 
 class MissRatioAggregator:
@@ -182,57 +84,6 @@ class MissRatioAggregator:
             }
         }
 
-    @classmethod
-    def merge(cls, snapshots: Sequence[dict]) -> "MissRatioAggregator":
-        merged = cls()
-        for snap in snapshots:
-            for name, counts in snap["per_task"].items():
-                slot = merged._counts(name)
-                slot[0] += counts["met"]
-                slot[1] += counts["missed"]
-        return merged
-
-
-class LatencyAggregator:
-    """Job response-time stats in µs, streamed from ``JOB_LATENCY``."""
-
-    __slots__ = ("stats", "tail", "_cancel")
-
-    def __init__(self) -> None:
-        self.stats = OnlineStats()
-        self.tail = TailAggregator()
-        self._cancel: Optional[Callable[[], None]] = None
-
-    def attach(self, bus: TelemetryBus) -> "LatencyAggregator":
-        self._cancel = bus.subscribe(events.JOB_LATENCY, self._on_latency)
-        return self
-
-    def detach(self) -> None:
-        if self._cancel is not None:
-            self._cancel()
-            self._cancel = None
-
-    def _on_latency(self, event) -> None:
-        usec = to_usec(event.latency_ns)
-        self.stats.add(usec)
-        self.tail.add(usec)
-
-    def tail_usec(self) -> Dict[float, float]:
-        return self.tail.tail_summary()
-
-    def mean_usec(self) -> float:
-        return self.stats.mean
-
-    def snapshot(self) -> dict:
-        return {"stats": self.stats.snapshot(), "tail": self.tail.snapshot()}
-
-    @classmethod
-    def merge(cls, snapshots: Sequence[dict]) -> "LatencyAggregator":
-        merged = cls()
-        merged.stats = OnlineStats.merge([s["stats"] for s in snapshots])
-        merged.tail = TailAggregator.merge([s["tail"] for s in snapshots])
-        return merged
-
 
 class BandwidthAggregator:
     """Granted vs consumed CPU bandwidth per VCPU, streamed from the bus.
@@ -281,54 +132,33 @@ class BandwidthAggregator:
             },
         }
 
-    @classmethod
-    def merge(cls, snapshots: Sequence[dict]) -> "BandwidthAggregator":
-        merged = cls()
-        for snap in snapshots:
-            for name, ns in snap["consumed_ns"].items():
-                merged.consumed_ns[name] = merged.consumed_ns.get(name, 0) + ns
-            for name, (num, den) in snap["granted"].items():
-                # Later shards win — shard order is canonical, so this
-                # is deterministic; for disjoint shards it's a union.
-                merged.granted[name] = Fraction(num, den)
-        return merged
-
 
 class StandardTelemetry:
     """The three headline streaming metrics bundled on one bus.
 
     Attach to a system's bus before the run; after it, ``snapshot()``
-    is a JSON-able record of deadline-miss ratios, latency tails, and
-    granted-vs-consumed bandwidth — with no trace retained in memory.
+    is a JSON-able record of deadline-miss counts, every job latency
+    (ns, in arrival order), and granted-vs-consumed bandwidth — with no
+    trace retained in memory.
     """
 
     def __init__(self, bus: TelemetryBus):
         self.misses = MissRatioAggregator().attach(bus)
-        self.latency = LatencyAggregator().attach(bus)
+        self.latency = LatencyRecorder("job latency")
+        self._unsubscribe_latency = bus.subscribe(
+            events.JOB_LATENCY,
+            lambda event: self.latency.record(event.latency_ns),
+        )
         self.bandwidth = BandwidthAggregator().attach(bus)
 
     def detach(self) -> None:
         self.misses.detach()
-        self.latency.detach()
+        self._unsubscribe_latency()
         self.bandwidth.detach()
 
     def snapshot(self) -> dict:
         return {
             "misses": self.misses.snapshot(),
-            "latency": self.latency.snapshot(),
+            "latency": list(self.latency.samples_ns),
             "bandwidth": self.bandwidth.snapshot(),
-        }
-
-    @staticmethod
-    def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-        """Merge whole-bundle snapshots, in canonical shard order."""
-        misses = MissRatioAggregator.merge([s["misses"] for s in snapshots])
-        latency = LatencyAggregator.merge([s["latency"] for s in snapshots])
-        bandwidth = BandwidthAggregator.merge(
-            [s["bandwidth"] for s in snapshots]
-        )
-        return {
-            "misses": misses.snapshot(),
-            "latency": latency.snapshot(),
-            "bandwidth": bandwidth.snapshot(),
         }

@@ -31,9 +31,9 @@ what the miss costs.  Each slice is then classified:
     lateness not covered by any non-run time — the job simply carried
     more work than its window (surges, abandoned jobs).
 
-Reports are **mergeable**: :meth:`BlameReport.merge` over shard
-snapshots in canonical unit order is byte-identical to a single-stream
-run — the same contract PR 4's aggregators honour.
+Reports sum: :meth:`BlameReport.merge` adds the snapshots of the
+robustness sweep's cells in canonical unit order, so the sweep's table
+is the same at any worker count.
 ``tools/check_determinism.py --observed`` digests each cell's blame
 output, serial against parallel.
 
@@ -128,7 +128,7 @@ def primary_cause(lost: Dict[str, int]) -> str:
 
 
 class BlameReport:
-    """Aggregate miss blame, mergeable across runner shards."""
+    """Aggregate miss blame; the blame sweep merges its cells' reports."""
 
     def __init__(self) -> None:
         #: cause -> [misses with this primary cause, total lost ns]
@@ -151,7 +151,7 @@ class BlameReport:
             self.per_cause.setdefault(cause, [0, 0])[1] += ns
             task_losses[cause] = task_losses.get(cause, 0) + ns
 
-    # -- the mergeable-snapshot contract (see aggregate.py) ---------------------------
+    # -- snapshot and merge (the blame sweep sums its cells) --------------------------
 
     def snapshot(self) -> dict:
         return {

@@ -36,13 +36,13 @@ WORST_MISSES = 5
 
 def unit_rows(part: Any) -> Optional[List[dict]]:
     """The metric rows of a unit's part: a robustness cell's row, a
-    feedback cell's row list, the ``"row"`` of every host of a cluster
-    configuration, or a result's ``rows()`` / shard outcome's ``row()``;
-    ``None`` when it has none."""
+    feedback cell's row list, the host rows of a cluster configuration,
+    or a result's ``rows()`` / shard outcome's ``row()``; ``None`` when
+    it has none."""
     if isinstance(part, dict):
         return [part]
     if isinstance(part, list):
-        return [p["row"] if "snapshot" in p else p for p in part]
+        return part
     if hasattr(part, "rows"):
         return part.rows()
     return [part.row()] if hasattr(part, "row") else None

@@ -1,5 +1,5 @@
-"""The cluster_* experiment family: configurations, merging, clock-offset
-effect, and one run observing every host."""
+"""The cluster_* experiment family: configurations, the summed cluster
+row, clock-offset effect, and one run observing every host."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.experiments import cluster_scale, registry
 from repro.runner.executor import execute_plan
 from repro.runner.workunits import cluster_plan, execute_unit, observed_plan, plan_for
 from repro.simcore.time import MSEC, sec
-from repro.telemetry.aggregate import StandardTelemetry
+from repro.telemetry.aggregate import MissRatioAggregator
 from repro.telemetry.observe import observing
 from repro.telemetry.record import TraceReader, TraceRecorder
 
@@ -28,21 +28,18 @@ def single_host_part(
     duration_ns,
     seed,
     clock_offset_step_ns=None,
-    record=False,
 ):
-    """The oracle: one full cluster run with telemetry (and, with
-    *record*, a trace recorder) on host *host_index* alone; that host's
-    ``{"row", "snapshot"}`` and its trace body hash (``None`` unrecorded)."""
+    """The oracle: one full cluster run with a miss counter and a trace
+    recorder on host *host_index* alone; that host's row and its trace
+    body hash."""
     cluster = cluster_scale.build_cluster(
         mode, scheduler, host_count, duration_ns, seed, clock_offset_step_ns
     )
     host = cluster.hosts[host_index]
-    telemetry = StandardTelemetry(host.machine.bus)
-    recorder = TraceRecorder(None, {}).attach(host.machine.bus) if record else None
+    misses = MissRatioAggregator().attach(host.machine.bus)
+    recorder = TraceRecorder(None, {}).attach(host.machine.bus)
     cluster.run(duration_ns)
     cluster.finalize()
-    snapshot = telemetry.snapshot()
-    misses = telemetry.misses
     decided = misses.decided()
     missed = decided and sum(x for _, x in misses.per_task.values())
     audit = cluster.audit
@@ -72,8 +69,7 @@ def single_host_part(
         "xhost_missed": xhost_missed,
         "stranded": sum(1 for _, kind, _ in cluster.log if kind == "vm_stranded"),
     }
-    trace = TraceReader(recorder.close()).trace_hash if record else None
-    return {"row": row, "snapshot": snapshot}, trace
+    return row, TraceReader(recorder.close()).trace_hash
 
 
 #: Every smoke-length cluster unit: each mode × scheduler (× clock offset).
@@ -91,20 +87,18 @@ class TestOneRunEveryHost:
     @pytest.mark.parametrize("unit", SMOKE_UNITS, ids=lambda u: u.unit_id)
     def test_each_host_matches_its_single_host_run(self, unit):
         config = dict(unit.kwargs)
-        record = config["mode"] == "hostfail"
         recorders = []
 
         def attach_recorder(system, context):
             recorders.append(TraceRecorder(None, {}).attach(system.machine.bus))
 
-        with observing([attach_recorder] if record else []):
-            parts = cluster_scale.run_cluster_config(**config)
-        assert len(parts) == config["host_count"]
-        for index, part in enumerate(parts):
-            alone, trace = single_host_part(host_index=index, record=record, **config)
-            assert part == alone
-            if record:
-                assert TraceReader(recorders[index].close()).trace_hash == trace
+        with observing([attach_recorder]):
+            rows = cluster_scale.run_cluster_config(**config)
+        assert len(rows) == config["host_count"]
+        for index, row in enumerate(rows):
+            alone, trace = single_host_part(host_index=index, **config)
+            assert row == alone
+            assert TraceReader(recorders[index].close()).trace_hash == trace
 
     def test_profile_gives_the_engine_phases_to_h0_alone(self):
         plan = observed_plan(plan_for("cluster_clockskew", smoke=True), ("profile",))
@@ -183,7 +177,7 @@ class TestClusterScenarios:
         done = [m for m in cluster.migrations if m.done]
         assert done, "host failure must trigger at least one live migration"
         assert cluster.total_downtime_ns == sum(m.downtime_ns for m in done)
-        assert part["row"]["migr_out"] == len(
+        assert part["migr_out"] == len(
             [m for m in done if m.source is cluster.hosts[0]]
         )
 
@@ -219,7 +213,7 @@ class TestClusterScenarios:
                     seed=SEED,
                     clock_offset_step_ns=offset_ns,
                 )
-            return state["cluster"].audit, part["row"]
+            return state["cluster"].audit, part
 
         sync_audit, sync_row = audit_and_row(0)
         skew_audit, skew_row = audit_and_row(25 * MSEC)
@@ -247,4 +241,5 @@ class TestClusterScenarios:
                 if r["offset_ms"] == config["offset_ms"]
             ]
             assert config["decided"] == sum(r["decided"] for r in parts)
+            assert config["missed"] == sum(r["missed"] for r in parts)
             assert config["migr_in"] == sum(r["migr_in"] for r in parts)

@@ -11,7 +11,7 @@ from repro.simcore.engine import Engine
 from repro.simcore.errors import ConfigurationError, SchedulingError
 from repro.simcore.time import msec, usec
 from repro.simcore.trace import Trace
-from tests.simcore.trace_queries import iter_overlaps
+from tests.simcore.trace_queries import iter_overlaps, job_latencies
 
 
 class ManualScheduler(HostScheduler):
@@ -59,6 +59,7 @@ def build(pcpus=1, costs=ZERO_COSTS, trace=None):
 class TestWorkCharging:
     def test_job_completes_at_exact_instant(self):
         engine, machine, sched, vm = build()
+        latencies = job_latencies(machine.bus)
         t = Task("t", msec(2), msec(10))
         vm.register_task(t)
         machine.start()
@@ -68,7 +69,7 @@ class TestWorkCharging:
         assert t.stats.met == 1
         assert t.pending == []
         # Completed exactly at 2ms.
-        assert t.stats.response_times == [msec(2)]
+        assert latencies == [msec(2)]
 
     def test_idle_pcpu_charges_nothing(self):
         engine, machine, sched, vm = build()
@@ -79,6 +80,7 @@ class TestWorkCharging:
 
     def test_preemption_splits_work(self):
         engine, machine, sched, vm = build()
+        latencies = job_latencies(machine.bus)
         t = Task("t", msec(4), msec(20))
         vm.register_task(t)
         machine.start()
@@ -88,7 +90,7 @@ class TestWorkCharging:
         engine.at(msec(3), machine.set_running, 0, t.vcpu)
         engine.run_until(msec(10))
         # 1ms before preemption + 3ms after resume -> completes at 6ms.
-        assert t.stats.response_times == [msec(6)]
+        assert latencies == [msec(6)]
 
     def test_account_reports_wallclock(self):
         engine, machine, sched, vm = build()
@@ -177,17 +179,19 @@ class TestOverheadWindows:
 
     def test_context_switch_delays_completion(self):
         engine, machine, sched, vm = build(costs=self.COSTS)
+        latencies = job_latencies(machine.bus)
         t = Task("t", msec(2), msec(10))
         vm.register_task(t)
         machine.start()
         vm.release_job(t, now=0)
         machine.set_running(0, t.vcpu)
         engine.run_until(msec(5))
-        assert t.stats.response_times == [msec(2) + usec(2)]
+        assert latencies == [msec(2) + usec(2)]
         assert machine.metrics.overhead.context_switches == 1
 
     def test_migration_cost_added(self):
         engine, machine, sched, vm = build(pcpus=2, costs=self.COSTS)
+        latencies = job_latencies(machine.bus)
         t = Task("t", msec(4), msec(20))
         vm.register_task(t)
         machine.start()
@@ -203,7 +207,7 @@ class TestOverheadWindows:
         assert machine.metrics.overhead.migrations == 1
         # 2µs initial switch + (2µs + 3µs) migration switch delay the
         # 4ms of work; the migration itself is seamless at t=1ms.
-        assert t.stats.response_times == [msec(4) + usec(7)]
+        assert latencies == [msec(4) + usec(7)]
 
     def test_hypercall_charges_pcpu0(self):
         engine, machine, sched, vm = build(costs=self.COSTS)

@@ -7,27 +7,16 @@ class TestDeadlineStats:
     def test_met_and_missed(self):
         s = DeadlineStats()
         s.record_release()
-        s.record_completion(release=0, deadline=100, completion=90)
+        s.record_completion(deadline=100, completion=90)
         s.record_release()
-        s.record_completion(release=100, deadline=200, completion=250)
+        s.record_completion(deadline=200, completion=250)
         assert s.met == 1 and s.missed == 1
         assert s.miss_ratio == 0.5
 
     def test_boundary_completion_meets(self):
         s = DeadlineStats()
-        s.record_completion(0, 100, 100)
+        s.record_completion(100, 100)
         assert s.met == 1 and s.missed == 0
-
-    def test_response_times_recorded(self):
-        s = DeadlineStats()
-        s.record_completion(10, 100, 60)
-        assert s.response_times == [50]
-
-    def test_worst_tardiness(self):
-        s = DeadlineStats()
-        s.record_completion(0, 100, 150)
-        s.record_completion(0, 100, 120)
-        assert s.worst_tardiness == 50
 
     def test_abandoned_past_deadline_counts_missed(self):
         s = DeadlineStats()

@@ -5,7 +5,9 @@ Figure 4's bucketed usage series.  These queries answer the other
 questions tests ask of a finished run, each by the obvious scan: how
 long a VCPU ran inside a window, how busy a PCPU was, which point
 events of one kind were recorded, and whether two segments ever shared
-a PCPU.
+a PCPU.  :func:`job_latencies` collects the per-job latencies a bus
+publishes, the stream the simulator keeps only in a
+:class:`~repro.metrics.latency.LatencyRecorder`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.simcore.trace import Segment, Trace, TraceEvent
+from repro.telemetry import events as T
+
+
+def job_latencies(bus) -> List[int]:
+    """A list that collects every ``JOB_LATENCY`` *bus* publishes from
+    now on, in ns and in completion order."""
+    latencies: List[int] = []
+    bus.subscribe(T.JOB_LATENCY, lambda event: latencies.append(event.latency_ns))
+    return latencies
 
 
 def events_of_kind(trace: Trace, kind: str) -> List[TraceEvent]:

@@ -1,72 +1,19 @@
-"""Unit tests for the streaming aggregators and their snapshot merges."""
+"""Unit tests for the streaming aggregators and the telemetry bundle."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
+from repro.metrics.latency import LatencyRecorder
 from repro.metrics.percentiles import SortedSamples
 from repro.telemetry import (
     BandwidthAggregator,
-    LatencyAggregator,
     MissRatioAggregator,
-    OnlineStats,
     StandardTelemetry,
-    TailAggregator,
     TelemetryBus,
 )
 from repro.telemetry import events as T
-
-
-def canonical(snapshot) -> str:
-    return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-
-
-class TestOnlineStats:
-    def test_running_summary(self):
-        stats = OnlineStats()
-        for v in (3.0, 1.0, 2.0):
-            stats.add(v)
-        assert stats.count == 3
-        assert stats.total == 6.0
-        assert stats.min == 1.0
-        assert stats.max == 3.0
-        assert stats.mean == 2.0
-
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            OnlineStats().mean
-
-    def test_merge_skips_empty_shards(self):
-        full = OnlineStats()
-        full.add(5.0)
-        merged = OnlineStats.merge([OnlineStats().snapshot(), full.snapshot()])
-        assert merged.count == 1
-        assert merged.min == merged.max == 5.0
-
-
-class TestTailAggregator:
-    def test_exact_matches_percentiles_module(self):
-        samples = [7.0, 1.0, 9.0, 3.0, 3.0, 8.0, 2.0]
-        tail = TailAggregator()
-        for v in samples:
-            tail.add(v)
-        assert tail.tail_summary() == SortedSamples(samples).tail_summary()
-        assert tail.percentile(50) == sorted(samples)[len(samples) // 2]
-
-    def test_exact_merge_is_byte_identical_to_single_stream(self):
-        samples = [float(v) for v in (5, 1, 4, 1, 5, 9, 2, 6, 5, 3)]
-        whole = TailAggregator()
-        for v in samples:
-            whole.add(v)
-        shards = []
-        for chunk in (samples[:3], samples[3:4], samples[4:]):
-            shard = TailAggregator()
-            for v in chunk:
-                shard.add(v)
-            shards.append(shard.snapshot())
-        merged = TailAggregator.merge(shards)
-        assert canonical(merged.snapshot()) == canonical(whole.snapshot())
 
 
 class TestMissRatioAggregator:
@@ -103,40 +50,6 @@ class TestMissRatioAggregator:
         assert agg.decided() == 0
         assert not bus.has_subscribers(T.DEADLINE_HIT)
 
-    def test_merge_sums_counts(self):
-        a, b = MissRatioAggregator(), MissRatioAggregator()
-        a.per_task["t"] = [2, 1]
-        b.per_task["t"] = [1, 0]
-        b.per_task["u"] = [0, 3]
-        merged = MissRatioAggregator.merge([a.snapshot(), b.snapshot()])
-        assert merged.per_task == {"t": [3, 1], "u": [0, 3]}
-
-
-class TestLatencyAggregator:
-    def test_streams_usec_from_latency_events(self):
-        bus = TelemetryBus()
-        agg = LatencyAggregator().attach(bus)
-        latencies_ns = [5_000, 1_000, 3_000, 3_000]
-        for i, ns in enumerate(latencies_ns):
-            bus.publish(T.JOB_LATENCY, T.JobLatencyEvent(100 + i, "t", i, ns))
-        assert agg.stats.count == 4
-        assert agg.mean_usec() == 3.0
-        assert agg.tail_usec() == SortedSamples([5.0, 1.0, 3.0, 3.0]).tail_summary()
-
-    def test_merge_equals_single_stream(self):
-        latencies = list(range(1, 50))
-        whole = LatencyAggregator()
-        for ns in latencies:
-            whole._on_latency(T.JobLatencyEvent(0, "t", 0, ns * 1000))
-        shards = []
-        for chunk in (latencies[:10], latencies[10:]):
-            shard = LatencyAggregator()
-            for ns in chunk:
-                shard._on_latency(T.JobLatencyEvent(0, "t", 0, ns * 1000))
-            shards.append(shard.snapshot())
-        merged = LatencyAggregator.merge(shards)
-        assert canonical(merged.snapshot()) == canonical(whole.snapshot())
-
 
 class TestBandwidthAggregator:
     def test_accumulates_and_tracks_grants(self):
@@ -154,16 +67,6 @@ class TestBandwidthAggregator:
         agg._on_params(T.VcpuParamsEvent(0, "v", 1, 100, 0))
         assert agg.granted["v"] == 0
 
-    def test_merge_sums_consumption_last_grant_wins(self):
-        a, b = BandwidthAggregator(), BandwidthAggregator()
-        a.consumed_ns["v"] = 100
-        a.granted["v"] = Fraction(1, 4)
-        b.consumed_ns["v"] = 50
-        b.granted["v"] = Fraction(1, 2)
-        merged = BandwidthAggregator.merge([a.snapshot(), b.snapshot()])
-        assert merged.consumed_ns == {"v": 150}
-        assert merged.granted == {"v": Fraction(1, 2)}
-
 
 class TestStandardTelemetry:
     def _feed(self, bus, latencies_ns):
@@ -176,25 +79,36 @@ class TestStandardTelemetry:
             bus.publish(T.JOB_LATENCY, T.JobLatencyEvent(i, "t", i, ns))
             bus.publish(T.CPU_ACCOUNT, T.CpuAccountEvent(i, "v", 1, 0, ns))
 
-    def test_snapshot_is_json_able_and_merge_matches_single_stream(self):
-        latencies = [1_000, 5_000, 2_000, 7_000, 3_000, 500]
-        whole_bus = TelemetryBus()
-        whole = StandardTelemetry(whole_bus)
-        self._feed(whole_bus, latencies)
-        json.dumps(whole.snapshot())  # must not raise
+    def test_streams_latencies_from_the_bus(self):
+        bus = TelemetryBus()
+        telemetry = StandardTelemetry(bus)
+        latencies_ns = [5_000, 1_000, 3_000, 3_000]
+        for i, ns in enumerate(latencies_ns):
+            bus.publish(T.JOB_LATENCY, T.JobLatencyEvent(100 + i, "t", i, ns))
+        assert isinstance(telemetry.latency, LatencyRecorder)
+        assert telemetry.latency.samples_ns == latencies_ns
+        assert telemetry.latency.mean_usec() == 3.0
+        assert (
+            telemetry.latency.tail_usec()
+            == SortedSamples([5.0, 1.0, 3.0, 3.0]).tail_summary()
+        )
 
-        shard_snaps = []
-        for chunk in (latencies[:2], latencies[2:]):
-            bus = TelemetryBus()
-            telem = StandardTelemetry(bus)
-            self._feed(bus, chunk)
-            shard_snaps.append(telem.snapshot())
-        merged = StandardTelemetry.merge_snapshots(shard_snaps)
-        assert canonical(merged) == canonical(whole.snapshot())
+    def test_snapshot_keeps_arrival_order(self):
+        latencies = [1_000, 5_000, 2_000, 7_000, 3_000, 500]
+        bus = TelemetryBus()
+        telemetry = StandardTelemetry(bus)
+        self._feed(bus, latencies)
+        snapshot = json.loads(json.dumps(telemetry.snapshot()))
+        assert snapshot["latency"] == latencies
+        assert snapshot["misses"]["per_task"] == {"t": {"met": 4, "missed": 2}}
+        assert snapshot["bandwidth"]["consumed_ns"] == {"v": sum(latencies)}
 
     def test_detach_releases_every_kind(self):
         bus = TelemetryBus()
-        StandardTelemetry(bus).detach()
+        telemetry = StandardTelemetry(bus)
+        telemetry.detach()
+        bus.publish(T.JOB_LATENCY, T.JobLatencyEvent(0, "t", 0, 1_000))
+        assert telemetry.latency.samples_ns == []
         for kind in (
             T.DEADLINE_HIT,
             T.DEADLINE_MISS,
@@ -203,9 +117,3 @@ class TestStandardTelemetry:
             T.VCPU_PARAMS,
         ):
             assert not bus.has_subscribers(kind)
-
-    def test_merge_of_empty_shards_is_empty(self):
-        bus = TelemetryBus()
-        empty = StandardTelemetry(bus).snapshot()
-        merged = StandardTelemetry.merge_snapshots([empty, empty])
-        assert canonical(merged) == canonical(empty)

@@ -437,6 +437,40 @@ class TestCluster:
         assert "vm_shutdown_deferred churn0" in capsys.readouterr().out
 
 
+#: The lines under ``telemetry (streamed):`` that ``run SCENARIO
+#: --telemetry`` prints for each example scenario.
+TELEMETRY_LINES = {
+    "motivation": [
+        "  deadline miss ratio: 0.000% (2666 decided)",
+        "  job latency: mean=7284.4us  p90=19034.6us  p95=19034.6us  "
+        "p99=19034.6us  p99.9=19034.6us",
+        "  cpu consumed: 9015.3ms across 3 vcpus",
+    ],
+    "mixed_workload": [
+        "  deadline miss ratio: 0.000% (1974 decided)",
+        "  job latency: mean=14503.3us  p90=15004.7us  p95=15004.7us  "
+        "p99=15004.7us  p99.9=15068.4us",
+        "  cpu consumed: 58165.6ms across 3 vcpus",
+    ],
+    "probe": [
+        "  deadline miss ratio: 0.505% (198 decided)",
+        "  job latency: mean=8803.6us  p90=13008.8us  p95=13018.3us  "
+        "p99=13045.4us  p99.9=15020.7us",
+        "  cpu consumed: 1942.4ms across 3 vcpus",
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TELEMETRY_LINES))
+def test_scenario_telemetry_output_is_unchanged(scenario, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = os.path.join(root, "examples", "scenarios", f"{scenario}.json")
+    assert main(["run", spec, "--telemetry", "--no-cache", "--no-ledger"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("telemetry (streamed):") + 1
+    assert lines[start : start + 3] == TELEMETRY_LINES[scenario]
+
+
 class TestRunAllLedger:
     def _manifest(self, runs_dir):
         (stamp,) = runs_dir.iterdir()

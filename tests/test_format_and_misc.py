@@ -120,7 +120,10 @@ class TestPackageSurface:
         # examples/.  A name is an identifier, an attribute, an imported
         # name, or a string constant that spells an identifier or a
         # dotted reference ("repro.pkg.module:function").  Docstrings do
-        # not name anything; dunder methods are exempt.
+        # not name anything; dunder methods are exempt.  A classmethod or
+        # staticmethod is named only as ``Class.name``, ``self.name`` or
+        # ``cls.name``: another class's method of the same name does not
+        # keep it alive.
         import repro
 
         package_root = Path(repro.__file__).parent
@@ -135,6 +138,7 @@ class TestPackageSurface:
             naming += sorted((repo_root / directory).rglob("*.py"))
         scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
         named = set()
+        qualified = set()  # (owner, attribute) of every ``owner.attribute``
         for path in naming:
             tree = ast.parse(path.read_text())
             docstrings = {
@@ -150,6 +154,8 @@ class TestPackageSurface:
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
+                    if isinstance(node.value, ast.Name):
+                        qualified.add((node.value.id, node.attr))
                 elif isinstance(node, ast.alias):
                     named.update(node.name.split("."))
                 elif (
@@ -160,14 +166,34 @@ class TestPackageSurface:
                     parts = re.split(r"[.:]", node.value)
                     if all(part.isidentifier() for part in parts):
                         named.update(parts)
+        bound = {"classmethod", "staticmethod"}
         unnamed = []
         for path in sources:
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            owners = {
+                id(member): node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)
+                for member in node.body
+                if isinstance(member, scopes[2:])
+                and any(
+                    isinstance(d, ast.Name) and d.id in bound
+                    for d in member.decorator_list
+                )
+            }
+            for node in ast.walk(tree):
                 if not isinstance(node, scopes[1:]):
                     continue
                 if node.name.startswith("__") and node.name.endswith("__"):
                     continue
-                if node.name not in named:
+                owner = owners.get(id(node))
+                if owner is None:
+                    found = node.name in named
+                else:
+                    found = any(
+                        (who, node.name) in qualified for who in (owner, "self", "cls")
+                    )
+                if not found:
                     relative = path.relative_to(package_root)
                     unnamed.append(f"{relative}:{node.lineno} {node.name}")
         assert not unnamed, "named only by tests: " + ", ".join(unnamed)
